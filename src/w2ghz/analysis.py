@@ -19,10 +19,11 @@ reported:
   product of subsystem outputs against the product of ideal targets, i.e.
   sqrt(<psi|rho_1|psi>) cubed.  This counts photon loss and spontaneous decay
   against the fidelity, and is the estimator matching the headline values.
-* ``network_fidelity`` (estimator b): the three-fold tensor of subsystem
-  output maps pushed through the ideal wave-plate network and perfect
-  detectors, conditioned on accepted patterns.  Post-selection filters loss,
-  so this estimator is systematically higher.
+* ``network_fidelity`` (estimator b): the noisy single-unit channel applied
+  to every atom of the protocol's own per-pattern conditional state (the
+  lossless network of the given layout with perfect detectors), averaged
+  over accepted patterns.  It follows the layout like ``run_protocol`` does.
+  Post-selection filters loss, so this estimator is systematically higher.
 """
 
 from __future__ import annotations
@@ -32,10 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_cavity import FULL_LEVELS, SystemParams, collapse_operators, full_hamiltonian, full_space
-from .detection import OutcomeClass, accepted_patterns, classify_pattern
-from .dynamics import IntegratorConfig, decay_coefficients, propagate_matrix
-from .photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
+from .atom_cavity import (
+    EMITTED_LEVELS,
+    FULL_LEVELS,
+    SystemParams,
+    collapse_operators,
+    full_hamiltonian,
+    full_space,
+)
+from .detection import OutcomeClass, classify_pattern, enumerate_outcomes, ghz_pair_states
+from .dynamics import EvolutionCoefficients, IntegratorConfig, decay_coefficients, propagate_matrix
+from .photonics import DEFAULT_LAYOUT, NetworkLayout, full_network
+from .protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
 
 # Fixed drive parameters of the reference noise analysis, in units of gamma.
 REFERENCE_OMEGA = 2.9
@@ -217,9 +226,10 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     Estimator b needs the action of the noisy channel on the ground-qubit
     operator basis, obtained by propagating |gL><gL|, |gR><gR| and the
     coherence |gL><gR| (the generator is linear, so the non-Hermitian initial
-    matrix is legitimate).  The emitted one-photon blocks of those outputs are
-    then interfered through the network routing exactly as in the lossless
-    protocol and conditioned on the eight accepted patterns.
+    matrix is legitimate).  The emitted one-photon blocks of those outputs
+    form the noisy unit channel, which is applied to every atom of the
+    lossless protocol's own conditional state for each accepted pattern, as
+    produced by ``full_network`` on ``layout`` and ``enumerate_outcomes``.
     """
     if t is None:
         t = params.operating_time
@@ -246,58 +256,43 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     target[ix["eL1"]] = target[ix["eR1"]] = 1.0 / math.sqrt(2.0)
     f_sub = math.sqrt(max(float(np.real(np.vdot(target, rho_plus @ target))), 0.0))
 
-    # Emitted-photon blocks as 6x6 atomic operators.
+    # The unit channel on the emitted-photon sector: channel[p, q] is the 6x6
+    # atomic block that |g_p><g_q| leaves behind with one photon in mode p on
+    # the left and mode q on the right (index 0 = L, 1 = R, as in
+    # EMITTED_LEVELS).
     n_atom = len(FULL_LEVELS)
-    sel_l = [space.basis_index(k, 1, 0) for k in range(n_atom)]
-    sel_r = [space.basis_index(k, 0, 1) for k in range(n_atom)]
-    blocks = {
-        ("L", "L"): m_ll[np.ix_(sel_l, sel_l)],
-        ("R", "R"): m_rr[np.ix_(sel_r, sel_r)],
-        ("L", "R"): m_lr[np.ix_(sel_l, sel_r)],
-        ("R", "L"): m_lr[np.ix_(sel_l, sel_r)].conj().T,
-    }
+    sel = ([space.basis_index(k, 1, 0) for k in range(n_atom)],
+           [space.basis_index(k, 0, 1) for k in range(n_atom)])
+    channel = np.empty((2, 2, n_atom, n_atom), dtype=np.complex128)
+    channel[0, 0] = m_ll[np.ix_(sel[0], sel[0])]
+    channel[1, 1] = m_rr[np.ix_(sel[1], sel[1])]
+    channel[0, 1] = m_lr[np.ix_(sel[0], sel[1])]
+    channel[1, 0] = channel[0, 1].conj().T
 
-    # Entangled-input weights of the all-L and all-R branches (the only
-    # configurations routing one photon onto every output mode).
-    weights = {"L": 3.0 / (2.0 * math.sqrt(6.0)), "R": -3.0 / (2.0 * math.sqrt(6.0))}
-
-    def photon_amplitude(branch: str, pattern) -> float:
-        """Amplitude for all three photons of one branch to land exactly on
-        the fired detectors: route through the layout, then the wave-plate
-        projection (V -> (H-V)/sqrt2, H -> (H+V)/sqrt2)."""
-        fired = {int(name[1]): name[2] for name in pattern.fired}
-        amp = 1.0
-        for atom in ATOMS:
-            pol = "V" if branch == "L" else "H"
-            clicked = fired[layout.route(atom, pol)]
-            sign = -1.0 if (pol == "V" and clicked == "V") else 1.0
-            amp *= sign / math.sqrt(2.0)
-        return amp
-
-    i_el, i_er = FULL_LEVELS.index("eL"), FULL_LEVELS.index("eR")
-    lo = i_el * n_atom * n_atom + i_el * n_atom + i_el
-    hi = i_er * n_atom * n_atom + i_er * n_atom + i_er
+    # The lossless protocol's per-pattern conditional states over the emitted
+    # levels; the noisy channel replaces each atom's |e_p><e_q| by its block,
+    # and the GHZ targets are lifted from the emitted levels into all six.
+    emitted = cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params,
+                                 coefficients=EvolutionCoefficients(0.0, 1.0))
+    report = enumerate_outcomes(full_network(emitted, layout), 1.0)
+    embed = np.zeros((n_atom, len(EMITTED_LEVELS)))
+    for k, level in enumerate(EMITTED_LEVELS):
+        embed[FULL_LEVELS.index(level), k] = 1.0
+    lift = np.kron(np.kron(embed, embed), embed)
 
     fidelity_acc = 0.0
     probability_acc = 0.0
-    for pattern in accepted_patterns():
-        rho_pattern = np.zeros((n_atom**3, n_atom**3), dtype=np.complex128)
-        for p in ("L", "R"):
-            for q in ("L", "R"):
-                coeff = (weights[p] * np.conj(weights[q])
-                         * photon_amplitude(p, pattern) * np.conj(photon_amplitude(q, pattern)))
-                block = blocks[(p, q)]
-                rho_pattern += coeff * np.kron(np.kron(block, block), block)
-        probability = float(np.trace(rho_pattern).real)
+    for pattern, rho in report.conditional_states.items():
+        ideal = report.probability(pattern) * rho.elements.reshape((2,) * 6)
+        noisy = np.einsum("ABCabc,AaIi,BbJj,CcKk->IJKijk", ideal, channel, channel, channel,
+                          optimize=True).reshape((n_atom**3,) * 2)
+        probability = float(np.trace(noisy).real)
         if probability <= 0.0:
             continue
-        sign = 1.0 if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else -1.0
-        target3 = np.zeros(n_atom**3, dtype=np.complex128)
-        target3[lo] = sign / math.sqrt(2.0)
-        target3[hi] = 1.0 / math.sqrt(2.0)
-        fid = float(np.real(np.vdot(target3, rho_pattern @ target3))) / probability
+        plus, minus = ghz_pair_states(rho.space)
+        ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
+        fidelity_acc += float(np.real(np.vdot(ghz, noisy @ ghz)))
         probability_acc += probability
-        fidelity_acc += probability * fid
     network_fidelity = fidelity_acc / probability_acc if probability_acc > 0 else 0.0
     return FidelityEstimates(
         subsystem_fidelity=f_sub,

@@ -14,6 +14,7 @@ units of 1/gamma.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -61,6 +62,9 @@ class SystemParams:
     n_max: int = 1
 
     def __post_init__(self):
+        for name in ("delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         for name in ("lambda_c", "omega", "kappa", "gamma_a"):

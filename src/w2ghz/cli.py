@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,14 +109,15 @@ def parse_run_config(data: dict, defaults: dict | None = None) -> RunConfig:
             raise ConfigError(f"config error: field 'layout': {exc}") from exc
 
     t = options.get("t")
-    if t is not None and (not isinstance(t, (int, float)) or isinstance(t, bool) or t < 0):
-        raise ConfigError(f"config error: field 't': expected a non-negative number, got {t!r}")
+    if t is not None and (not isinstance(t, (int, float)) or isinstance(t, bool)
+                          or not math.isfinite(t) or t < 0):
+        raise ConfigError(f"config error: field 't': expected a finite non-negative number, got {t!r}")
 
     integrator = None
     if "dt" in options:
         dt = options["dt"]
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or dt <= 0:
-            raise ConfigError(f"config error: field 'dt': expected a positive number, got {dt!r}")
+        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not math.isfinite(dt) or dt <= 0:
+            raise ConfigError(f"config error: field 'dt': expected a finite positive number, got {dt!r}")
         integrator = IntegratorConfig(dt=float(dt))
 
     sweep = options.get("sweep")
@@ -160,7 +162,10 @@ def cmd_sweep_decay(args) -> int:
 
     lines = ["eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff"]
     for ratio in ratios:
-        params = params_for_eta_over_kappa(ratio, eta_d=config.params.eta_d)
+        try:
+            params = params_for_eta_over_kappa(ratio, eta_d=config.params.eta_d)
+        except ValueError as exc:
+            raise ConfigError(f"config error: --eta-over-kappa: {exc}") from exc
         try:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
         except ValueError as exc:

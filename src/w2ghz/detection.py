@@ -124,8 +124,7 @@ def atomic_space(atoms, basis=EMITTED_LEVELS) -> HilbertSpace:
     return HilbertSpace.of(*((atom, len(basis)) for atom in atoms))
 
 
-def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float,
-            atom_basis: tuple[str, ...] | None = None):
+def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float):
     """Probability of a click pattern and the conditional atomic state.
 
     The POVM elements are diagonal in the occupation basis, so the pattern
@@ -155,7 +154,7 @@ def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float,
         return 0.0, None
 
     configs = {c for pair in weighted for c in pair}
-    basis = atom_basis if atom_basis is not None else _infer_atom_basis(configs)
+    basis = _infer_atom_basis(configs)
     space = atomic_space(state.atoms, basis)
     rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
     for (c1, c2), value in weighted.items():

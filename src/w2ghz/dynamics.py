@@ -40,21 +40,14 @@ class EvolutionCoefficients:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step fourth-order Runge-Kutta configuration.
-
-    ``dt`` is the step size in units of 1/gamma; ``t_final`` is an optional
-    default horizon used when an evolve call does not pass a time.
-    """
+    """Fixed-step fourth-order Runge-Kutta configuration; ``dt`` is the step
+    size in units of 1/gamma."""
 
     dt: float
-    method: str = "rk4"
-    t_final: float | None = None
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported method {self.method!r}; only 'rk4' is implemented")
 
     def step_advisory(self, max_rate: float) -> bool:
         """True when dt * max_rate exceeds 0.05 (accuracy advisory)."""
@@ -82,31 +75,19 @@ def _sinhc(x: complex) -> complex:
     return np.sinh(x) / x
 
 
-def ideal_coefficients(params: SystemParams, t: float,
-                       beta_convention: str = "coupling-product") -> EvolutionCoefficients:
+def ideal_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     """Closed-form transfer amplitudes for the lossless cavity (kappa ignored).
 
     With S = lambda_c^2 + Omega^2 and theta = S*t/Delta:
 
         alpha = (lambda_c^2 + Omega^2 e^{i theta}) / S
         beta  = lambda_c*Omega (e^{i theta} - 1) / S
-
-    ``beta_convention="drive-squared"`` replaces the cosine part of the beta
-    numerator by Omega^2*cos(theta) instead of lambda_c*Omega*cos(theta); the
-    two conventions coincide at the symmetric operating condition
-    lambda_c = Omega and the variant is kept only for cross-checks.
     """
     s = params.lambda_c**2 + params.omega**2
     theta = s * t / params.delta
     phase = np.exp(1j * theta)
     alpha = (params.lambda_c**2 + params.omega**2 * phase) / s
-    if beta_convention == "coupling-product":
-        beta = params.lambda_c * params.omega * (phase - 1.0) / s
-    elif beta_convention == "drive-squared":
-        beta = (-params.lambda_c * params.omega + params.omega**2 * np.cos(theta)
-                + 1j * params.lambda_c * params.omega * np.sin(theta)) / s
-    else:
-        raise ValueError(f"unknown beta_convention {beta_convention!r}")
+    beta = params.lambda_c * params.omega * (phase - 1.0) / s
     return EvolutionCoefficients(complex(alpha), complex(beta))
 
 
@@ -152,7 +133,7 @@ def _rk4_propagate(rhs, y0: np.ndarray, t: float, dt: float) -> np.ndarray:
     return y
 
 
-def schrodinger_evolve(h: Operator, psi0: StateVector, t: float | None,
+def schrodinger_evolve(h: Operator, psi0: StateVector, t: float,
                        cfg: IntegratorConfig | None = None) -> StateVector:
     """Integrate d psi/dt = -i H psi with fixed-step RK4.
 
@@ -161,8 +142,6 @@ def schrodinger_evolve(h: Operator, psi0: StateVector, t: float | None,
     """
     if h.space != psi0.space:
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {psi0.space.subsystems}")
-    if t is None:
-        t = _require_horizon(cfg)
     if cfg is None:
         cfg = default_config(h)
     if t == 0.0:
@@ -221,25 +200,17 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
 
 
 def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: DensityMatrix,
-                    t: float | None, cfg: IntegratorConfig | None = None) -> DensityMatrix:
+                    t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
     """Integrate the master equation
     d rho/dt = -i[H, rho] - sum_k (rate_k/2)(C_k^dag C_k rho - 2 C_k rho C_k^dag + rho C_k^dag C_k)
     with fixed-step RK4, returning a validated density matrix."""
     if rho0.space != h.space:
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {rho0.space.subsystems}")
-    if t is None:
-        t = _require_horizon(cfg)
     out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
     result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
     if rho0.normalized and abs(result.trace() - 1.0) > tol(1e-8):
         raise RuntimeError(f"integrator trace drift {result.trace() - 1.0:.3e}; reduce dt")
     return result
-
-
-def _require_horizon(cfg: IntegratorConfig | None) -> float:
-    if cfg is None or cfg.t_final is None:
-        raise ValueError("no evolution time given and the config carries no t_final horizon")
-    return cfg.t_final
 
 
 @dataclass(frozen=True)

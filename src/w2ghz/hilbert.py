@@ -17,21 +17,9 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import expm
 
-# Single global knob scaling every fixed numeric tolerance in the package.
-_TOLERANCE_SCALE = 1.0
-
-
-def set_tolerance_scale(scale: float) -> None:
-    """Scale all fixed validation tolerances by a common factor (default 1)."""
-    global _TOLERANCE_SCALE
-    if scale <= 0:
-        raise ValueError("tolerance scale must be positive")
-    _TOLERANCE_SCALE = float(scale)
-
-
 def tol(base: float) -> float:
-    """A fixed base tolerance adjusted by the global tolerance scale."""
-    return base * _TOLERANCE_SCALE
+    """The fixed validation tolerance ``base``, unscaled."""
+    return base
 
 
 @dataclass(frozen=True)
@@ -66,16 +54,6 @@ class HilbertSpace:
         for _, dim in self.subsystems:
             out *= dim
         return out
-
-    def axis(self, label: str) -> int:
-        """Position of a subsystem in the tensor ordering."""
-        for i, (lab, _) in enumerate(self.subsystems):
-            if lab == label:
-                return i
-        raise KeyError(f"unknown subsystem label {label!r} (have {self.labels})")
-
-    def dim_of(self, label: str) -> int:
-        return self.dims[self.axis(label)]
 
     def basis_index(self, *indices: int) -> int:
         """Flat index of a product-basis element (one index per subsystem)."""
@@ -116,17 +94,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize a zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
-    def inner(self, other: "StateVector") -> complex:
-        """⟨self|other⟩."""
-        _require_same_space(self.space, other.space)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density_matrix(self) -> "DensityMatrix":
         return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()),
                              normalized=self.normalized)
@@ -159,10 +126,6 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.elements).real)
 
-    def expectation(self, op: "Operator") -> complex:
-        _require_same_space(self.space, op.space)
-        return complex(np.trace(op.elements @ self.elements))
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -184,62 +147,10 @@ class Operator:
             if herm_err > tol(1e-12):
                 raise ValueError(f"operator flagged Hermitian deviates by {herm_err:.3e}")
 
-    @classmethod
-    def identity(cls, space: HilbertSpace) -> "Operator":
-        return cls(space, np.eye(space.total_dim, dtype=np.complex128), hermitian=True)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.elements.conj().T, hermitian=self.hermitian)
-
-    def apply(self, state: StateVector) -> StateVector:
-        _require_same_space(self.space, state.space)
-        return StateVector(self.space, self.elements @ state.amplitudes, normalized=False)
-
 
 def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
     if a != b:
         raise ValueError(f"space mismatch: {a.subsystems} vs {b.subsystems}")
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators on disjoint subsystems.
-
-    The result space concatenates the operand subsystem lists, so the second
-    operand's indices vary fastest in the combined basis ordering.
-    """
-    if set(a.space.labels) & set(b.space.labels):
-        raise ValueError(f"label collision in tensor product: {set(a.space.labels) & set(b.space.labels)}")
-    space = HilbertSpace(a.space.subsystems + b.space.subsystems)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(space, np.kron(a.amplitudes, b.amplitudes),
-                           normalized=a.normalized and b.normalized)
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(space, np.kron(a.elements, b.elements), hermitian=a.hermitian and b.hermitian)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(space, np.kron(a.elements, b.elements),
-                             normalized=a.normalized and b.normalized)
-    raise TypeError(f"tensor operands must be of the same kind, got {type(a).__name__} and {type(b).__name__}")
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all subsystems except ``keep`` (kept in their original order)."""
-    keep_set = set(keep)
-    unknown = keep_set - set(rho.space.labels)
-    if unknown:
-        raise KeyError(f"unknown subsystem labels in keep set: {sorted(unknown)}")
-    dims = rho.space.dims
-    n = len(dims)
-    kept_positions = [i for i, lab in enumerate(rho.space.labels) if lab in keep_set]
-    dropped = [i for i in range(n) if i not in kept_positions]
-
-    t = rho.elements.reshape(dims + dims)
-    m = n
-    for i in sorted(dropped, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + m)
-        m -= 1
-    new_space = HilbertSpace(tuple(rho.space.subsystems[i] for i in kept_positions))
-    d = new_space.total_dim
-    return DensityMatrix(new_space, t.reshape(d, d), normalized=rho.normalized)
 
 
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:

@@ -34,20 +34,6 @@ Occupation = tuple[tuple[tuple[int, str], int], ...]
 AtomConfig = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PolarizedPhotonMode:
-    """One (spatial mode, polarization) slot of the free field."""
-
-    spatial: int
-    polarization: str
-
-    def __post_init__(self):
-        if self.spatial not in SOURCE_MODES + OUTPUT_MODES:
-            raise ValueError(f"spatial mode must be one of {SOURCE_MODES + OUTPUT_MODES}, got {self.spatial}")
-        if self.polarization not in ("H", "V", "L", "R"):
-            raise ValueError(f"polarization must be H/V (free) or L/R (cavity), got {self.polarization!r}")
-
-
 def _canonical_occupation(occupation) -> Occupation:
     items = []
     for slot, count in dict(occupation).items():
@@ -92,9 +78,6 @@ class JointAtomPhotonState:
         counts = self.photon_numbers()
         if counts != {n}:
             raise ValueError(f"expected exactly {n} photons in every term, found counts {sorted(counts)}")
-
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def map_single_photons(self, slot_map) -> "JointAtomPhotonState":
         """Relabel every occupied slot through ``slot_map`` (deterministic,

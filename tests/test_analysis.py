@@ -18,6 +18,8 @@ from w2ghz.analysis import (
 )
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.dynamics import IntegratorConfig
+from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout
+from w2ghz.protocol import run_protocol
 
 # Coarse but converged step for the master-equation tests (the generator's
 # largest rate is the detuning, 14).
@@ -142,6 +144,27 @@ class TestMasterEquationFidelity:
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.9)
         est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3))
         assert est.network_fidelity == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("layout", [
+        DEFAULT_LAYOUT,
+        NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}),
+    ])
+    def test_network_estimator_follows_layout(self, layout):
+        # Noiseless and deep in the dispersive regime, estimator b must
+        # reproduce the lossless protocol on whatever network it is given.
+        params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.86)
+        est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3), layout=layout)
+        assert est.network_fidelity == pytest.approx(run_protocol(params, layout).fidelity, abs=1e-3)
+
+    @pytest.mark.parametrize("ratio, fidelity, probability", [
+        (250.0, 0.999372830951915, 0.6363528423237638),
+        (50.0, 0.9969091484067786, 0.6273531013803825),
+    ])
+    def test_network_estimator_regression(self, ratio, fidelity, probability):
+        # Regression baseline for the default layout at dt = 4e-3.
+        est = master_equation_estimates(reference_noise_params(ratio), cfg=FAST)
+        assert est.network_fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert est.accepted_probability == pytest.approx(probability, abs=1e-12)
 
 
 class TestFidelitySurface:

@@ -47,6 +47,13 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(**bad)
 
+    @pytest.mark.parametrize("field", ["delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_params_rejected(self, field, value):
+        doc = {"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemParams(**doc)
+
     def test_adiabatic_advisory_threshold(self):
         assert not SystemParams(delta=10.0, lambda_c=1.0, omega=0.5).adiabatic_advisory
         assert SystemParams(delta=9.9, lambda_c=1.0, omega=0.5).adiabatic_advisory

@@ -51,6 +51,17 @@ class TestIdealRun:
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         assert "eta_d" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"delta": float("nan")}, "delta"),
+        ({"omega": float("inf")}, "omega"),
+        ({"t": float("nan")}, "'t'"),
+        ({"t": float("inf")}, "'t'"),
+    ])
+    def test_non_finite_config_is_config_error(self, tmp_path, capsys, doc, field):
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["ideal-run", "--out", str(out1)])
@@ -89,6 +100,11 @@ class TestSweepDecay:
         assert main(["sweep-decay", "--eta-over-kappa", "10,abc"]) == EXIT_CONFIG
         assert "eta-over-kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-1"])
+    def test_out_of_range_ratio_is_config_error(self, capsys, ratio):
+        assert main(["sweep-decay", "--eta-over-kappa", ratio]) == EXIT_CONFIG
+        assert "eta-over-kappa" in capsys.readouterr().err
+
 
 class TestFidelitySurface:
     def test_grid_output(self, tmp_path):
@@ -103,6 +119,12 @@ class TestFidelitySurface:
         noiseless = next(r for r in rows if r[0] == 0.0 and r[1] == 0.0)
         assert noiseless[2] == pytest.approx(max(r[2] for r in rows))
         assert all(0.0 <= r[2] <= 1.0 and 0.0 <= r[3] <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_step_is_config_error(self, tmp_path, capsys, dt):
+        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
+        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
+        assert "'dt'" in capsys.readouterr().err
 
     def test_coupling_ratio_axis(self, tmp_path):
         out = tmp_path / "surface.csv"

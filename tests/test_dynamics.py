@@ -82,17 +82,6 @@ class TestIdealCoefficients:
         two_photon = [space.basis_index(k, 2, 0) for k in range(4)]
         assert max(abs(out.amplitudes[i]) for i in two_photon) < 1e-12
 
-    def test_beta_conventions_agree_only_at_symmetric_drive(self):
-        t = 1.7
-        sym_a = ideal_coefficients(SYMMETRIC, t)
-        sym_b = ideal_coefficients(SYMMETRIC, t, beta_convention="drive-squared")
-        assert sym_a.beta == pytest.approx(sym_b.beta, abs=1e-15)
-        asym_a = ideal_coefficients(ASYMMETRIC, t)
-        asym_b = ideal_coefficients(ASYMMETRIC, t, beta_convention="drive-squared")
-        assert abs(asym_a.beta - asym_b.beta) > 1e-3
-        with pytest.raises(ValueError, match="convention"):
-            ideal_coefficients(SYMMETRIC, t, beta_convention="bogus")
-
 
 class TestDecayCoefficients:
     DECAYING = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.03)
@@ -262,24 +251,10 @@ class TestIntegratorConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
 
-    def test_only_rk4_supported(self):
-        with pytest.raises(ValueError, match="rk4"):
-            IntegratorConfig(dt=0.1, method="euler")
-
     def test_step_advisory(self):
         cfg = IntegratorConfig(dt=0.01)
         assert not cfg.step_advisory(5.0)
         assert cfg.step_advisory(5.1)
-
-    def test_t_final_horizon_used_when_no_time_given(self):
-        space = HilbertSpace.of(("s", 2))
-        h = Operator(space, np.diag([1.0, -1.0]), hermitian=True)
-        psi = StateVector(space, [1, 0])
-        cfg = IntegratorConfig(dt=1e-3, t_final=0.5)
-        out = schrodinger_evolve(h, psi, None, cfg)
-        assert abs(out.amplitudes[0] - np.exp(-0.5j)) < 1e-8
-        with pytest.raises(ValueError, match="horizon"):
-            schrodinger_evolve(h, psi, None, IntegratorConfig(dt=1e-3))
 
 
 class TestCompareFullVsEffective:

@@ -9,9 +9,7 @@ from w2ghz.hilbert import (
     Operator,
     StateVector,
     fidelity,
-    partial_trace,
     propagator,
-    tensor,
     trace_distance,
 )
 
@@ -50,89 +48,6 @@ class TestHilbertSpace:
         assert space.basis_index(0, 0) == 0
         assert space.basis_index(0, 2) == 2
         assert space.basis_index(1, 0) == 3
-
-
-class TestTensor:
-    def test_dims_multiply(self):
-        a = StateVector(HilbertSpace.of(("a", 2)), [1, 0])
-        b = StateVector(HilbertSpace.of(("b", 3)), [0, 1, 0])
-        assert tensor(a, b).space.total_dim == 6
-
-    def test_identity_tensor_identity(self):
-        ia = Operator.identity(HilbertSpace.of(("a", 2)))
-        ib = Operator.identity(HilbertSpace.of(("b", 3)))
-        prod = tensor(ia, ib)
-        assert np.array_equal(prod.elements, np.eye(6))
-
-    def test_basis_kets_concatenate(self):
-        zero = StateVector(HilbertSpace.of(("a", 2)), [1, 0])
-        one = StateVector(HilbertSpace.of(("b", 2)), [0, 1])
-        prod = tensor(zero, one)
-        expected = np.zeros(4)
-        expected[1] = 1.0
-        assert np.array_equal(prod.amplitudes, expected)
-
-    def test_label_collision_rejected(self):
-        a = StateVector(qubit("q"), [1, 0])
-        b = StateVector(qubit("q"), [0, 1])
-        with pytest.raises(ValueError, match="collision"):
-            tensor(a, b)
-
-    def test_mixed_kinds_rejected(self):
-        a = StateVector(qubit("a"), [1, 0])
-        b = Operator.identity(qubit("b"))
-        with pytest.raises(TypeError):
-            tensor(a, b)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(3)
-        a = random_state(qubit("a"), rng)
-        b = random_state(HilbertSpace.of(("b", 3)), rng)
-        c = random_state(qubit("c"), rng)
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        assert left.space == right.space
-        assert np.max(np.abs(left.amplitudes - right.amplitudes)) < 1e-14
-
-
-class TestPartialTrace:
-    def bell(self):
-        space = HilbertSpace.of(("a", 2), ("b", 2))
-        return StateVector(space, np.array([1, 0, 0, 1]) / np.sqrt(2)).to_density_matrix()
-
-    @pytest.mark.parametrize("keep", ["a", "b"])
-    def test_bell_reduces_to_maximally_mixed(self, keep):
-        reduced = partial_trace(self.bell(), {keep})
-        assert np.allclose(reduced.elements, np.eye(2) / 2, atol=1e-14)
-
-    def test_keep_all_is_identity_operation(self):
-        rho = self.bell()
-        again = partial_trace(rho, {"a", "b"})
-        assert np.array_equal(again.elements, rho.elements)
-
-    def test_keep_none_yields_trace(self):
-        rng = np.random.default_rng(5)
-        rho = random_density(HilbertSpace.of(("a", 2), ("b", 3)), rng)
-        scalar = partial_trace(rho, set())
-        assert scalar.space.total_dim == 1
-        assert abs(scalar.elements[0, 0] - 1.0) < 1e-12
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(KeyError):
-            partial_trace(self.bell(), {"nope"})
-
-    def test_product_state_factorizes(self):
-        rng = np.random.default_rng(11)
-        rho_a = random_density(HilbertSpace.of(("a", 3)), rng)
-        rho_b = random_density(HilbertSpace.of(("b", 2)), rng)
-        joint = tensor(rho_a, rho_b)
-        reduced = partial_trace(joint, {"a"})
-        assert np.max(np.abs(reduced.elements - rho_a.elements)) < 1e-12
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(13)
-        rho = random_density(HilbertSpace.of(("a", 2), ("b", 2), ("c", 3)), rng)
-        assert abs(partial_trace(rho, {"b"}).trace() - 1.0) < 1e-12
 
 
 class TestFidelity:
@@ -255,17 +170,3 @@ def test_trace_distance_extremes():
     assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(zero, zero) == pytest.approx(0.0, abs=1e-14)
 
-
-def test_global_tolerance_scale_loosens_validation():
-    from w2ghz.hilbert import set_tolerance_scale
-
-    slightly_off = np.array([1.0 + 5e-10, 0.0])
-    with pytest.raises(ValueError):
-        StateVector(qubit(), slightly_off)
-    set_tolerance_scale(10.0)
-    try:
-        StateVector(qubit(), slightly_off)
-    finally:
-        set_tolerance_scale(1.0)
-    with pytest.raises(ValueError):
-        set_tolerance_scale(0.0)

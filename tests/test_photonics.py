@@ -9,7 +9,6 @@ from w2ghz.photonics import (
     DEFAULT_LAYOUT,
     JointAtomPhotonState,
     NetworkLayout,
-    PolarizedPhotonMode,
     apply_hwp,
     apply_pbs_routing,
     emit_and_qwp,
@@ -48,12 +47,6 @@ class TestJointState:
         state.require_photon_number(3)
         with pytest.raises(ValueError, match="exactly 2"):
             state.require_photon_number(2)
-
-    def test_mode_validation(self):
-        with pytest.raises(ValueError, match="spatial"):
-            PolarizedPhotonMode(4, "H")
-        with pytest.raises(ValueError, match="polarization"):
-            PolarizedPhotonMode(7, "X")
 
 
 class TestLayout:
