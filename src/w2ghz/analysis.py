@@ -42,7 +42,13 @@ from .atom_cavity import (
     full_space,
 )
 from .detection import OutcomeClass, classify_pattern, enumerate_outcomes, ghz_pair_states
-from .dynamics import EvolutionCoefficients, IntegratorConfig, decay_coefficients, propagate_matrix
+from .dynamics import (
+    EvolutionCoefficients,
+    IntegratorConfig,
+    _matrix_rate_scale,
+    decay_coefficients,
+    propagate_matrix,
+)
 from .photonics import DEFAULT_LAYOUT, NetworkLayout, full_network
 from .protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
 
@@ -56,6 +62,8 @@ EXPERIMENTAL_KAPPA_RATIO = 250.0
 # Step converged to <1e-8 in the reference-parameter scale (rates of order
 # 10 gamma, horizons of order 3/gamma).
 _DEFAULT_ANALYSIS_CONFIG = IntegratorConfig(dt=1e-3)
+# Where RK4's stability region meets the imaginary axis.
+_RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -176,8 +184,23 @@ def _unit_indices(n_max: int):
 
 def _evolve_unit(params: SystemParams, m0: np.ndarray, t: float,
                  cfg: IntegratorConfig) -> np.ndarray:
+    """Propagate one unit under the master equation, refusing a step beyond
+    RK4's stability limit.
+
+    dt * (2 ||H|| + sum rate ||c^dag c||), in the infinity norm, bounds dt
+    times the generator's spectral radius; RK4 stays stable only while that
+    is at most 2 sqrt2, the reach of its stability region along the
+    imaginary axis.  Past it the output is not a physical state, and the
+    trace check alone does not catch it.
+    """
     h = full_hamiltonian(params)
-    return propagate_matrix(h, collapse_operators(params), m0, t, cfg)
+    collapse = collapse_operators(params)
+    scale = 2.0 * _matrix_rate_scale(h.elements) + sum(
+        rate * _matrix_rate_scale(op.elements.conj().T @ op.elements) for rate, op in collapse)
+    if cfg.dt * scale > _RK4_IMAGINARY_REACH:
+        raise ValueError(f"dt = {cfg.dt!r} exceeds the RK4 stability limit "
+                         f"{_RK4_IMAGINARY_REACH / scale:.3g} of this generator")
+    return propagate_matrix(h, collapse, m0, t, cfg)
 
 
 def subsystem_transfer_fidelity(params: SystemParams, t: float | None = None,

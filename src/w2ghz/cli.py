@@ -145,14 +145,31 @@ def cmd_ideal_run(args) -> int:
     return EXIT_OK
 
 
+def _sweep_grid(sweep: dict) -> tuple[float, float, int]:
+    """The (min, max, steps) of a sweep object over kappa*t, with defaults
+    (1e-3, 3.0, 1000); bounds must be finite and non-negative, steps an
+    integer."""
+    unknown = set(sweep) - {"min", "max", "steps"}
+    if unknown:
+        raise ConfigError(f"config error: field 'sweep': unknown key(s) {sorted(unknown)}")
+    lo, hi, steps = sweep.get("min", 1e-3), sweep.get("max", 3.0), sweep.get("steps", 1000)
+    for key, value in (("min", lo), ("max", hi)):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value) or value < 0):
+            raise ConfigError(f"config error: field 'sweep': {key!r} must be a finite non-negative "
+                              f"number, got {value!r}")
+    if not isinstance(steps, int) or isinstance(steps, bool):
+        raise ConfigError(f"config error: field 'sweep': 'steps' must be an integer, got {steps!r}")
+    return float(lo), float(hi), steps
+
+
 def cmd_sweep_decay(args) -> int:
     data = _load_config(args.config)
     data.pop("kappa", None)  # the ratio list fixes kappa = 1 per row
     config = parse_run_config(data)
-    sweep = config.sweep or {}
-    lo = float(sweep.get("min", 1e-3))
-    hi = float(sweep.get("max", 3.0))
-    steps = int(args.grid_steps or sweep.get("steps", 1000))
+    lo, hi, steps = _sweep_grid(config.sweep or {})
+    if args.grid_steps is not None:
+        steps = args.grid_steps
     try:
         ratios = [float(r) for r in args.eta_over_kappa.split(",") if r.strip()]
     except ValueError as exc:
@@ -180,19 +197,25 @@ def cmd_sweep_decay(args) -> int:
 def cmd_fidelity_surface(args) -> int:
     config = parse_run_config(_load_config(args.config))
     cfg = config.integrator
-    steps = int(args.grid_steps or 3)
+    steps = 3 if args.grid_steps is None else args.grid_steps
     if steps < 2:
         raise ConfigError("config error: --grid-steps must be at least 2")
 
-    if args.axis_convention == "a":
-        # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
-        top = 2.0 * REFERENCE_LAMBDA_C / 50.0
-        grid = [top * i / (steps - 1) for i in range(steps)]
-        points = fidelity_surface(grid, grid, cfg=cfg)
-    else:
-        # One-dimensional lambda_c/gamma_a axis at the experimental kappa.
-        ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
-        points = fidelity_curve_vs_coupling_ratio(ratios, cfg=cfg)
+    # The drive and grid are fixed, so the step size is the only input that
+    # can make propagation fail: past RK4's stability limit (ValueError) or
+    # through trace drift (RuntimeError).
+    try:
+        if args.axis_convention == "a":
+            # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
+            top = 2.0 * REFERENCE_LAMBDA_C / 50.0
+            grid = [top * i / (steps - 1) for i in range(steps)]
+            points = fidelity_surface(grid, grid, cfg=cfg)
+        else:
+            # One-dimensional lambda_c/gamma_a axis at the experimental kappa.
+            ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
+            points = fidelity_curve_vs_coupling_ratio(ratios, cfg=cfg)
+    except (ValueError, RuntimeError) as exc:
+        raise ConfigError(f"config error: field 'dt': {exc}") from exc
 
     lines = ["kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"]
     for p in points:

@@ -26,7 +26,7 @@ from .photonics import OUTPUT_MODES, JointAtomPhotonState
 
 DETECTORS = ("D7H", "D7V", "D8H", "D8V", "D9H", "D9V")
 _DETECTOR_SLOT = {name: (int(name[1]), name[2]) for name in DETECTORS}
-_SLOT_DETECTOR = {slot: name for name, slot in _DETECTOR_SLOT.items()}
+_SLOT_INDEX = {_DETECTOR_SLOT[name]: index for index, name in enumerate(DETECTORS)}
 
 
 class OutcomeClass(Enum):
@@ -87,6 +87,10 @@ def accepted_patterns() -> list[ClickPattern]:
     return [p for p in all_patterns() if classify_pattern(p) is not OutcomeClass.REJECT]
 
 
+_PATTERNS = tuple(all_patterns())
+_ACCEPTED_INDICES = tuple(i for i, p in enumerate(_PATTERNS) if classify_pattern(p) is not OutcomeClass.REJECT)
+
+
 def povm_elements(eta_d: float, n_max: int = 2) -> tuple[Operator, Operator]:
     """(no-click, click) POVM pair of one detector slot, truncated at n_max
     photons: Pi_off = sum_k (1-eta_d)^k |k><k| and Pi_click = 1 - Pi_off."""
@@ -96,19 +100,6 @@ def povm_elements(eta_d: float, n_max: int = 2) -> tuple[Operator, Operator]:
     off = np.diag([(1.0 - eta_d) ** k for k in range(n_max + 1)]).astype(np.complex128)
     click = np.eye(n_max + 1, dtype=np.complex128) - off
     return Operator(space, off, hermitian=True), Operator(space, click, hermitian=True)
-
-
-def _pattern_weight(occupation, pattern: ClickPattern, eta_d: float) -> float:
-    """Probability weight of a click pattern given definite slot occupations."""
-    counts = {slot: count for slot, count in occupation}
-    weight = 1.0
-    for name in DETECTORS:
-        k = counts.get(_DETECTOR_SLOT[name], 0)
-        p_off = (1.0 - eta_d) ** k if k else 1.0
-        weight *= (1.0 - p_off) if name in pattern.fired else p_off
-        if weight == 0.0:
-            return 0.0
-    return weight
 
 
 def _infer_atom_basis(configs) -> tuple[str, ...]:
@@ -124,44 +115,78 @@ def atomic_space(atoms, basis=EMITTED_LEVELS) -> HilbertSpace:
     return HilbertSpace.of(*((atom, len(basis)) for atom in atoms))
 
 
-def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float):
-    """Probability of a click pattern and the conditional atomic state.
+def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[list, dict]:
+    """Probabilities of every pattern in ``patterns`` and the conditional
+    atomic states of those whose index is in ``keep``.
 
-    The POVM elements are diagonal in the occupation basis, so the pattern
-    probability is the occupation-weighted squared amplitude and the
-    conditional state coherently combines atomic configurations that share an
-    occupation.  A zero-probability pattern returns (0.0, None) rather than
-    failing on normalization.
+    The POVM elements are diagonal in the occupation basis, so the weight of
+    a pattern on one occupation is the product of the six detector factors,
+    (1 - eta_d)^k for a silent slot with k photons and its complement for a
+    fired one.  The pattern probability is the occupation-weighted squared
+    amplitude, and the conditional state coherently combines atomic
+    configurations that share an occupation.  Returns the probabilities as a
+    list in ``patterns`` order and a dict from kept index to state; a kept
+    pattern of zero probability gets no state.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
     by_occupation: dict = {}
     for (config, occ), amp in state.terms.items():
         by_occupation.setdefault(occ, []).append((config, amp))
+    groups = list(by_occupation.items())
 
-    probability = 0.0
-    weighted: dict = {}
-    for occ, members in by_occupation.items():
-        w = _pattern_weight(occ, pattern, eta_d)
-        if w == 0.0:
+    # Photons per (occupation, detector); slots no detector watches stay unseen.
+    counts = np.zeros((len(groups), len(DETECTORS)), dtype=np.intp)
+    for row, (occ, _) in enumerate(groups):
+        for slot, count in occ:
+            if slot in _SLOT_INDEX:
+                counts[row, _SLOT_INDEX[slot]] = count
+    off_power = np.array([1.0] + [(1.0 - eta_d) ** k for k in range(1, int(counts.max(initial=0)) + 1)])
+    off = off_power[counts]
+    click = 1.0 - off
+    fired = np.array([[name in pattern.fired for name in DETECTORS] for pattern in patterns])
+    # weights[o, p]: the detector factors multiplied one at a time in
+    # DETECTORS order, so every entry rounds exactly as a scalar product would.
+    weights = np.ones((len(groups), len(patterns)))
+    for d in range(len(DETECTORS)):
+        weights = weights * np.where(fired[:, d], click[:, d, None], off[:, d, None])
+
+    probabilities = np.zeros(len(patterns))
+    for row, (_, members) in enumerate(groups):
+        for _, amp in members:
+            probabilities = probabilities + weights[row] * abs(amp) ** 2
+
+    states = {}
+    for index in keep:
+        probability = float(probabilities[index])
+        if probability <= 0.0:
             continue
-        for config, amp in members:
-            probability += w * abs(amp) ** 2
-        for (c1, a1), (c2, a2) in itertools.product(members, members):
-            weighted[(c1, c2)] = weighted.get((c1, c2), 0.0) + w * a1 * np.conj(a2)
+        weighted: dict = {}
+        for row, (_, members) in enumerate(groups):
+            w = float(weights[row, index])
+            if w == 0.0:
+                continue
+            for (c1, a1), (c2, a2) in itertools.product(members, members):
+                weighted[(c1, c2)] = weighted.get((c1, c2), 0.0) + w * a1 * np.conj(a2)
+        configs = {c for pair in weighted for c in pair}
+        basis = _infer_atom_basis(configs)
+        space = atomic_space(state.atoms, basis)
+        flat = {c: space.basis_index(*(basis.index(level) for level in c)) for c in configs}
+        rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+        for (c1, c2), value in weighted.items():
+            rho[flat[c1], flat[c2]] += value
+        states[index] = DensityMatrix(space, rho / probability, normalized=True)
+    return [float(p) for p in probabilities], states
 
-    if probability <= 0.0:
-        return 0.0, None
 
-    configs = {c for pair in weighted for c in pair}
-    basis = _infer_atom_basis(configs)
-    space = atomic_space(state.atoms, basis)
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
-    for (c1, c2), value in weighted.items():
-        i = space.basis_index(*(basis.index(level) for level in c1))
-        j = space.basis_index(*(basis.index(level) for level in c2))
-        rho[i, j] += value
-    return probability, DensityMatrix(space, rho / probability, normalized=True)
+def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float):
+    """Probability of a click pattern and the conditional atomic state.
+
+    A zero-probability pattern returns (0.0, None) rather than failing on
+    normalization.
+    """
+    (probability,), states = _detect(state, [pattern], eta_d, keep=[0])
+    return probability, states.get(0)
 
 
 def success_probability_ideal(eta_d: float) -> float:
@@ -205,18 +230,15 @@ class DetectionReport:
 
 
 def enumerate_outcomes(state: JointAtomPhotonState, eta_d: float) -> DetectionReport:
-    """Evaluate every click pattern of the exclusive outcome algebra."""
-    probabilities: dict = {}
-    conditionals: dict = {}
+    """Evaluate every click pattern of the exclusive outcome algebra in one
+    pass, building conditional states only for the accepted patterns."""
+    probabilities, states = _detect(state, _PATTERNS, eta_d, keep=_ACCEPTED_INDICES)
+    # Added one by one: sum() compensates rounding from Python 3.12 on.
     success = 0.0
-    for pattern in all_patterns():
-        p, rho = measure(state, pattern, eta_d)
-        probabilities[pattern] = p
-        if classify_pattern(pattern) is not OutcomeClass.REJECT:
-            success += p
-            if rho is not None:
-                conditionals[pattern] = rho
-    return DetectionReport(probabilities, conditionals, success)
+    for i in _ACCEPTED_INDICES:
+        success += probabilities[i]
+    conditionals = {_PATTERNS[i]: rho for i, rho in states.items()}
+    return DetectionReport(dict(zip(_PATTERNS, probabilities)), conditionals, success)
 
 
 def ghz_pair_states(space: HilbertSpace) -> tuple[StateVector, StateVector]:

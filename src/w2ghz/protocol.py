@@ -51,17 +51,29 @@ def ghz_target() -> StateVector:
     return StateVector(space, amps)
 
 
+def _three_atom(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The read-only three-atom operator first ⊗ rest ⊗ rest."""
+    out = np.kron(np.kron(first, rest), rest)
+    out.setflags(write=False)
+    return out
+
+
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_HADAMARD_GATE = _three_atom(_HADAMARD, _HADAMARD)
+# Sign flip of the first atom's eL component.
+_SIGN_FLIP = _three_atom(np.diag([-1.0, 1.0]).astype(np.complex128), np.eye(2, dtype=np.complex128))
+# Isometry from the emitted levels of three four-level atoms to their
+# relabeled two-level form.
+_EMITTED_SELECT = np.eye(len(EFFECTIVE_LEVELS), dtype=np.complex128)[
+    :, [EFFECTIVE_LEVELS.index(level) for level in EMITTED_LEVELS]]
+_EMITTED_ISOMETRY = _three_atom(_EMITTED_SELECT, _EMITTED_SELECT)
 
 
 def apply_hadamard_pulses(state: StateVector) -> StateVector:
     """Per-atom pulse gL -> (gL+gR)/sqrt2, gR -> (gL-gR)/sqrt2 (an involution)."""
-    if any(dim != 2 for dim in state.space.dims):
-        raise ValueError(f"Hadamard pulses act on ground qubits; got dims {state.space.dims}")
-    gate = _HADAMARD
-    for _ in range(len(state.space.dims) - 1):
-        gate = np.kron(gate, _HADAMARD)
-    return StateVector(state.space, gate @ state.amplitudes, normalized=state.normalized)
+    if state.space.dims != (2,) * len(ATOMS):
+        raise ValueError(f"Hadamard pulses act on three ground qubits; got dims {state.space.dims}")
+    return StateVector(state.space, _HADAMARD_GATE @ state.amplitudes, normalized=state.normalized)
 
 
 def transfer_coefficients(params: SystemParams, t: float | None = None) -> EvolutionCoefficients:
@@ -118,13 +130,9 @@ def sign_correction(rho: DensityMatrix, outcome: OutcomeClass) -> DensityMatrix:
         raise ValueError("sign correction is only defined for accepted outcomes")
     if outcome is OutcomeClass.GHZ_PLUS:
         return rho
-    if any(dim != 2 for dim in rho.space.dims):
-        raise ValueError(f"sign correction expects two-level atoms, got dims {rho.space.dims}")
-    flip_single = np.diag([-1.0, 1.0]).astype(np.complex128)
-    flip = flip_single
-    for _ in range(len(rho.space.dims) - 1):
-        flip = np.kron(flip, np.eye(2, dtype=np.complex128))
-    return DensityMatrix(rho.space, flip @ rho.elements @ flip, normalized=rho.normalized)
+    if rho.space.dims != (2,) * len(ATOMS):
+        raise ValueError(f"sign correction expects three two-level atoms, got dims {rho.space.dims}")
+    return DensityMatrix(rho.space, _SIGN_FLIP @ rho.elements @ _SIGN_FLIP, normalized=rho.normalized)
 
 
 def raman_mapping(rho: DensityMatrix) -> DensityMatrix:
@@ -134,24 +142,15 @@ def raman_mapping(rho: DensityMatrix) -> DensityMatrix:
     exact relabeling; four-level inputs must have (numerically) no support
     outside the emitted block, which is then extracted.
     """
-    dims = set(rho.space.dims)
-    if dims == {2}:
+    if rho.space.dims == (2,) * len(ATOMS):
         return DensityMatrix(ground_state_space(), rho.elements, normalized=rho.normalized)
-    if dims == {4}:
-        n = len(rho.space.dims)
-        keep = [EFFECTIVE_LEVELS.index(level) for level in EMITTED_LEVELS]
-        sel = np.zeros((4, 2), dtype=np.complex128)
-        for col, row in enumerate(keep):
-            sel[row, col] = 1.0
-        isometry = sel
-        for _ in range(n - 1):
-            isometry = np.kron(isometry, sel)
-        block = isometry.conj().T @ rho.elements @ isometry
+    if rho.space.dims == (4,) * len(ATOMS):
+        block = _EMITTED_ISOMETRY.conj().T @ rho.elements @ _EMITTED_ISOMETRY
         outside = abs(rho.elements.trace() - block.trace())
         if outside > 1e-10:
             raise ValueError(f"support outside the emitted levels (weight {outside:.3e}) cannot be Raman-mapped")
         return DensityMatrix(ground_state_space(), block, normalized=rho.normalized)
-    raise ValueError(f"Raman mapping expects two- or four-level atoms, got dims {rho.space.dims}")
+    raise ValueError(f"Raman mapping expects three two- or four-level atoms, got dims {rho.space.dims}")
 
 
 @dataclass(frozen=True)

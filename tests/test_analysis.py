@@ -126,6 +126,15 @@ class TestMasterEquationFidelity:
         # Regression baseline for the reference detuning.
         assert values[0] == pytest.approx(0.94286, abs=5e-4)
 
+    @pytest.mark.parametrize("dt", [0.09, 0.2, 100.0])
+    def test_step_beyond_rk4_stability_rejected(self, dt):
+        params = reference_noise_params(250.0)
+        cfg = IntegratorConfig(dt=dt)
+        with pytest.raises(ValueError, match="dt"):
+            subsystem_transfer_fidelity(params, cfg=cfg)
+        with pytest.raises(ValueError, match="dt"):
+            master_equation_estimates(params, cfg=cfg)
+
     def test_subsystem_fidelity_bounds(self):
         f = subsystem_transfer_fidelity(reference_noise_params(250.0), cfg=FAST)
         assert 0.0 <= f <= 1.0

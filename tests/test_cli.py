@@ -105,6 +105,24 @@ class TestSweepDecay:
         assert main(["sweep-decay", "--eta-over-kappa", ratio]) == EXIT_CONFIG
         assert "eta-over-kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sweep", [
+        {"max": float("inf")},
+        {"min": "abc"},
+        {"min": -1},
+        {"steps": 2.5},
+        {"stpes": 10},
+    ])
+    def test_bad_sweep_is_config_error(self, tmp_path, capsys, sweep):
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": sweep})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "10"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "field 'sweep'" in captured.err
+        assert captured.out == ""
+
+    def test_zero_grid_steps_is_config_error(self, capsys):
+        assert main(["sweep-decay", "--grid-steps", "0", "--eta-over-kappa", "10"]) == EXIT_CONFIG
+        assert "steps" in capsys.readouterr().err
+
 
 class TestFidelitySurface:
     def test_grid_output(self, tmp_path):
@@ -125,6 +143,20 @@ class TestFidelitySurface:
         cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
         assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
         assert "'dt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [0.2, 100])
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_unstable_step_is_config_error(self, tmp_path, capsys, dt, axis):
+        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
+        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2",
+                     "--axis-convention", axis]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "dt" in captured.err and "stability" in captured.err
+        assert captured.out == ""
+
+    def test_zero_grid_steps_is_config_error(self, capsys):
+        assert main(["fidelity-surface", "--grid-steps", "0"]) == EXIT_CONFIG
+        assert "grid-steps" in capsys.readouterr().err
 
     def test_coupling_ratio_axis(self, tmp_path):
         out = tmp_path / "surface.csv"

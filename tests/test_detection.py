@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
     DETECTORS,
     ClickPattern,
     OutcomeClass,
+    _infer_atom_basis,
     accepted_patterns,
     all_patterns,
     atomic_space,
@@ -16,9 +21,9 @@ from w2ghz.detection import (
     povm_elements,
     success_probability_ideal,
 )
-from w2ghz.hilbert import fidelity
-from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
-from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
+from w2ghz.hilbert import DensityMatrix, fidelity
+from w2ghz.photonics import ATOMS, JointAtomPhotonState, NetworkLayout, full_network
+from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
@@ -31,6 +36,68 @@ MINUS_TRIPLES = [{"D7H", "D8H", "D9H"}, {"D7H", "D8V", "D9V"},
 
 def network_state():
     return full_network(cavity_interaction(apply_hadamard_pulses(prepare_w_state()), IDEAL))
+
+
+def decaying_network_state(params: SystemParams, layout=None, fraction: float = 1.0):
+    """The network state of a decaying run at ``fraction`` of the operating
+    time; vacuum branches remain, so conditional states span four levels."""
+    coeffs = transfer_coefficients(params, params.operating_time * fraction)
+    joint = cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params, coefficients=coeffs)
+    if layout is None:
+        return full_network(joint, allow_vacuum=True)
+    return full_network(joint, layout, allow_vacuum=True)
+
+
+def reference_measure(state, pattern, eta_d):
+    """The per-pattern loop the one-pass kernel replaced, kept as its oracle:
+    each pattern regroups the terms and weighs every occupation on its own."""
+    slots = {name: (int(name[1]), name[2]) for name in DETECTORS}
+
+    def pattern_weight(occupation):
+        counts = {slot: count for slot, count in occupation}
+        weight = 1.0
+        for name in DETECTORS:
+            k = counts.get(slots[name], 0)
+            p_off = (1.0 - eta_d) ** k if k else 1.0
+            weight *= (1.0 - p_off) if name in pattern.fired else p_off
+            if weight == 0.0:
+                return 0.0
+        return weight
+
+    by_occupation: dict = {}
+    for (config, occ), amp in state.terms.items():
+        by_occupation.setdefault(occ, []).append((config, amp))
+    probability = 0.0
+    weighted: dict = {}
+    for occ, members in by_occupation.items():
+        w = pattern_weight(occ)
+        if w == 0.0:
+            continue
+        for config, amp in members:
+            probability += w * abs(amp) ** 2
+        for (c1, a1), (c2, a2) in itertools.product(members, members):
+            weighted[(c1, c2)] = weighted.get((c1, c2), 0.0) + w * a1 * np.conj(a2)
+    if probability <= 0.0:
+        return 0.0, None
+    configs = {c for pair in weighted for c in pair}
+    basis = _infer_atom_basis(configs)
+    space = atomic_space(state.atoms, basis)
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    for (c1, c2), value in weighted.items():
+        i = space.basis_index(*(basis.index(level) for level in c1))
+        j = space.basis_index(*(basis.index(level) for level in c2))
+        rho[i, j] += value
+    return probability, DensityMatrix(space, rho / probability, normalized=True)
+
+
+DECAYING = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.004)
+ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8},
+                                          "c": {"V": 9, "H": 9}})
+ORACLE_STATES = {
+    "lossless": network_state,
+    "decaying": lambda: decaying_network_state(DECAYING, fraction=0.8),
+    "aligned-layout": lambda: decaying_network_state(DECAYING, ALIGNED_LAYOUT, fraction=0.8),
+}
 
 
 class TestPovm:
@@ -159,6 +226,71 @@ class TestEnumerateOutcomes:
         assert doc[key]["probability"] == pytest.approx(3 / 32)
         assert doc[key]["fidelity"] == pytest.approx(1.0)
         assert doc["none"]["class"] == "REJECT"
+
+
+class TestOnePassOracle:
+    """The one-pass kernel must reproduce the per-pattern loop bit for bit."""
+
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("name", sorted(ORACLE_STATES))
+    def test_enumerate_and_measure_equal_reference(self, name, eta):
+        state = ORACLE_STATES[name]()
+        report = enumerate_outcomes(state, eta)
+        assert list(report.pattern_probabilities) == all_patterns()
+        expected_conditionals = []
+        success = 0.0
+        for pattern in all_patterns():
+            p_ref, rho_ref = reference_measure(state, pattern, eta)
+            p, rho = measure(state, pattern, eta)
+            assert p == p_ref and type(p) is float
+            assert report.probability(pattern) == p_ref
+            assert (rho is None) == (rho_ref is None)
+            if rho is not None:
+                assert rho.space == rho_ref.space
+                assert rho.elements.tobytes() == rho_ref.elements.tobytes()
+            if classify_pattern(pattern) is not OutcomeClass.REJECT:
+                success += p_ref
+                if rho_ref is not None:
+                    expected_conditionals.append(pattern)
+                    got = report.conditional_states[pattern]
+                    assert got.elements.tobytes() == rho_ref.elements.tobytes()
+        assert list(report.conditional_states) == expected_conditionals
+        assert report.total_success_probability == success
+
+    def test_oracle_covers_four_level_states(self):
+        # Rejected patterns of a decaying state keep atoms that never emitted.
+        state = ORACLE_STATES["decaying"]()
+        states = [measure(state, pattern, 0.37)[1] for pattern in all_patterns()]
+        assert {rho.space.total_dim for rho in states if rho is not None} == {8, 64}
+
+    def test_only_accepted_states_are_built(self, monkeypatch):
+        built = []
+        validate = DensityMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            validate(self)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+        for state in (network_state(), decaying_network_state(DECAYING, fraction=0.8)):
+            built.clear()
+            report = enumerate_outcomes(state, 0.37)
+            nonzero = sum(1 for p in report.pattern_probabilities.values() if p > 0.0)
+            assert nonzero > len(report.conditional_states) > 0
+            assert len(built) == len(report.conditional_states)
+
+    @settings(max_examples=40, deadline=None)
+    @given(eta=st.floats(0.0, 1.0),
+           eta_over_kappa=st.floats(0.5, 500.0),
+           fraction=st.floats(0.0, 2.0))
+    def test_pattern_probabilities_sum_to_surviving_norm(self, eta, eta_over_kappa, fraction):
+        coupling = 1.0
+        params = SystemParams(delta=20.0, lambda_c=coupling, omega=coupling,
+                              kappa=(coupling**2 / 20.0) / eta_over_kappa)
+        state = decaying_network_state(params, fraction=fraction)
+        report = enumerate_outcomes(state, eta)
+        assert len(report.pattern_probabilities) == 64
+        assert abs(sum(report.pattern_probabilities.values()) - state.norm_sq()) < 1e-12
 
 
 class TestSuccessProbability:
