@@ -44,6 +44,8 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 _DEFAULT_PARAMS_DOC = {"delta": 20.0, "lambda_c": 1.0, "omega": 1.0}
+# Config keys that are run options rather than SystemParams fields.
+_OPTION_KEYS = ("t", "dt", "sweep", "layout", "out")
 
 
 class ConfigError(Exception):
@@ -87,26 +89,32 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
+def _split_options(data: dict) -> tuple[dict, dict]:
+    """The SystemParams fields of a config document and its run options."""
+    params_doc = {k: v for k, v in data.items() if k not in _OPTION_KEYS}
+    options = {k: v for k, v in data.items() if k in _OPTION_KEYS}
+    return params_doc, options
+
+
+def _parse_layout(options: dict) -> NetworkLayout:
+    if "layout" not in options:
+        return DEFAULT_LAYOUT
+    try:
+        return NetworkLayout.from_dict(options["layout"])
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"config error: field 'layout': {exc}") from exc
+
+
 def parse_run_config(data: dict, defaults: dict | None = None) -> RunConfig:
     """Split a config document into run options and validated params."""
-    params_doc = dict(data)
-    options = {}
-    for key in ("t", "dt", "sweep", "layout", "out"):
-        if key in params_doc:
-            options[key] = params_doc.pop(key)
-
+    params_doc, options = _split_options(data)
     merged = {**_DEFAULT_PARAMS_DOC, **(defaults or {}), **params_doc}
     try:
         params = SystemParams.from_json_dict(merged)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
 
-    layout = DEFAULT_LAYOUT
-    if "layout" in options:
-        try:
-            layout = NetworkLayout.from_dict(options["layout"])
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"config error: field 'layout': {exc}") from exc
+    layout = _parse_layout(options)
 
     t = options.get("t")
     if t is not None and (not isinstance(t, (int, float)) or isinstance(t, bool)
@@ -226,14 +234,10 @@ def cmd_fidelity_surface(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    data = _load_config(args.config)
-    params_doc = {k: v for k, v in data.items() if k not in ("t", "dt", "sweep", "layout", "out")}
-    layout = DEFAULT_LAYOUT
-    if "layout" in data:
-        try:
-            layout = NetworkLayout.from_dict(data["layout"])
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise ConfigError(f"config error: field 'layout': {exc}") from exc
+    # Bad params are a validation failure here (exit 1), not a config error,
+    # so they go to the check battery unparsed.
+    params_doc, options = _split_options(_load_config(args.config))
+    layout = _parse_layout(options)
     document = {**_DEFAULT_PARAMS_DOC, **params_doc} if params_doc else None
     results = run_all_checks(params_document=document, layout=layout)
     failed = [r for r in results if not r.passed]

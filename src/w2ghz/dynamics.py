@@ -49,9 +49,9 @@ class IntegratorConfig:
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
-    def step_advisory(self, max_rate: float) -> bool:
-        """True when dt * max_rate exceeds 0.05 (accuracy advisory)."""
-        return self.dt * max_rate > 0.05
+
+# Where RK4's stability region meets the imaginary axis.
+_RK4_IMAGINARY_REACH = 2.0 * math.sqrt(2.0)
 
 
 def _matrix_rate_scale(m: np.ndarray) -> float:
@@ -102,7 +102,10 @@ def decay_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
         beta'  = i eta (e^{phi t} - 1) e^{t (varphi - phi/2)} / phi
 
     Both expressions are evaluated through sinh(x)/x so the kappa = 2*eta
-    degeneracy (phi -> 0) is continuous.
+    degeneracy (phi -> 0) is continuous.  In the overdamped regime (phi real)
+    cosh and sinh overflow from phi t/2 ~ 710 while the envelope e^{-kappa t/2}
+    decays faster, so there the exponents are combined first:
+    e^{-kappa t/2} sinh(x)/x = e^{x - kappa t/2} (1 - e^{-2x})/(2x).
     """
     if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError(
@@ -110,6 +113,15 @@ def decay_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
             f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}"
         )
     d = params.derived
+    if d.phi.real > 0.0:
+        x = d.phi.real * t / 2.0
+        half_kt = params.kappa * t / 2.0
+        grow = math.exp(x - half_kt)
+        sc = -math.expm1(-2.0 * x) / (2.0 * x) if x > 0.0 else 1.0
+        phase = complex(math.cos(d.eta * t), math.sin(d.eta * t))
+        alpha = (0.5 * (grow + math.exp(-x - half_kt)) + half_kt * grow * sc) * phase
+        beta = 1j * d.eta * t * grow * sc * phase
+        return EvolutionCoefficients(alpha, beta)
     x = d.phi * t / 2.0
     envelope = np.exp(d.varphi * t)
     sc = _sinhc(x)
@@ -165,7 +177,14 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
     """Propagate an arbitrary matrix under the master-equation generator.
 
     The generator is linear, so it can evolve non-Hermitian matrices such as
-    coherence blocks; no density-matrix validation is applied.
+    coherence blocks; no density-matrix validation is applied.  ``m0`` may
+    carry leading axes, each (..., d, d) slice being propagated on its own.
+
+    dt * (2 ||H|| + sum rate ||c^dag c||), in the infinity norm, bounds dt
+    times the generator's spectral radius; RK4 stays stable only while that
+    is at most 2 sqrt2, the reach of its stability region along the
+    imaginary axis.  Past it the output is not a physical state, and a trace
+    check alone does not catch it, so such a step is refused.
     """
     rates = []
     for rate, op in collapse:
@@ -176,18 +195,24 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
         rates.append(rate)
     if cfg is None:
         cfg = default_config(h, tuple(rates))
-    if t == 0.0:
-        return np.array(m0, dtype=np.complex128)
 
     # Fold the anticommutator part into one non-Hermitian drift generator.
     h_nh = h.elements.astype(np.complex128).copy()
+    scale = 2.0 * _matrix_rate_scale(h.elements)
     jumps = []
     for rate, op in collapse:
         if rate == 0.0:
             continue
         c = op.elements
-        h_nh -= 0.5j * rate * (c.conj().T @ c)
+        c_dag_c = c.conj().T @ c
+        h_nh -= 0.5j * rate * c_dag_c
+        scale += rate * _matrix_rate_scale(c_dag_c)
         jumps.append((rate, c, c.conj().T))
+    if cfg.dt * scale > _RK4_IMAGINARY_REACH:
+        raise ValueError(f"dt = {cfg.dt!r} exceeds the RK4 stability limit "
+                         f"{_RK4_IMAGINARY_REACH / scale:.3g} of this generator")
+    if t == 0.0:
+        return np.array(m0, dtype=np.complex128)
     h_nh_dag = h_nh.conj().T
 
     def rhs(m):

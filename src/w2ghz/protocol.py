@@ -216,11 +216,10 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
     if t is None:
         t = params.operating_time
     entangled = apply_hadamard_pulses(prepare_w_state())
-    coeffs = transfer_coefficients(params, t)
-    joint = cavity_interaction(entangled, params, coefficients=coeffs)
+    joint = cavity_interaction(entangled, params, t)
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
-    network_state = full_network(joint, layout, allow_vacuum=abs(coeffs.alpha) > 1e-12)
+    network_state = full_network(joint, layout, allow_vacuum=True)
     report = enumerate_outcomes(network_state, params.eta_d)
 
     target = ghz_target()

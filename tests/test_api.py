@@ -6,6 +6,7 @@ deletion that breaks it fails here rather than only as failed benchmark ops.
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -42,6 +43,35 @@ def package_imports(path: Path):
                 yield node.module, alias.name, attributes.get(bound, set())
 
 
+def package_calls(path: Path):
+    """(line, callee, positional count, keyword names) for each call of a
+    name imported ``from w2ghz...``, or of an attribute of one.
+
+    Starred positionals and ``**`` mappings are left out, so the counts and
+    names are what the call passes for certain.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "w2ghz":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (node.module, alias.name)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, attr = node.func, None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            func, attr = func.value, func.attr
+        if not isinstance(func, ast.Name) or func.id not in bound:
+            continue
+        callee = resolve(*bound[func.id])
+        if attr is not None:
+            callee = getattr(callee, attr, None)
+        positional = sum(not isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = [kw.arg for kw in node.keywords if kw.arg is not None]
+        yield node.lineno, ast.unparse(node.func), callee, positional, keywords
+
+
 @pytest.mark.parametrize("name", w2ghz.__all__)
 def test_all_names_resolve(name):
     assert getattr(w2ghz, name) is not None
@@ -59,3 +89,14 @@ def test_benchmark_imports_resolve(path):
         if isinstance(value, types.ModuleType):
             for attr in attributes:
                 assert hasattr(value, attr), f"{path.name}: {module_name}.{name}.{attr} is gone"
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_calls_bind(path):
+    # A parameter the benchmark passes must not be deleted or renamed.
+    for line, text, callee, positional, keywords in package_calls(path):
+        assert callable(callee), f"{path.name}:{line}: {text} is not callable"
+        try:
+            inspect.signature(callee).bind_partial(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"{path.name}:{line}: {text}: {exc}")

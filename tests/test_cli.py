@@ -62,6 +62,15 @@ class TestIdealRun:
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    def test_just_off_symmetric_drive(self, tmp_path, capsys):
+        # The vacuum amplitude alpha ~ 1e-13 is below any sensible cut but
+        # still carried in the state; its branches must land in REJECT.
+        cfg = write_json(tmp_path, "cfg.json", {"delta": 20, "lambda_c": 1, "omega": 1.0000000000001})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["success_probability"] == pytest.approx(0.75, abs=1e-10)
+        assert doc["fidelity"] == pytest.approx(1.0, abs=1e-10)
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["ideal-run", "--out", str(out1)])
@@ -122,6 +131,18 @@ class TestSweepDecay:
     def test_zero_grid_steps_is_config_error(self, capsys):
         assert main(["sweep-decay", "--grid-steps", "0", "--eta-over-kappa", "10"]) == EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overdamped_large_kappa_t(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": {"max": 2000}})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "0.1",
+                     "--grid-steps", "3", "--out", str(out)]) == EXIT_OK
+        rows = [[float(cell) for cell in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == pytest.approx([1e-3, 1000.0005, 2000.0])
+        for _, _, closed, numeric, diff in rows:
+            assert 0.0 < closed < 1e-20
+            assert diff <= 1e-12 * closed
 
 
 class TestFidelitySurface:

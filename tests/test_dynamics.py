@@ -20,6 +20,7 @@ from w2ghz.dynamics import (
     decay_coefficients,
     ideal_coefficients,
     lindblad_evolve,
+    propagate_matrix,
     schrodinger_evolve,
 )
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, propagator
@@ -118,18 +119,35 @@ class TestDecayCoefficients:
             expected = 2 * d.eta**2 * (1 - np.cos(phi_p * t)) * np.exp(-self.DECAYING.kappa * t) / phi_p**2
             assert abs(c.beta) ** 2 == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_conditional_integration_oracle(self):
-        h = conditional_hamiltonian(self.DECAYING)
+    @staticmethod
+    def assert_matches_conditional_integration(params):
+        h = conditional_hamiltonian(params)
         for t in (0.9, 3.0):
             out = schrodinger_evolve(h, ground_vacuum(h.space), t, IntegratorConfig(dt=1e-3))
             i_g, i_e = coefficient_indices()
-            c = decay_coefficients(self.DECAYING, t)
+            c = decay_coefficients(params, t)
             assert abs(out.amplitudes[i_g] - c.alpha) < 1e-8
             assert abs(out.amplitudes[i_e] - c.beta) < 1e-8
+
+    def test_matches_conditional_integration_oracle(self):
+        self.assert_matches_conditional_integration(self.DECAYING)
+
+    def test_overdamped_matches_conditional_integration_oracle(self):
+        # kappa = 0.5 > 2 eta = 0.1.
+        self.assert_matches_conditional_integration(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.5))
 
     def test_weight_never_exceeds_one(self):
         for t in np.linspace(0.0, 30.0, 50):
             assert decay_coefficients(self.DECAYING, t).weight <= 1.0 + 1e-10
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overdamped_large_kappa_t_finite(self):
+        # cosh and sinh of phi t/2 overflow here; the envelope decays faster.
+        params = SystemParams(delta=10.0, lambda_c=1.0, omega=1.0, kappa=1.0)
+        for t in (1500.0, 2000.0, 1e5):
+            c = decay_coefficients(params, t)
+            assert np.isfinite(c.alpha) and np.isfinite(c.beta)
+            assert 0.0 <= c.weight < 1e-12
 
     def test_critical_damping_branch_is_continuous(self):
         # kappa = 2 eta makes the discriminant vanish; the series branch must
@@ -245,16 +263,34 @@ class TestLindbladEvolve:
         with pytest.raises(ValueError, match="non-negative"):
             lindblad_evolve(h, [(-0.1, a)], rho, 1.0)
 
+    @pytest.mark.parametrize("dt", [0.09, 1.0])
+    def test_rejects_step_beyond_rk4_stability(self, dt):
+        # 2 ||H|| + sum rate ||c^dag c|| is about 39.9 here, so RK4 is
+        # stable only up to dt ~ 0.0709.
+        params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
+        h = full_hamiltonian(params)
+        rho0 = ground_vacuum(h.space).to_density_matrix()
+        with pytest.raises(ValueError, match="dt.*stability"):
+            lindblad_evolve(h, collapse_operators(params), rho0, 1.0, IntegratorConfig(dt=dt))
+
+
+class TestPropagateMatrix:
+    def test_stack_equals_separate_calls(self):
+        params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
+        h, collapse = full_hamiltonian(params), collapse_operators(params)
+        rng = np.random.default_rng(5)
+        dim = h.space.total_dim
+        stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        cfg = IntegratorConfig(dt=1e-2)
+        out = propagate_matrix(h, collapse, stack, 0.7, cfg)
+        for k in range(3):
+            assert np.array_equal(out[k], propagate_matrix(h, collapse, stack[k], 0.7, cfg))
+
 
 class TestIntegratorConfig:
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
-
-    def test_step_advisory(self):
-        cfg = IntegratorConfig(dt=0.01)
-        assert not cfg.step_advisory(5.0)
-        assert cfg.step_advisory(5.1)
 
 
 class TestCompareFullVsEffective:
