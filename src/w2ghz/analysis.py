@@ -20,8 +20,7 @@ reported, both fields of ``master_equation_estimates``:
   product of subsystem outputs against the product of ideal targets, i.e.
   sqrt(<psi|rho_1|psi>) cubed, where rho_1 is the output for the
   (gL + gR)/sqrt2 input.  This counts photon loss and spontaneous decay
-  against the fidelity, and is the estimator matching the headline values;
-  ``master_equation_fidelity`` returns it.
+  against the fidelity, and is the estimator matching the headline values.
 * ``network_fidelity`` (estimator b): the noisy single-unit channel applied
   to every atom of the protocol's own per-pattern conditional state (the
   lossless network of the given layout with perfect detectors), averaged
@@ -44,15 +43,15 @@ from .atom_cavity import (
     full_hamiltonian,
     full_space,
 )
-from .detection import OutcomeClass, classify_pattern, enumerate_outcomes, ghz_pair_states
+from .detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
 from .dynamics import (
     EvolutionCoefficients,
     IntegratorConfig,
     decay_coefficients,
     propagate_matrix,
 )
-from .photonics import DEFAULT_LAYOUT, NetworkLayout, full_network
-from .protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
+from .photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
+from .protocol import heralded_states
 
 # Fixed drive parameters of the reference noise analysis, in units of gamma.
 REFERENCE_OMEGA = 2.9
@@ -195,7 +194,7 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     For estimator b, the emitted one-photon blocks of those outputs form the
     noisy unit channel, which is applied to every atom of the lossless
     protocol's own conditional state for each accepted pattern, as produced
-    by ``full_network`` on ``layout`` and ``enumerate_outcomes``.
+    by ``heralded_states`` on ``layout`` with perfect detectors.
     """
     if t is None:
         t = params.operating_time
@@ -237,26 +236,26 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     # The lossless protocol's per-pattern conditional states over the emitted
     # levels; the noisy channel replaces each atom's |e_p><e_q| by its block,
     # and the GHZ targets are lifted from the emitted levels into all six.
-    emitted = cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params,
-                                 coefficients=EvolutionCoefficients(0.0, 1.0))
-    report = enumerate_outcomes(full_network(emitted, layout), 1.0)
+    report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
+    patterns = list(report.conditional_states)
+    weights = np.array([report.probability(pattern) for pattern in patterns])
+    ideal = (weights[:, None, None] * conditional).reshape((len(patterns),) + (2,) * 6)
+    noisy = np.einsum("pABCabc,AaIi,BbJj,CcKk->pIJKijk", ideal, channel, channel, channel,
+                      optimize=True).reshape((len(patterns),) + (n_atom**3,) * 2)
     embed = np.zeros((n_atom, len(EMITTED_LEVELS)))
     for k, level in enumerate(EMITTED_LEVELS):
         embed[FULL_LEVELS.index(level), k] = 1.0
     lift = np.kron(np.kron(embed, embed), embed)
+    plus, minus = ghz_pair_states(atomic_space(ATOMS))
 
     fidelity_acc = 0.0
     probability_acc = 0.0
-    for pattern, rho in report.conditional_states.items():
-        ideal = report.probability(pattern) * rho.elements.reshape((2,) * 6)
-        noisy = np.einsum("ABCabc,AaIi,BbJj,CcKk->IJKijk", ideal, channel, channel, channel,
-                          optimize=True).reshape((n_atom**3,) * 2)
-        probability = float(np.trace(noisy).real)
+    for pattern, rho in zip(patterns, noisy):
+        probability = float(np.trace(rho).real)
         if probability <= 0.0:
             continue
-        plus, minus = ghz_pair_states(rho.space)
         ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
-        fidelity_acc += float(np.real(np.vdot(ghz, noisy @ ghz)))
+        fidelity_acc += float(np.real(np.vdot(ghz, rho @ ghz)))
         probability_acc += probability
     network_fidelity = fidelity_acc / probability_acc if probability_acc > 0 else 0.0
     return FidelityEstimates(
@@ -265,13 +264,6 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
         network_fidelity=network_fidelity,
         accepted_probability=probability_acc,
     )
-
-
-def master_equation_fidelity(params: SystemParams, t: float | None = None,
-                             cfg: IntegratorConfig | None = None) -> float:
-    """Three-subsystem protocol fidelity, composed as the product of the three
-    subsystem Uhlmann fidelities (estimator a)."""
-    return master_equation_estimates(params, t, cfg).product_fidelity
 
 
 @dataclass(frozen=True)

@@ -16,25 +16,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from enum import Enum
 
 import numpy as np
 
 from .hilbert import HilbertSpace, Operator
 
 
-class AtomLevel(Enum):
-    """The six internal levels; gL/gR/eL/eR are stable, fL/fR decay."""
-
-    gL = "gL"
-    gR = "gR"
-    eL = "eL"
-    eR = "eR"
-    fL = "fL"
-    fR = "fR"
-
-
-# Fixed basis orders for the two atomic manifolds used in the simulation.
+# Fixed basis orders for the atomic manifolds used in the simulation;
+# gL/gR/eL/eR are stable, the upper levels fL/fR decay.
 FULL_LEVELS = ("gL", "gR", "eL", "eR", "fL", "fR")
 EFFECTIVE_LEVELS = ("gL", "gR", "eL", "eR")
 GROUND_LEVELS = ("gL", "gR")

@@ -18,11 +18,10 @@ from .hilbert import HilbertSpace, Operator, propagator, tol
 from .photonics import (
     DEFAULT_LAYOUT,
     NetworkLayout,
-    full_network,
     max_amplitude_deviation,
     reference_output_state,
 )
-from .protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
+from .protocol import network_state, transfer_coefficients
 
 DEFAULT_CHECK_PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
@@ -58,10 +57,9 @@ def check_povm_completeness() -> CheckResult:
 
 def check_network_reference_state(layout: NetworkLayout = DEFAULT_LAYOUT,
                                   params: SystemParams = DEFAULT_CHECK_PARAMS) -> CheckResult:
-    """The assembled network must reproduce the analytic post-network state
-    term by term (up to one global phase)."""
-    pipeline = cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params)
-    produced = full_network(pipeline, layout)
+    """The compiled network that ``run_protocol`` runs must reproduce the
+    analytic post-network state term by term (up to one global phase)."""
+    produced = network_state(transfer_coefficients(params), layout)
     deviation = max_amplitude_deviation(produced, reference_output_state())
     return CheckResult("network-reference-state", deviation < tol(1e-12),
                        f"max per-term amplitude deviation = {deviation:.3e}")

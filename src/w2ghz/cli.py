@@ -147,7 +147,12 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def cmd_ideal_run(args) -> int:
     config = parse_run_config(_load_config(args.config))
-    run = run_protocol(config.params, layout=config.layout, t=config.t)
+    # The protocol models cavity decay only, and its decaying closed form
+    # only the symmetric drive; other params are rejected there.
+    try:
+        run = run_protocol(config.params, layout=config.layout, t=config.t)
+    except ValueError as exc:
+        raise ConfigError(f"config error: {exc}") from exc
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(report, args.out or config.out)
     return EXIT_OK

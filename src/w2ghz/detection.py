@@ -21,12 +21,12 @@ from enum import Enum
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS
-from .hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, fidelity
-from .photonics import OUTPUT_MODES, JointAtomPhotonState
+from .hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, density_stack, fidelity
+from .photonics import ATOMS, DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
 
-DETECTORS = ("D7H", "D7V", "D8H", "D8V", "D9H", "D9V")
-_DETECTOR_SLOT = {name: (int(name[1]), name[2]) for name in DETECTORS}
-_SLOT_INDEX = {_DETECTOR_SLOT[name]: index for index, name in enumerate(DETECTORS)}
+DETECTORS = tuple(f"D{mode}{pol}" for mode, pol in DETECTOR_SLOTS)
+_DETECTOR_SLOT = dict(zip(DETECTORS, DETECTOR_SLOTS))
+_SLOT_INDEX = {slot: index for index, slot in enumerate(DETECTOR_SLOTS)}
 
 
 class OutcomeClass(Enum):
@@ -115,18 +115,46 @@ def atomic_space(atoms, basis=EMITTED_LEVELS) -> HilbertSpace:
     return HilbertSpace.of(*((atom, len(basis)) for atom in atoms))
 
 
+def _firing_sets(patterns) -> np.ndarray:
+    """Each pattern's fired detectors as the bits of an integer, the first
+    detector of DETECTORS most significant."""
+    return np.array([sum(1 << (len(DETECTORS) - 1 - d) for d, name in enumerate(DETECTORS) if name in pattern.fired)
+                     for pattern in patterns], dtype=np.intp)
+
+
+def _pattern_weights(counts: np.ndarray, eta_d: float, firing_sets: np.ndarray) -> np.ndarray:
+    """weights[p, o]: the probability that occupation o, with counts[o]
+    photons per detector in DETECTORS order, fires exactly the detectors in
+    ``firing_sets[p]`` (see ``_firing_sets``).
+
+    The POVM elements are diagonal in the occupation basis, so the weight is
+    the product of the six detector factors, (1 - eta_d)^k for a silent slot
+    with k photons and its complement for a fired one, multiplied one at a
+    time in DETECTORS order so every entry rounds exactly as a scalar
+    product would.  The products for all 2^6 firing sets are grown one
+    detector at a time, and the requested ones are picked out.
+    """
+    off_power = np.array([1.0] + [(1.0 - eta_d) ** k for k in range(1, int(counts.max(initial=0)) + 1)])
+    off = np.ascontiguousarray(off_power[counts].T)
+    factors = np.stack((off, 1.0 - off), axis=1)
+    table = factors[0]
+    for d in range(1, len(DETECTORS)):
+        table = (table[:, None, :] * factors[d, None, :, :]).reshape(2 ** (d + 1), len(counts))
+    return table[firing_sets]
+
+
+_PATTERN_SETS = _firing_sets(_PATTERNS)
+
+
 def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[list, dict]:
     """Probabilities of every pattern in ``patterns`` and the conditional
     atomic states of those whose index is in ``keep``.
 
-    The POVM elements are diagonal in the occupation basis, so the weight of
-    a pattern on one occupation is the product of the six detector factors,
-    (1 - eta_d)^k for a silent slot with k photons and its complement for a
-    fired one.  The pattern probability is the occupation-weighted squared
-    amplitude, and the conditional state coherently combines atomic
-    configurations that share an occupation.  Returns the probabilities as a
-    list in ``patterns`` order and a dict from kept index to state; a kept
-    pattern of zero probability gets no state.
+    The pattern probability is the occupation-weighted squared amplitude,
+    and the conditional state coherently combines atomic configurations that
+    share an occupation.  Returns the probabilities as a list in
+    ``patterns`` order and a dict from kept index to state; a kept pattern
+    of zero probability gets no state.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
@@ -141,20 +169,12 @@ def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[
         for slot, count in occ:
             if slot in _SLOT_INDEX:
                 counts[row, _SLOT_INDEX[slot]] = count
-    off_power = np.array([1.0] + [(1.0 - eta_d) ** k for k in range(1, int(counts.max(initial=0)) + 1)])
-    off = off_power[counts]
-    click = 1.0 - off
-    fired = np.array([[name in pattern.fired for name in DETECTORS] for pattern in patterns])
-    # weights[o, p]: the detector factors multiplied one at a time in
-    # DETECTORS order, so every entry rounds exactly as a scalar product would.
-    weights = np.ones((len(groups), len(patterns)))
-    for d in range(len(DETECTORS)):
-        weights = weights * np.where(fired[:, d], click[:, d, None], off[:, d, None])
+    weights = _pattern_weights(counts, eta_d, _firing_sets(patterns))
 
     probabilities = np.zeros(len(patterns))
     for row, (_, members) in enumerate(groups):
         for _, amp in members:
-            probabilities = probabilities + weights[row] * abs(amp) ** 2
+            probabilities = probabilities + weights[:, row] * abs(amp) ** 2
 
     states = {}
     for index in keep:
@@ -163,7 +183,7 @@ def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[
             continue
         weighted: dict = {}
         for row, (_, members) in enumerate(groups):
-            w = float(weights[row, index])
+            w = float(weights[index, row])
             if w == 0.0:
                 continue
             for (c1, a1), (c2, a2) in itertools.product(members, members):
@@ -229,16 +249,53 @@ class DetectionReport:
         return out
 
 
-def enumerate_outcomes(state: JointAtomPhotonState, eta_d: float) -> DetectionReport:
-    """Evaluate every click pattern of the exclusive outcome algebra in one
-    pass, building conditional states only for the accepted patterns."""
-    probabilities, states = _detect(state, _PATTERNS, eta_d, keep=_ACCEPTED_INDICES)
+def _report(probabilities: list, conditionals: dict) -> DetectionReport:
     # Added one by one: sum() compensates rounding from Python 3.12 on.
     success = 0.0
     for i in _ACCEPTED_INDICES:
         success += probabilities[i]
-    conditionals = {_PATTERNS[i]: rho for i, rho in states.items()}
     return DetectionReport(dict(zip(_PATTERNS, probabilities)), conditionals, success)
+
+
+def enumerate_outcomes(state: JointAtomPhotonState, eta_d: float) -> DetectionReport:
+    """Evaluate every click pattern of the exclusive outcome algebra in one
+    pass, building conditional states only for the accepted patterns."""
+    probabilities, states = _detect(state, _PATTERNS, eta_d, keep=_ACCEPTED_INDICES)
+    return _report(probabilities, {_PATTERNS[i]: rho for i, rho in states.items()})
+
+
+# The emitted-level space of the three atoms, and the index in the four-level
+# (EFFECTIVE_LEVELS) basis of each of its basis states.
+_EMITTED_SPACE = atomic_space(ATOMS, EMITTED_LEVELS)
+_EMITTED_ROWS = [atomic_space(ATOMS, EFFECTIVE_LEVELS).basis_index(
+    *(EFFECTIVE_LEVELS.index(EMITTED_LEVELS[k]) for k in np.unravel_index(i, _EMITTED_SPACE.dims)))
+    for i in range(_EMITTED_SPACE.total_dim)]
+
+
+def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float) -> tuple[DetectionReport, np.ndarray]:
+    """Detection of the state sum_{c,o} psi[c, o] |c>|o>, with c running over
+    the 64 configurations of the three atoms in the four-level
+    (EFFECTIVE_LEVELS) basis and o over occupations holding counts[o]
+    photons per detector.
+
+    Every pattern probability comes from one contraction of the occupation
+    weights with the pattern weight table.  An accepted pattern fires all
+    three modes, so only configurations in which every atom emitted carry
+    weight for it; the conditional states of the accepted patterns with
+    p > 0 are built over the emitted levels as one validated (k, 8, 8)
+    stack.  Returns the report and that stack, rows in the order of
+    ``report.conditional_states``.
+    """
+    if not 0.0 <= eta_d <= 1.0:
+        raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
+    weights = _pattern_weights(counts, eta_d, _PATTERN_SETS)
+    probabilities = weights @ (np.abs(psi) ** 2).sum(axis=0)
+    kept = [i for i in _ACCEPTED_INDICES if probabilities[i] > 0.0]
+    sub = psi[_EMITTED_ROWS]
+    stack = ((sub * weights[kept, None, :]) @ sub.conj().T) / probabilities[kept, None, None]
+    states = density_stack(_EMITTED_SPACE, stack)
+    report = _report(probabilities.tolist(), dict(zip((_PATTERNS[i] for i in kept), states)))
+    return report, stack
 
 
 def ghz_pair_states(space: HilbertSpace) -> tuple[StateVector, StateVector]:

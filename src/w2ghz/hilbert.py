@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import expm
+
 
 def tol(base: float) -> float:
     """The fixed validation tolerance ``base``, unscaled."""
@@ -99,6 +99,28 @@ class StateVector:
                              normalized=self.normalized)
 
 
+def validate_density_stack(elements: NDArray[np.complex128], normalized: bool = True) -> None:
+    """Raise ValueError unless every matrix of a (k, d, d) stack is a density
+    matrix: Hermitian to 1e-10, smallest eigenvalue at least -1e-8 and, when
+    ``normalized``, trace 1 to 1e-8.  Each check runs over the whole stack in
+    one call and reports the first matrix that fails it."""
+    if elements.shape[0] == 0:
+        return
+    herm_err = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(1, 2))
+    bad = np.flatnonzero(herm_err > tol(1e-10))
+    if bad.size:
+        raise ValueError(f"density matrix is not Hermitian (max deviation {float(herm_err[bad[0]]):.3e})")
+    min_eig = np.min(np.linalg.eigvalsh(elements), axis=1)
+    bad = np.flatnonzero(min_eig < -tol(1e-8))
+    if bad.size:
+        raise ValueError(f"density matrix has negative eigenvalue {float(min_eig[bad[0]]):.3e}")
+    if normalized:
+        traces = np.trace(elements, axis1=1, axis2=2).real
+        bad = np.flatnonzero(np.abs(traces - 1.0) > tol(1e-8))
+        if bad.size:
+            raise ValueError(f"density matrix flagged normalized has trace {float(traces[bad[0]])!r}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian positive matrix over an explicit tensor-product space."""
@@ -114,17 +136,31 @@ class DensityMatrix:
             if arr.shape != (d, d):
                 raise ValueError(f"density matrix must be {d}x{d}, got {arr.shape}")
         object.__setattr__(self, "elements", _as_complex_array(self.elements, check))
-        herm_err = float(np.max(np.abs(self.elements - self.elements.conj().T))) if d else 0.0
-        if herm_err > tol(1e-10):
-            raise ValueError(f"density matrix is not Hermitian (max deviation {herm_err:.3e})")
-        min_eig = float(np.min(np.linalg.eigvalsh(self.elements)))
-        if min_eig < -tol(1e-8):
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-        if self.normalized and abs(self.trace() - 1.0) > tol(1e-8):
-            raise ValueError(f"density matrix flagged normalized has trace {self.trace()!r}")
+        validate_density_stack(self.elements[None], self.normalized)
 
     def trace(self) -> float:
         return float(np.trace(self.elements).real)
+
+
+def density_stack(space: HilbertSpace, elements, normalized: bool = True) -> tuple[DensityMatrix, ...]:
+    """The rows of a (k, d, d) stack as density matrices over ``space``,
+    validated together by ``validate_density_stack``."""
+    d = space.total_dim
+
+    def check(arr):
+        if arr.ndim != 3 or arr.shape[1:] != (d, d):
+            raise ValueError(f"density stack must be k x {d} x {d}, got {arr.shape}")
+    stack = _as_complex_array(elements, check)
+    validate_density_stack(stack, normalized)
+    rows = []
+    for matrix in stack:
+        # Checked above as part of the stack; the rows are read-only views.
+        rho = object.__new__(DensityMatrix)
+        object.__setattr__(rho, "space", space)
+        object.__setattr__(rho, "elements", matrix)
+        object.__setattr__(rho, "normalized", normalized)
+        rows.append(rho)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -156,10 +192,17 @@ def _require_same_space(a: HilbertSpace, b: HilbertSpace) -> None:
 def fidelity(rho: DensityMatrix, target: StateVector) -> float:
     """Overlap ⟨target|ρ|target⟩; invariant under a global phase on the target."""
     _require_same_space(rho.space, target.space)
-    value = complex(np.vdot(target.amplitudes, rho.elements @ target.amplitudes))
-    if abs(value.imag) > tol(1e-12) * max(1.0, abs(value)):
-        raise ValueError(f"fidelity came out non-real: {value!r}")
-    return float(value.real)
+    return float(fidelities(rho.elements[None], target.amplitudes)[0])
+
+
+def fidelities(elements: NDArray[np.complex128], target: NDArray[np.complex128]) -> NDArray[np.float64]:
+    """⟨target|ρ_k|target⟩ for every matrix ρ_k of a (k, d, d) stack, in one
+    contraction; each value must come out real."""
+    values = (elements @ target) @ target.conj()
+    bad = np.flatnonzero(np.abs(values.imag) > tol(1e-12) * np.maximum(1.0, np.abs(values)))
+    if bad.size:
+        raise ValueError(f"fidelity came out non-real: {complex(values[bad[0]])!r}")
+    return values.real
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -179,6 +222,10 @@ def propagator(h: Operator, t: float) -> Operator:
         energies, vectors = np.linalg.eigh(h.elements)
         u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
     else:
+        # Imported here: scipy costs more to import than the rest of the
+        # package, and only non-Hermitian generators need it.
+        from scipy.linalg import expm
+
         u = expm(-1j * t * h.elements)
     if not np.all(np.isfinite(u)):
         raise OverflowError("propagator overflowed; generator has strongly amplifying spectrum")

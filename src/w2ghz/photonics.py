@@ -11,20 +11,33 @@ Occupation amplitudes follow bosonic creation-operator conventions: stacking
 two photons in one slot contributes the usual sqrt(2) factor, which is what
 makes every element transformation an exact isometry (two photons meeting on
 one mode interfere Hong-Ou-Mandel style into |2,0> - |0,2>).
+
+``network_map`` compiles the whole network of one layout into a single
+linear map from the 27 emission slots of the three cavities (each empty, or
+holding one L or one R photon) to detector-slot occupations; the protocol
+runs on it.  The term-by-term stages (``emit_and_qwp``, ``apply_pbs_routing``,
+``apply_hwp``, ``full_network``) are kept as its independent reference.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 SOURCE_MODES = (1, 2, 3)
 OUTPUT_MODES = (7, 8, 9)
 ATOMS = ("a", "b", "c")
 ATOM_TO_SOURCE = {"a": 1, "b": 2, "c": 3}
 SOURCE_TO_ATOM = {1: "a", 2: "b", 3: "c"}
+# The watched (output mode, linear polarization) slots, in detector order.
+DETECTOR_SLOTS = tuple((mode, pol) for mode in OUTPUT_MODES for pol in ("H", "V"))
+# What one cavity holds at emission: nothing, one L photon or one R photon.
+EMISSIONS = (None, "L", "R")
 
 # Amplitudes below this are treated as exact zeros when assembling states
 # (absorbs rounding residue such as cos(pi) != -1 at the operating point).
@@ -69,15 +82,6 @@ class JointAtomPhotonState:
 
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
-
-    def photon_numbers(self) -> set[int]:
-        """Distinct total photon counts across terms."""
-        return {sum(count for _, count in occ) for _, occ in self.terms} or {0}
-
-    def require_photon_number(self, n: int) -> None:
-        counts = self.photon_numbers()
-        if counts != {n}:
-            raise ValueError(f"expected exactly {n} photons in every term, found counts {sorted(counts)}")
 
     def map_single_photons(self, slot_map) -> "JointAtomPhotonState":
         """Relabel every occupied slot through ``slot_map`` (deterministic,
@@ -138,8 +142,8 @@ class NetworkLayout:
 
 
 # H photons from each cavity join the V output of the cyclically preceding
-# cavity; this is the unique wiring consistent with the interference pattern
-# produced by the protocol (see search_routing_layouts).
+# cavity; of the 36 valid layouts this is the only one whose network output
+# matches reference_output_state.
 DEFAULT_LAYOUT = NetworkLayout.from_dict({
     "a": {"V": 7, "H": 9},
     "b": {"V": 8, "H": 7},
@@ -244,38 +248,90 @@ def full_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LA
 
 def _expand_superposition_photons(photons) -> dict:
     """Occupation amplitudes of a product of single-photon superposition
-    states, each given as (mode, sign) meaning (|H_mode> + sign |V_mode>)/sqrt2.
+    states, each given as (mode, sign) meaning (|H_mode> + sign |V_mode>)/sqrt2,
+    keyed by the photon count of every slot in DETECTOR_SLOTS order; exact
+    zeros (two photons cancelling on one mode) are left out.
 
     Implemented by polynomial multiplication of creation operators followed by
     the sqrt(n!) occupation normalization, independently of the wave-plate
     sector maps used by the network elements.
     """
-    poly = {(): 1.0}
+    poly = {(0,) * len(DETECTOR_SLOTS): 1.0}
     for mode, sign in photons:
         new_poly: dict = {}
-        for monomial, coeff in poly.items():
+        for counts, coeff in poly.items():
             for pol, weight in (("H", _SQ2), ("V", sign * _SQ2)):
-                grown = tuple(sorted(monomial + ((mode, pol),)))
-                new_poly[grown] = new_poly.get(grown, 0.0) + coeff * weight
+                grown = list(counts)
+                grown[DETECTOR_SLOTS.index((mode, pol))] += 1
+                key = tuple(grown)
+                new_poly[key] = new_poly.get(key, 0.0) + coeff * weight
         poly = new_poly
     amplitudes: dict = {}
-    for monomial, coeff in poly.items():
-        occ: dict = {}
-        for slot in monomial:
-            occ[slot] = occ.get(slot, 0) + 1
+    for counts, coeff in poly.items():
         factor = 1.0
-        for count in occ.values():
+        for count in counts:
             factor *= math.sqrt(math.factorial(count))
-        amplitudes[_canonical_occupation(occ)] = amplitudes.get(_canonical_occupation(occ), 0.0) + coeff * factor
+        if coeff != 0.0:
+            amplitudes[counts] = coeff * factor
     return amplitudes
+
+
+# Per-photon element rules: the quarter-wave plate turns L into V and R into
+# H, and the half-wave plate sends H to (H + V)/sqrt2 and V to (H - V)/sqrt2.
+_QWP = {"L": "V", "R": "H"}
+_HWP_SIGN = {"H": 1.0, "V": -1.0}
+
+
+@dataclass(frozen=True)
+class NetworkMap:
+    """The network of one layout as a linear map.
+
+    Column s of ``matrix`` (n_occ x 27) is the output state of emission slot
+    s, the row-major index over ATOMS of each cavity's entry in EMISSIONS
+    (last atom fastest); row o is the detector-slot occupation whose photon
+    counts, in DETECTOR_SLOTS order, are ``counts[o]``.  Both arrays are
+    read-only.
+    """
+
+    matrix: np.ndarray
+    counts: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)  # keyed by layout; there are 36 valid ones
+def network_map(layout: NetworkLayout) -> NetworkMap:
+    """Compile the quarter-wave plates, beam-splitter routing and half-wave
+    plates of ``layout`` into one map, photon by photon: each emitted photon
+    passes the quarter-wave plate, is routed to its output mode, and becomes
+    the half-wave plate's image there; the photons of one emission slot then
+    multiply as creation operators, which keeps the two-photon sectors exact.
+    """
+    columns = []
+    for emission in itertools.product(EMISSIONS, repeat=len(ATOMS)):
+        photons = []
+        for atom, circular in zip(ATOMS, emission):
+            if circular is not None:
+                pol = _QWP[circular]
+                photons.append((layout.route(atom, pol), _HWP_SIGN[pol]))
+        columns.append(_expand_superposition_photons(photons))
+    occupations = sorted({counts for column in columns for counts in column})
+    row = {counts: index for index, counts in enumerate(occupations)}
+    matrix = np.zeros((len(occupations), len(columns)), dtype=np.complex128)
+    for s, column in enumerate(columns):
+        for counts, amp in column.items():
+            matrix[row[counts], s] = amp
+    counts = np.array(occupations, dtype=np.intp)
+    matrix.setflags(write=False)
+    counts.setflags(write=False)
+    return NetworkMap(matrix, counts)
 
 
 def reference_output_state() -> JointAtomPhotonState:
     """Analytic post-network state of the standard three-atom pipeline,
     expanded term by term from the known interference pattern.
 
-    Serves as an implementation-independent structural reference for
-    ``full_network``: eight atomic configurations with coefficient magnitudes
+    Serves as a structural reference for ``network_map`` and
+    ``full_network`` that names no layout: eight atomic configurations with
+    coefficient magnitudes
     {3,3,1,1,1,1,1,1}/(2 sqrt 6) and fixed signs, each attached to a product
     of (|H> +- |V>)/sqrt2 photons on the output modes.
     """
@@ -292,15 +348,9 @@ def reference_output_state() -> JointAtomPhotonState:
     ]
     entries = []
     for coeff, config, photons in rows:
-        for occ, amp in _expand_superposition_photons(photons).items():
-            entries.append((config, dict(occ), coeff * scale * amp))
+        for counts, amp in _expand_superposition_photons(photons).items():
+            entries.append((config, dict(zip(DETECTOR_SLOTS, counts)), coeff * scale * amp))
     return JointAtomPhotonState.from_terms(ATOMS, entries)
-
-
-def states_equal_up_to_phase(state: JointAtomPhotonState, other: JointAtomPhotonState,
-                             atol: float = 1e-12) -> bool:
-    """True when the two states differ by at most one global phase."""
-    return max_amplitude_deviation(state, other) <= atol
 
 
 def max_amplitude_deviation(state: JointAtomPhotonState, other: JointAtomPhotonState) -> float:
@@ -315,23 +365,3 @@ def max_amplitude_deviation(state: JointAtomPhotonState, other: JointAtomPhotonS
     phase /= abs(phase)
     keys = set(state.terms) | set(other.terms)
     return max(abs(state.terms.get(k, 0.0) * phase - other.terms.get(k, 0.0)) for k in keys)
-
-
-def search_routing_layouts(pipeline_state: JointAtomPhotonState,
-                           reference: JointAtomPhotonState | None = None,
-                           atol: float = 1e-12) -> list[NetworkLayout]:
-    """Exhaustively search all valid routing tables (V and H routes each a
-    bijection onto the output modes) for those reproducing the reference
-    post-network state from the given pipeline input."""
-    if reference is None:
-        reference = reference_output_state()
-    matches = []
-    for v_perm in itertools.permutations(OUTPUT_MODES):
-        for h_perm in itertools.permutations(OUTPUT_MODES):
-            layout = NetworkLayout.from_dict({
-                atom: {"V": v_perm[i], "H": h_perm[i]} for i, atom in enumerate(ATOMS)
-            })
-            candidate = full_network(pipeline_state, layout)
-            if states_equal_up_to_phase(candidate, reference, atol=atol):
-                matches.append(layout)
-    return matches

@@ -5,10 +5,21 @@ every atom, let each atom exchange its ground amplitude for an emitted-photon
 component inside its cavity, send the photons through the wave-plate network,
 post-select on the accepted detector patterns, flip one sign when the (-)
 class fired, and finally map the emitted levels back onto ground levels.
+
+``run_protocol`` runs these stages as a few array products: the transfer
+coefficients give the amplitude of each of the 64 configurations of three
+four-level atoms (the Hadamard-W amplitude times alpha^(3-k) beta^k with k
+atoms emitted), each configuration leaves one of the 27 emission slots, and
+one product with the layout's compiled ``network_map`` gives the amplitudes
+over detector occupations.  Detection, the sign flip, the relabeling and the
+fidelities then act on stacks of 8 x 8 conditional states.  The staged
+functions (``cavity_interaction``, ``sign_correction``, ``raman_mapping``)
+remain as the term-by-term reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,11 +32,21 @@ from .detection import (
     OutcomeClass,
     atomic_space,
     classify_pattern,
-    enumerate_outcomes,
+    detect_amplitudes,
 )
 from .dynamics import EvolutionCoefficients, decay_coefficients, ideal_coefficients
-from .hilbert import DensityMatrix, HilbertSpace, StateVector, fidelity
-from .photonics import ATOM_TO_SOURCE, ATOMS, DEFAULT_LAYOUT, JointAtomPhotonState, NetworkLayout, full_network
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
+from .photonics import (
+    AMPLITUDE_PRUNE_TOL,
+    ATOM_TO_SOURCE,
+    ATOMS,
+    DEFAULT_LAYOUT,
+    DETECTOR_SLOTS,
+    EMISSIONS,
+    JointAtomPhotonState,
+    NetworkLayout,
+    network_map,
+)
 
 
 def ground_state_space() -> HilbertSpace:
@@ -153,6 +174,60 @@ def raman_mapping(rho: DensityMatrix) -> DensityMatrix:
     raise ValueError(f"Raman mapping expects three two- or four-level atoms, got dims {rho.space.dims}")
 
 
+# Each four-level atomic level as the ground qubit it came from and what it
+# left in its cavity (an entry of EMISSIONS).
+_LEVEL_ORIGIN = {"gL": (0, None), "gR": (1, None), "eL": (0, "L"), "eR": (1, "R")}
+# The 64 configurations of three four-level atoms (EFFECTIVE_LEVELS, last atom
+# fastest): the pulsed-W amplitude each comes from, which atoms emitted, and
+# the emission slot of network_map it leaves behind.
+_CONFIG_LEVELS = tuple(itertools.product(EFFECTIVE_LEVELS, repeat=len(ATOMS)))
+_CONFIG_QUBIT = np.array([np.ravel_multi_index([_LEVEL_ORIGIN[level][0] for level in config], (2,) * len(ATOMS))
+                          for config in _CONFIG_LEVELS])
+_CONFIG_EMITTED = np.array([[_LEVEL_ORIGIN[level][1] is not None for level in config] for config in _CONFIG_LEVELS])
+_CONFIG_SLOT = np.array([np.ravel_multi_index([EMISSIONS.index(_LEVEL_ORIGIN[level][1]) for level in config],
+                                              (len(EMISSIONS),) * len(ATOMS)) for config in _CONFIG_LEVELS])
+# The post-pulse state every run starts from, and the target it ends in.
+_PULSED_W = apply_hadamard_pulses(prepare_w_state()).amplitudes
+_GHZ = ghz_target().amplitudes
+# Element-wise form of the sign flip S rho S (S is diagonal).
+_FLIP_SIGNS = np.outer(np.diag(_SIGN_FLIP), np.diag(_SIGN_FLIP))
+
+
+def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> tuple[np.ndarray, np.ndarray]:
+    """psi[c, o], the amplitude of configuration c of the three four-level
+    atoms with detector occupation o once the pulsed W state has met the
+    cavities with the given transfer amplitudes and passed the network of
+    ``layout``, and the photon counts of each occupation.
+
+    Terms of magnitude at most AMPLITUDE_PRUNE_TOL are exact zeros, as in the
+    term-by-term pipeline; no network entry exceeds 1 in magnitude, so that
+    pipeline's earlier prune of the configuration amplitudes drops nothing
+    more.
+    """
+    factors = np.where(_CONFIG_EMITTED, coefficients.beta, coefficients.alpha)
+    amps = _PULSED_W[_CONFIG_QUBIT] * factors[:, 0] * factors[:, 1] * factors[:, 2]
+    network = network_map(layout)
+    psi = amps[:, None] * network.matrix.T[_CONFIG_SLOT]
+    psi[np.abs(psi) <= AMPLITUDE_PRUNE_TOL] = 0.0
+    return psi, network.counts
+
+
+def network_state(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> JointAtomPhotonState:
+    """The compiled route's post-network state, term by term."""
+    psi, counts = _network_amplitudes(coefficients, layout)
+    return JointAtomPhotonState.from_terms(ATOMS, (
+        (_CONFIG_LEVELS[c], dict(zip(DETECTOR_SLOTS, counts[o])), psi[c, o]) for c, o in zip(*np.nonzero(psi))))
+
+
+def heralded_states(coefficients: EvolutionCoefficients, layout: NetworkLayout,
+                    eta_d: float) -> tuple[DetectionReport, np.ndarray]:
+    """Detection report of the pulsed W state after the cavity interaction
+    with the given transfer amplitudes and the network of ``layout``, and the
+    (k, 8, 8) stack of its conditional states over the emitted levels."""
+    psi, counts = _network_amplitudes(coefficients, layout)
+    return detect_amplitudes(psi, counts, eta_d)
+
+
 @dataclass(frozen=True)
 class ProtocolResult:
     """Outcome of one accepted click pattern: the collapsed atomic state, its
@@ -211,30 +286,35 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
     The returned aggregate fidelity is the probability-weighted mean over
     accepted patterns; the reject probability absorbs in-algebra rejected
     patterns plus, for decaying dynamics, the photon-loss (jump) weight that
-    never reaches the detectors.
+    never reaches the detectors.  Spontaneous decay is not part of this
+    model, so a nonzero ``gamma_a`` is rejected.
     """
+    if params.gamma_a != 0.0:
+        raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
+                         f"gamma_a = 0, got {params.gamma_a}")
     if t is None:
         t = params.operating_time
-    entangled = apply_hadamard_pulses(prepare_w_state())
-    joint = cavity_interaction(entangled, params, t)
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
-    network_state = full_network(joint, layout, allow_vacuum=True)
-    report = enumerate_outcomes(network_state, params.eta_d)
+    report, conditional = heralded_states(transfer_coefficients(params, t), layout, params.eta_d)
+    patterns = list(report.conditional_states)
+    outcomes = [classify_pattern(pattern) for pattern in patterns]
+    minus = np.array([outcome is OutcomeClass.GHZ_MINUS for outcome in outcomes], dtype=bool)
+    # Sign correction of the (-) class, then the Raman relabeling eL -> gL,
+    # eR -> gR, which keeps the elements and changes the space.
+    final = np.where(minus[:, None, None], conditional * _FLIP_SIGNS, conditional)
+    finals = density_stack(ground_state_space(), final)
+    fids = fidelities(final, _GHZ).tolist()
 
-    target = ghz_target()
     results = []
     success = 0.0
     fidelity_acc = 0.0
-    for pattern in sorted(report.conditional_states, key=lambda p: p.sorted_names):
-        outcome = classify_pattern(pattern)
-        probability = report.probability(pattern)
-        conditional = report.conditional_states[pattern]
-        final = raman_mapping(sign_correction(conditional, outcome))
-        f = fidelity(final, target)
-        results.append(ProtocolResult(pattern, outcome, probability, conditional, final, f))
+    for k in sorted(range(len(patterns)), key=lambda k: patterns[k].sorted_names):
+        probability = report.probability(patterns[k])
+        results.append(ProtocolResult(patterns[k], outcomes[k], probability,
+                                      report.conditional_states[patterns[k]], finals[k], fids[k]))
         success += probability
-        fidelity_acc += probability * f
+        fidelity_acc += probability * fids[k]
     mean_fidelity = fidelity_acc / success if success > 0 else 0.0
     # 1 - success covers both in-algebra rejected patterns and, with decay,
     # the photon-loss weight missing from the surviving (no-jump) state.

@@ -11,7 +11,7 @@ import numpy as np
 
 from w2ghz.analysis import (
     SweepSpec,
-    master_equation_fidelity,
+    master_equation_estimates,
     params_for_eta_over_kappa,
     pd_closed_form,
     pd_sweep,
@@ -168,8 +168,8 @@ def test_criterion_5_network_output_structure():
 
 def test_criterion_6_master_equation_fidelity():
     start = time.perf_counter()
-    f250 = master_equation_fidelity(reference_noise_params(250.0))
-    f50 = master_equation_fidelity(reference_noise_params(50.0))
+    f250 = master_equation_estimates(reference_noise_params(250.0)).product_fidelity
+    f50 = master_equation_estimates(reference_noise_params(50.0)).product_fidelity
     elapsed = time.perf_counter() - start
     ok = abs(f250 - 0.9104) <= 0.02 and abs(f50 - 0.9009) <= 0.02 and elapsed < 60.0
     report(6, "master-equation fidelity", ok,

@@ -9,7 +9,6 @@ from w2ghz.analysis import (
     fidelity_curve_vs_coupling_ratio,
     fidelity_surface,
     master_equation_estimates,
-    master_equation_fidelity,
     params_for_eta_over_kappa,
     pd_closed_form,
     pd_numeric,
@@ -111,8 +110,8 @@ class TestReferenceParams:
 
 class TestMasterEquationFidelity:
     def test_reported_noise_points(self):
-        f250 = master_equation_fidelity(reference_noise_params(250.0), cfg=FAST)
-        f50 = master_equation_fidelity(reference_noise_params(50.0), cfg=FAST)
+        f250 = master_equation_estimates(reference_noise_params(250.0), cfg=FAST).product_fidelity
+        f50 = master_equation_estimates(reference_noise_params(50.0), cfg=FAST).product_fidelity
         assert f250 == pytest.approx(0.9104, abs=0.02)
         assert f50 == pytest.approx(0.9009, abs=0.02)
         assert f250 > f50
@@ -121,7 +120,7 @@ class TestMasterEquationFidelity:
         values = []
         for scale in (1.0, 2.0, 4.0):
             params = SystemParams(delta=14.0 * scale, lambda_c=2.86, omega=2.9)
-            values.append(master_equation_fidelity(params, cfg=IntegratorConfig(dt=4e-3 / scale)))
+            values.append(master_equation_estimates(params, cfg=IntegratorConfig(dt=4e-3 / scale)).product_fidelity)
         # The residual dressing error is first order in the coupling over the
         # detuning, so quadrupling the detuning quarters the infidelity.
         assert values[0] < values[1] < values[2] < 1.0
@@ -134,14 +133,12 @@ class TestMasterEquationFidelity:
         params = reference_noise_params(250.0)
         cfg = IntegratorConfig(dt=dt)
         with pytest.raises(ValueError, match="dt"):
-            master_equation_fidelity(params, cfg=cfg)
-        with pytest.raises(ValueError, match="dt"):
             master_equation_estimates(params, cfg=cfg)
 
     def test_subsystem_fidelity_bounds(self):
         f = master_equation_estimates(reference_noise_params(250.0), cfg=FAST).subsystem_fidelity
         assert 0.0 <= f <= 1.0
-        assert master_equation_fidelity(reference_noise_params(250.0), cfg=FAST) == f**3
+        assert master_equation_estimates(reference_noise_params(250.0), cfg=FAST).product_fidelity == f**3
 
     def test_one_stacked_propagation(self, monkeypatch):
         # The three basis inputs share one integrator call.

@@ -7,6 +7,8 @@ deletion that breaks it fails here rather than only as failed benchmark ops.
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -75,6 +77,14 @@ def package_calls(path: Path):
 @pytest.mark.parametrize("name", w2ghz.__all__)
 def test_all_names_resolve(name):
     assert getattr(w2ghz, name) is not None
+
+
+def test_import_leaves_scipy_out():
+    # scipy is imported only where a non-Hermitian propagator needs it.
+    code = "import sys, w2ghz.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(Path(w2ghz.__file__).parents[1])})
+    assert out.stdout.strip() == "False"
 
 
 def test_tolerances_are_unscaled():

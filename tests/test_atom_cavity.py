@@ -6,7 +6,6 @@ import pytest
 from w2ghz.atom_cavity import (
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
-    AtomLevel,
     SystemParams,
     collapse_operators,
     conditional_hamiltonian,
@@ -29,10 +28,6 @@ def eff_index(level, n_l, n_r, n_max=1):
 
 
 class TestSystemParams:
-    def test_level_enum_has_six_members(self):
-        assert len(AtomLevel) == 6
-        assert {m.value for m in AtomLevel} == set(FULL_LEVELS)
-
     @pytest.mark.parametrize("bad", [
         dict(delta=0.0, lambda_c=1.0, omega=1.0),
         dict(delta=-1.0, lambda_c=1.0, omega=1.0),

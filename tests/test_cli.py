@@ -71,6 +71,20 @@ class TestIdealRun:
         assert doc["success_probability"] == pytest.approx(0.75, abs=1e-10)
         assert doc["fidelity"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_spontaneous_decay_is_config_error(self, tmp_path, capsys):
+        # The protocol has no spontaneous decay; it must not print noiseless
+        # numbers for a nonzero rate.
+        cfg = write_json(tmp_path, "cfg.json", {"delta": 20, "lambda_c": 1, "omega": 1, "gamma_a": 0.5})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "field 'gamma_a'" in captured.err
+
+    def test_asymmetric_drive_under_decay_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cfg.json", {"delta": 14, "lambda_c": 2.86, "omega": 2.9, "kappa": 0.01})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "require lambda_c == omega" in captured.err
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["ideal-run", "--out", str(out1)])

@@ -8,9 +8,11 @@ from w2ghz.hilbert import (
     HilbertSpace,
     Operator,
     StateVector,
+    density_stack,
     fidelity,
     propagator,
     trace_distance,
+    validate_density_stack,
 )
 
 
@@ -161,6 +163,40 @@ class TestValidationFlags:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(qubit(), np.eye(2))
         DensityMatrix(qubit(), np.eye(2), normalized=False)
+
+
+class TestDensityStack:
+    # Each bad matrix with the error DensityMatrix raised for it before the
+    # checks were batched, worded and formatted as then.
+    BAD = [
+        ([[0.5, 0.5], [0.0, 0.5]], True, "density matrix is not Hermitian (max deviation 5.000e-01)"),
+        ([[1.0, 0.0], [0.0, -1.0]], False, "density matrix has negative eigenvalue -1.000e+00"),
+        ([[1.0, 0.0], [0.0, 1.0]], True, "density matrix flagged normalized has trace 2.0"),
+    ]
+
+    @pytest.mark.parametrize("matrix, normalized, message", BAD, ids=["hermitian", "eigenvalue", "trace"])
+    def test_same_errors_as_density_matrix(self, matrix, normalized, message):
+        good = np.eye(2) / 2 if normalized else np.eye(2)
+        stack = np.array([good, matrix, good], dtype=complex)
+        for check in (lambda: validate_density_stack(stack, normalized),
+                      lambda: density_stack(qubit(), stack, normalized),
+                      lambda: DensityMatrix(qubit(), matrix, normalized=normalized)):
+            with pytest.raises(ValueError) as excinfo:
+                check()
+            assert str(excinfo.value) == message
+
+    def test_rows_are_checked_read_only_density_matrices(self):
+        rng = np.random.default_rng(5)
+        space = HilbertSpace.of(("a", 2), ("b", 2))
+        stack = np.array([random_density(space, rng).elements for _ in range(3)])
+        rows = density_stack(space, stack)
+        assert len(rows) == 3 and density_stack(space, stack[:0]) == ()
+        for rho, expected in zip(rows, stack):
+            assert rho.space == space and rho.normalized
+            assert np.array_equal(rho.elements, expected)
+            assert not rho.elements.flags.writeable
+        with pytest.raises(ValueError, match="k x 4 x 4"):
+            density_stack(space, stack[:, :2, :2])
 
 
 def test_trace_distance_extremes():

@@ -1,12 +1,23 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from staged_reference import (
+    all_layouts,
+    photon_numbers,
+    require_photon_number,
+    search_routing_layouts,
+    states_equal_up_to_phase,
+)
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.photonics import (
     ATOMS,
     DEFAULT_LAYOUT,
+    DETECTOR_SLOTS,
+    EMISSIONS,
+    SOURCE_MODES,
     JointAtomPhotonState,
     NetworkLayout,
     apply_hwp,
@@ -14,9 +25,8 @@ from w2ghz.photonics import (
     emit_and_qwp,
     full_network,
     max_amplitude_deviation,
+    network_map,
     reference_output_state,
-    search_routing_layouts,
-    states_equal_up_to_phase,
 )
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
 
@@ -43,10 +53,10 @@ class TestJointState:
 
     def test_photon_number_bookkeeping(self):
         state = single_term(("eL", "eL", "eR"), {(1, "L"): 1, (2, "L"): 1, (3, "R"): 1})
-        assert state.photon_numbers() == {3}
-        state.require_photon_number(3)
+        assert photon_numbers(state) == {3}
+        require_photon_number(state, 3)
         with pytest.raises(ValueError, match="exactly 2"):
-            state.require_photon_number(2)
+            require_photon_number(state, 2)
 
 
 class TestLayout:
@@ -89,7 +99,7 @@ class TestEmitAndQwp:
         with pytest.raises(ValueError, match="operating time"):
             emit_and_qwp(state)
         out = emit_and_qwp(state, allow_vacuum=True)
-        assert out.photon_numbers() == {2}
+        assert photon_numbers(out) == {2}
 
 
 class TestPbsRouting:
@@ -160,7 +170,7 @@ class TestFullNetwork:
 
     def test_photon_number_conserved(self):
         produced = full_network(pipeline_state())
-        produced.require_photon_number(3)
+        require_photon_number(produced, 3)
 
     def test_norm_is_one(self):
         assert full_network(pipeline_state()).norm_sq() == pytest.approx(1.0, abs=1e-12)
@@ -191,3 +201,26 @@ class TestFullNetwork:
 def test_routing_search_recovers_unique_layout():
     matches = search_routing_layouts(pipeline_state())
     assert matches == [DEFAULT_LAYOUT]
+
+
+class TestNetworkMap:
+    @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(
+        str(mode) for _, mode in layout.routing))
+    def test_isometry_equal_to_staged_network(self, layout):
+        network = network_map(layout)
+        m = network.matrix
+        assert m.shape == (len(network.counts), len(EMISSIONS) ** len(ATOMS))
+        assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) <= 1e-14
+        row = {tuple(counts): o for o, counts in enumerate(network.counts.tolist())}
+        for s, emission in enumerate(itertools.product(EMISSIONS, repeat=len(ATOMS))):
+            photons = {(source, circular): 1 for source, circular in zip(SOURCE_MODES, emission) if circular}
+            staged = full_network(single_term(("eL", "eL", "eL"), photons), layout, allow_vacuum=True)
+            column = np.zeros(len(row), dtype=complex)
+            for (_, occ), amp in staged.terms.items():
+                occupation = dict(occ)
+                column[row[tuple(occupation.get(slot, 0) for slot in DETECTOR_SLOTS)]] = amp
+            assert np.max(np.abs(m[:, s] - column)) <= 1e-14
+
+    def test_cached_per_layout(self):
+        assert network_map(DEFAULT_LAYOUT) is network_map(DEFAULT_LAYOUT)
+        assert not network_map(DEFAULT_LAYOUT).matrix.flags.writeable

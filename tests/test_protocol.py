@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from staged_reference import photon_numbers, require_photon_number, staged_run
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import OutcomeClass, atomic_space, ghz_pair_states
 from w2ghz.dynamics import decay_coefficients, ideal_coefficients
+from w2ghz import hilbert
 from w2ghz.hilbert import DensityMatrix, StateVector, fidelity
+from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout
 from w2ghz.protocol import (
     apply_hadamard_pulses,
     cavity_interaction,
@@ -63,14 +66,14 @@ class TestCavityInteraction:
     def test_zero_time_keeps_ground_state(self):
         state = apply_hadamard_pulses(prepare_w_state())
         joint = cavity_interaction(state, IDEAL, t=0.0)
-        assert joint.photon_numbers() == {0}
+        assert photon_numbers(joint) == {0}
         amps = {config: amp for (config, occ), amp in joint.terms.items()}
         assert amps[("gL", "gL", "gL")] == pytest.approx(3 / (2 * math.sqrt(6)))
 
     def test_operating_point_emits_everywhere(self):
         state = apply_hadamard_pulses(prepare_w_state())
         joint = cavity_interaction(state, IDEAL)
-        joint.require_photon_number(3)
+        require_photon_number(joint, 3)
         amps = {config: amp for (config, occ), amp in joint.terms.items()}
         # Every ground level became the matching emitted level with a sign
         # flip cubed.
@@ -209,6 +212,65 @@ class TestRunProtocol:
         assert doc["fidelity"] == pytest.approx(1.0)
         assert len(doc["patterns"]) == 8
         assert all(set(p) == {"detectors", "class", "probability", "fidelity"} for p in doc["patterns"])
+
+
+ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8},
+                                          "c": {"V": 9, "H": 9}})
+
+
+class TestCompiledRouteOracle:
+    """run_protocol runs on the compiled network map; the staged term-by-term
+    pipeline must give every field to 1e-14."""
+
+    @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT], ids=["default", "aligned"])
+    @pytest.mark.parametrize("kappa", [0.0, 0.004])
+    # At 1e-5 of the operating time every emitted amplitude falls under the
+    # 1e-14 prune, so no accepted pattern may keep a state.
+    @pytest.mark.parametrize("fraction", [1e-5, 0.6, 1.0, 1.7])
+    @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+    def test_matches_staged_pipeline(self, eta, fraction, kappa, layout):
+        params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=kappa, eta_d=eta)
+        t = fraction * params.operating_time
+        run = run_protocol(params, layout, t)
+        report, results, success, mean_fidelity = staged_run(params, layout, t)
+        assert run.time == t
+        assert abs(run.success_probability - success) <= 1e-14
+        assert abs(run.reject_probability - max(0.0, 1.0 - success)) <= 1e-14
+        assert abs(run.fidelity - mean_fidelity) <= 1e-14
+        assert list(run.report.pattern_probabilities) == list(report.pattern_probabilities)
+        for pattern, probability in report.pattern_probabilities.items():
+            assert abs(run.report.probability(pattern) - probability) <= 1e-14
+        assert abs(run.report.total_success_probability - report.total_success_probability) <= 1e-14
+        assert list(run.report.conditional_states) == list(report.conditional_states)
+        assert len(run.results) == len(results)
+        for got, (pattern, outcome, probability, conditional, final, f) in zip(run.results, results):
+            assert (got.pattern, got.outcome) == (pattern, outcome)
+            assert abs(got.probability - probability) <= 1e-14
+            assert got.conditional is run.report.conditional_states[pattern]
+            for mine, theirs in ((got.conditional, conditional), (got.final, final)):
+                assert (mine.space, mine.normalized) == (theirs.space, theirs.normalized)
+                assert not mine.elements.flags.writeable
+                assert np.max(np.abs(mine.elements - theirs.elements)) <= 1e-14
+            assert abs(got.fidelity - f) <= 1e-14
+
+    def test_every_returned_matrix_is_validated(self, monkeypatch):
+        checked = []
+        validate = hilbert.validate_density_stack
+
+        def counting(elements, normalized=True):
+            checked.extend(elements)
+            validate(elements, normalized)
+
+        monkeypatch.setattr(hilbert, "validate_density_stack", counting)
+        run = run_protocol(DECAYING)
+        returned = [m for r in run.results for m in (r.conditional.elements, r.final.elements)]
+        assert len(checked) == len(returned) == 16
+        for matrix in returned:
+            assert any(np.array_equal(matrix, seen) for seen in checked)
+
+    def test_spontaneous_decay_rejected(self):
+        with pytest.raises(ValueError, match="gamma_a"):
+            run_protocol(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5))
 
 
 def test_run_protocol_runtime_under_one_second():
