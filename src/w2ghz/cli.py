@@ -37,7 +37,7 @@ from .atom_cavity import SystemParams
 from .checks import run_all_checks
 from .dynamics import IntegratorConfig
 from .photonics import DEFAULT_LAYOUT, NetworkLayout
-from .protocol import run_protocol
+from .protocol import require_modelled, run_protocol
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -147,12 +147,11 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def cmd_ideal_run(args) -> int:
     config = parse_run_config(_load_config(args.config))
-    # The protocol models cavity decay only, and its decaying closed form
-    # only the symmetric drive; other params are rejected there.
     try:
-        run = run_protocol(config.params, layout=config.layout, t=config.t)
+        require_modelled(config.params)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
+    run = run_protocol(config.params, layout=config.layout, t=config.t)
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(report, args.out or config.out)
     return EXIT_OK

@@ -91,6 +91,16 @@ def ideal_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     return EvolutionCoefficients(complex(alpha), complex(beta))
 
 
+def require_symmetric_drive(params: SystemParams) -> None:
+    """Raise ValueError unless lambda_c == Omega (to 1e-12 relative), the
+    drive the decaying closed form is derived for."""
+    if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError(
+            "closed-form decaying coefficients require lambda_c == omega "
+            f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}"
+        )
+
+
 def decay_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     """Closed-form transfer amplitudes with cavity decay (no-jump evolution).
 
@@ -107,11 +117,7 @@ def decay_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     decays faster, so there the exponents are combined first:
     e^{-kappa t/2} sinh(x)/x = e^{x - kappa t/2} (1 - e^{-2x})/(2x).
     """
-    if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            "closed-form decaying coefficients require lambda_c == omega "
-            f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}"
-        )
+    require_symmetric_drive(params)
     d = params.derived
     if d.phi.real > 0.0:
         x = d.phi.real * t / 2.0

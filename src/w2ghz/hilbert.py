@@ -142,23 +142,23 @@ class DensityMatrix:
         return float(np.trace(self.elements).real)
 
 
-def density_stack(space: HilbertSpace, elements, normalized: bool = True) -> tuple[DensityMatrix, ...]:
-    """The rows of a (k, d, d) stack as density matrices over ``space``,
-    validated together by ``validate_density_stack``."""
+def density_stack(space: HilbertSpace, elements) -> tuple[DensityMatrix, ...]:
+    """The rows of a (k, d, d) stack as normalized density matrices over
+    ``space``, validated together by ``validate_density_stack``."""
     d = space.total_dim
 
     def check(arr):
         if arr.ndim != 3 or arr.shape[1:] != (d, d):
             raise ValueError(f"density stack must be k x {d} x {d}, got {arr.shape}")
     stack = _as_complex_array(elements, check)
-    validate_density_stack(stack, normalized)
+    validate_density_stack(stack)
     rows = []
     for matrix in stack:
         # Checked above as part of the stack; the rows are read-only views.
         rho = object.__new__(DensityMatrix)
         object.__setattr__(rho, "space", space)
         object.__setattr__(rho, "elements", matrix)
-        object.__setattr__(rho, "normalized", normalized)
+        object.__setattr__(rho, "normalized", True)
         rows.append(rho)
     return tuple(rows)
 

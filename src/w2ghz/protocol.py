@@ -34,7 +34,12 @@ from .detection import (
     classify_pattern,
     detect_amplitudes,
 )
-from .dynamics import EvolutionCoefficients, decay_coefficients, ideal_coefficients
+from .dynamics import (
+    EvolutionCoefficients,
+    decay_coefficients,
+    ideal_coefficients,
+    require_symmetric_drive,
+)
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
@@ -279,6 +284,17 @@ class ProtocolRun:
         }
 
 
+def require_modelled(params: SystemParams) -> None:
+    """Raise ValueError for params ``run_protocol`` does not model: a nonzero
+    ``gamma_a`` (it models cavity decay only), or cavity decay off the
+    symmetric drive lambda_c = Omega (the decaying closed form needs it)."""
+    if params.gamma_a != 0.0:
+        raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
+                         f"gamma_a = 0, got {params.gamma_a}")
+    if params.kappa > 0.0:
+        require_symmetric_drive(params)
+
+
 def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
                  t: float | None = None) -> ProtocolRun:
     """Run the complete pipeline and post-process every accepted pattern.
@@ -287,11 +303,9 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
     accepted patterns; the reject probability absorbs in-algebra rejected
     patterns plus, for decaying dynamics, the photon-loss (jump) weight that
     never reaches the detectors.  Spontaneous decay is not part of this
-    model, so a nonzero ``gamma_a`` is rejected.
+    model; ``require_modelled`` rejects the params it does not cover.
     """
-    if params.gamma_a != 0.0:
-        raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
-                         f"gamma_a = 0, got {params.gamma_a}")
+    require_modelled(params)
     if t is None:
         t = params.operating_time
     # Incomplete transfer (decay, or an off-operating interaction time) leaves

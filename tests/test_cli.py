@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from w2ghz import hilbert
 from w2ghz.checks import check_network_reference_state, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.photonics import NetworkLayout
@@ -84,6 +85,16 @@ class TestIdealRun:
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and "require lambda_c == omega" in captured.err
+
+    def test_internal_error_is_not_config_error(self, monkeypatch):
+        # Only params outside the model are config errors; a failed check on
+        # a computed state is a defect and must surface as such.
+        def failing(elements, normalized=True):
+            raise ValueError("density matrix is not Hermitian (max deviation 1.000e-03)")
+
+        monkeypatch.setattr(hilbert, "validate_density_stack", failing)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            main(["ideal-run"])
 
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

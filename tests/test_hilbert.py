@@ -169,18 +169,17 @@ class TestDensityStack:
     # Each bad matrix with the error DensityMatrix raised for it before the
     # checks were batched, worded and formatted as then.
     BAD = [
-        ([[0.5, 0.5], [0.0, 0.5]], True, "density matrix is not Hermitian (max deviation 5.000e-01)"),
-        ([[1.0, 0.0], [0.0, -1.0]], False, "density matrix has negative eigenvalue -1.000e+00"),
-        ([[1.0, 0.0], [0.0, 1.0]], True, "density matrix flagged normalized has trace 2.0"),
+        ([[0.5, 0.5], [0.0, 0.5]], "density matrix is not Hermitian (max deviation 5.000e-01)"),
+        ([[1.5, 0.0], [0.0, -0.5]], "density matrix has negative eigenvalue -5.000e-01"),
+        ([[1.0, 0.0], [0.0, 1.0]], "density matrix flagged normalized has trace 2.0"),
     ]
 
-    @pytest.mark.parametrize("matrix, normalized, message", BAD, ids=["hermitian", "eigenvalue", "trace"])
-    def test_same_errors_as_density_matrix(self, matrix, normalized, message):
-        good = np.eye(2) / 2 if normalized else np.eye(2)
-        stack = np.array([good, matrix, good], dtype=complex)
-        for check in (lambda: validate_density_stack(stack, normalized),
-                      lambda: density_stack(qubit(), stack, normalized),
-                      lambda: DensityMatrix(qubit(), matrix, normalized=normalized)):
+    @pytest.mark.parametrize("matrix, message", BAD, ids=["hermitian", "eigenvalue", "trace"])
+    def test_same_errors_as_density_matrix(self, matrix, message):
+        stack = np.array([np.eye(2) / 2, matrix, np.eye(2) / 2], dtype=complex)
+        for check in (lambda: validate_density_stack(stack),
+                      lambda: density_stack(qubit(), stack),
+                      lambda: DensityMatrix(qubit(), matrix)):
             with pytest.raises(ValueError) as excinfo:
                 check()
             assert str(excinfo.value) == message

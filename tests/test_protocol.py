@@ -17,6 +17,7 @@ from w2ghz.protocol import (
     ground_state_space,
     prepare_w_state,
     raman_mapping,
+    require_modelled,
     run_protocol,
     sign_correction,
     transfer_coefficients,
@@ -271,6 +272,17 @@ class TestCompiledRouteOracle:
     def test_spontaneous_decay_rejected(self):
         with pytest.raises(ValueError, match="gamma_a"):
             run_protocol(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5))
+
+    def test_model_coverage(self):
+        # Decay is modelled on the symmetric drive only; without decay any
+        # drive is covered.
+        asymmetric = dict(delta=14.0, lambda_c=2.86, omega=2.9)
+        for params in (SystemParams(**asymmetric, kappa=0.01),
+                       SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5)):
+            with pytest.raises(ValueError):
+                require_modelled(params)
+        for params in (SystemParams(**asymmetric), IDEAL, DECAYING):
+            require_modelled(params)
 
 
 def test_run_protocol_runtime_under_one_second():
