@@ -133,6 +133,8 @@ def parse_run_config(data: dict, defaults: dict | None = None) -> RunConfig:
         raise ConfigError("config error: field 'sweep': expected an object")
 
     out = options.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"config error: field 'out': expected a path string, got {out!r}")
     return RunConfig(params=params, layout=layout,
                      t=None if t is None else float(t), integrator=integrator,
                      sweep=sweep, out=out)
@@ -141,8 +143,11 @@ def parse_run_config(data: dict, defaults: dict | None = None) -> RunConfig:
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out_path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path!r}: {exc}") from exc
 
 
 def cmd_ideal_run(args) -> int:

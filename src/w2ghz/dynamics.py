@@ -75,6 +75,12 @@ def _sinhc(x: complex) -> complex:
     return np.sinh(x) / x
 
 
+def _require_time(t: float) -> None:
+    """Raise ValueError naming ``t`` unless it is a finite, non-negative time."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be a finite non-negative time, got {t}")
+
+
 def ideal_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     """Closed-form transfer amplitudes for the lossless cavity (kappa ignored).
 
@@ -83,6 +89,7 @@ def ideal_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
         alpha = (lambda_c^2 + Omega^2 e^{i theta}) / S
         beta  = lambda_c*Omega (e^{i theta} - 1) / S
     """
+    _require_time(t)
     s = params.lambda_c**2 + params.omega**2
     theta = s * t / params.delta
     phase = np.exp(1j * theta)
@@ -117,6 +124,7 @@ def decay_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
     decays faster, so there the exponents are combined first:
     e^{-kappa t/2} sinh(x)/x = e^{x - kappa t/2} (1 - e^{-2x})/(2x).
     """
+    _require_time(t)
     require_symmetric_drive(params)
     d = params.derived
     if d.phi.real > 0.0:

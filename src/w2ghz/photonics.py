@@ -15,25 +15,23 @@ one mode interfere Hong-Ou-Mandel style into |2,0> - |0,2>).
 ``network_map`` compiles the whole network of one layout into a single
 linear map from the 27 emission slots of the three cavities (each empty, or
 holding one L or one R photon) to detector-slot occupations; the protocol
-runs on it.  The term-by-term stages (``emit_and_qwp``, ``apply_pbs_routing``,
-``apply_hwp``, ``full_network``) are kept as its independent reference.
+runs on it, and ``full_network`` is its term-by-term view.  Both are checked
+against the element-by-element stages in ``tests/staged_reference.py``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+ATOMS = ("a", "b", "c")
+# The cavity (source mode) of each atom, in ATOMS order.
 SOURCE_MODES = (1, 2, 3)
 OUTPUT_MODES = (7, 8, 9)
-ATOMS = ("a", "b", "c")
-ATOM_TO_SOURCE = {"a": 1, "b": 2, "c": 3}
-SOURCE_TO_ATOM = {1: "a", 2: "b", 3: "c"}
 # The watched (output mode, linear polarization) slots, in detector order.
 DETECTOR_SLOTS = tuple((mode, pol) for mode in OUTPUT_MODES for pol in ("H", "V"))
 # What one cavity holds at emission: nothing, one L photon or one R photon.
@@ -44,7 +42,6 @@ EMISSIONS = (None, "L", "R")
 AMPLITUDE_PRUNE_TOL = 1e-14
 
 Occupation = tuple[tuple[tuple[int, str], int], ...]
-AtomConfig = tuple[str, ...]
 
 
 def _canonical_occupation(occupation) -> Occupation:
@@ -83,19 +80,6 @@ class JointAtomPhotonState:
     def norm_sq(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.terms.values()))
 
-    def map_single_photons(self, slot_map) -> "JointAtomPhotonState":
-        """Relabel every occupied slot through ``slot_map`` (deterministic,
-        amplitude-preserving).  Collisions of distinct slots onto one target
-        accumulate occupation."""
-        entries = []
-        for (config, occ), amp in self.terms.items():
-            new_occ: dict = {}
-            for slot, count in occ:
-                target = slot_map(slot)
-                new_occ[target] = new_occ.get(target, 0) + count
-            entries.append((config, new_occ, amp))
-        return JointAtomPhotonState.from_terms(self.atoms, entries)
-
 
 @dataclass(frozen=True)
 class NetworkLayout:
@@ -121,10 +105,16 @@ class NetworkLayout:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "NetworkLayout":
+        """Build from {atom: {polarization: output mode}}; the atoms must be
+        exactly ATOMS and every mode an integer."""
+        if set(mapping) != set(ATOMS):
+            raise ValueError(f"layout must cover exactly the atoms {list(ATOMS)}, got {list(mapping)}")
         items = []
         for atom, pols in mapping.items():
             for pol, mode in pols.items():
-                items.append(((str(atom), str(pol)), int(mode)))
+                if not isinstance(mode, int) or isinstance(mode, bool):
+                    raise ValueError(f"route ({atom!r}, {pol!r}) must be an integer output mode, got {mode!r}")
+                items.append(((atom, str(pol)), mode))
         return cls(tuple(sorted(items)))
 
     def route(self, atom: str, pol: str) -> int:
@@ -135,10 +125,6 @@ class NetworkLayout:
         for (atom, pol), mode in self.routing:
             out[atom][pol] = mode
         return out
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkLayout":
-        return cls.from_dict(json.loads(text))
 
 
 # H photons from each cavity join the V output of the cyclically preceding
@@ -151,99 +137,7 @@ DEFAULT_LAYOUT = NetworkLayout.from_dict({
 })
 
 
-def emit_and_qwp(state: JointAtomPhotonState, allow_vacuum: bool = False) -> JointAtomPhotonState:
-    """Convert cavity occupations into free-propagating linearly polarized
-    photons: left-circular becomes V, right-circular becomes H, amplitudes
-    unchanged.
-
-    Unless ``allow_vacuum`` is set, every term must carry exactly one photon
-    per source cavity (the lossless operating point); terms with an empty
-    cavity are rejected as an operating-time violation.
-    """
-    if not allow_vacuum:
-        for (config, occ), amp in state.terms.items():
-            occupied = {mode for (mode, _), _ in occ}
-            if occupied != set(SOURCE_MODES):
-                raise ValueError(
-                    f"term {config} has photon content only on modes {sorted(occupied)}; "
-                    "every cavity must hold one photon at the operating time"
-                )
-
-    def qwp(slot):
-        mode, pol = slot
-        if mode not in SOURCE_MODES or pol not in ("L", "R"):
-            raise ValueError(f"slot {slot} is not a cavity-polarization slot")
-        return (mode, "V" if pol == "L" else "H")
-
-    return state.map_single_photons(qwp)
-
-
-def apply_pbs_routing(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT) -> JointAtomPhotonState:
-    """Relabel photons from source modes to output modes per the layout;
-    polarization and amplitudes are unchanged (no reflection phase)."""
-
-    def route(slot):
-        mode, pol = slot
-        if mode not in SOURCE_MODES or pol not in ("V", "H"):
-            raise ValueError(f"photon on unrouted slot {slot}")
-        return (layout.route(SOURCE_TO_ATOM[mode], pol), pol)
-
-    return state.map_single_photons(route)
-
-
-# Half-wave plate action per photon: |H> -> (|H>+|V>)/sqrt2, |V> -> (|H>-|V>)/sqrt2.
-# Sector maps on the (n_H, n_V) occupation basis of one spatial mode, derived
-# from the creation-operator images; the two-photon block carries the bosonic
-# sqrt(2) factors and is an involution, like the single-photon block.
 _SQ2 = 1.0 / math.sqrt(2.0)
-_HWP_SECTORS = {
-    (0, 0): {(0, 0): 1.0},
-    (1, 0): {(1, 0): _SQ2, (0, 1): _SQ2},
-    (0, 1): {(1, 0): _SQ2, (0, 1): -_SQ2},
-    (2, 0): {(2, 0): 0.5, (1, 1): _SQ2, (0, 2): 0.5},
-    (1, 1): {(2, 0): _SQ2, (0, 2): -_SQ2},
-    (0, 2): {(2, 0): 0.5, (1, 1): -_SQ2, (0, 2): 0.5},
-}
-
-
-def apply_hwp(state: JointAtomPhotonState, modes=OUTPUT_MODES) -> JointAtomPhotonState:
-    """Apply the half-wave plate mixing to every listed spatial mode."""
-    modes = tuple(modes)
-    entries = []
-    for (config, occ), amp in state.terms.items():
-        occ_map = dict(occ)
-        branches = [(amp, {})]
-        handled = set()
-        for mode in modes:
-            n_h = occ_map.get((mode, "H"), 0)
-            n_v = occ_map.get((mode, "V"), 0)
-            handled.update({(mode, "H"), (mode, "V")})
-            sector = _HWP_SECTORS.get((n_h, n_v))
-            if sector is None:
-                raise ValueError(f"mode {mode} holds {n_h + n_v} photons; beyond the two-photon sector")
-            new_branches = []
-            for b_amp, b_occ in branches:
-                for (m_h, m_v), coeff in sector.items():
-                    grown = dict(b_occ)
-                    if m_h:
-                        grown[(mode, "H")] = m_h
-                    if m_v:
-                        grown[(mode, "V")] = m_v
-                    new_branches.append((b_amp * coeff, grown))
-            branches = new_branches
-        passthrough = {slot: count for slot, count in occ_map.items() if slot not in handled}
-        for b_amp, b_occ in branches:
-            merged = dict(passthrough)
-            merged.update(b_occ)
-            entries.append((config, merged, b_amp))
-    return JointAtomPhotonState.from_terms(state.atoms, entries)
-
-
-def full_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT,
-                 allow_vacuum: bool = False) -> JointAtomPhotonState:
-    """Quarter-wave plates, beam-splitter routing and half-wave plates in
-    sequence: the complete path from cavity emission to the detector slots."""
-    return apply_hwp(apply_pbs_routing(emit_and_qwp(state, allow_vacuum=allow_vacuum), layout))
 
 
 def _expand_superposition_photons(photons) -> dict:
@@ -253,8 +147,7 @@ def _expand_superposition_photons(photons) -> dict:
     zeros (two photons cancelling on one mode) are left out.
 
     Implemented by polynomial multiplication of creation operators followed by
-    the sqrt(n!) occupation normalization, independently of the wave-plate
-    sector maps used by the network elements.
+    the sqrt(n!) occupation normalization.
     """
     poly = {(0,) * len(DETECTOR_SLOTS): 1.0}
     for mode, sign in photons:
@@ -323,6 +216,40 @@ def network_map(layout: NetworkLayout) -> NetworkMap:
     matrix.setflags(write=False)
     counts.setflags(write=False)
     return NetworkMap(matrix, counts)
+
+
+def full_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT,
+                 allow_vacuum: bool = False) -> JointAtomPhotonState:
+    """The complete path from cavity emission to the detector slots, term by
+    term: the cavity photons of each term (at most one L or R photon per
+    source mode) name an emission slot, and that column of
+    ``network_map(layout)`` is the term's output.
+
+    Unless ``allow_vacuum`` is set, every term must carry one photon per
+    cavity (the lossless operating point); a term with an empty cavity is
+    rejected as an operating-time violation.
+    """
+    network = network_map(layout)
+    entries = []
+    for (config, occ), amp in state.terms.items():
+        emission = dict.fromkeys(SOURCE_MODES)
+        for slot, count in occ:
+            mode, pol = slot
+            if mode not in emission or pol not in ("L", "R"):
+                raise ValueError(f"slot {slot} is not a cavity-polarization slot")
+            if count > 1 or emission[mode] is not None:
+                raise ValueError(f"term {config} holds more than one photon in cavity {mode}")
+            emission[mode] = pol
+        if not allow_vacuum and None in emission.values():
+            occupied = sorted(mode for mode, pol in emission.items() if pol is not None)
+            raise ValueError(f"term {config} has photon content only on modes {occupied}; "
+                             "every cavity must hold one photon at the operating time")
+        slot_index = np.ravel_multi_index([EMISSIONS.index(pol) for pol in emission.values()],
+                                          (len(EMISSIONS),) * len(ATOMS))
+        column = network.matrix[:, slot_index]
+        for o in np.flatnonzero(column):
+            entries.append((config, dict(zip(DETECTOR_SLOTS, network.counts[o])), amp * column[o]))
+    return JointAtomPhotonState.from_terms(state.atoms, entries)
 
 
 def reference_output_state() -> JointAtomPhotonState:

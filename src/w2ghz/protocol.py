@@ -12,9 +12,9 @@ four-level atoms (the Hadamard-W amplitude times alpha^(3-k) beta^k with k
 atoms emitted), each configuration leaves one of the 27 emission slots, and
 one product with the layout's compiled ``network_map`` gives the amplitudes
 over detector occupations.  Detection, the sign flip, the relabeling and the
-fidelities then act on stacks of 8 x 8 conditional states.  The staged
-functions (``cavity_interaction``, ``sign_correction``, ``raman_mapping``)
-remain as the term-by-term reference.
+fidelities then act on stacks of 8 x 8 conditional states.
+``cavity_interaction`` is the term-by-term view of the same configuration
+table; the branch loop it is checked against is ``tests/staged_reference.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS, SystemParams
+from .atom_cavity import EFFECTIVE_LEVELS, GROUND_LEVELS, SystemParams
 from .detection import (
     ClickPattern,
     DetectionReport,
@@ -43,11 +43,11 @@ from .dynamics import (
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
-    ATOM_TO_SOURCE,
     ATOMS,
     DEFAULT_LAYOUT,
     DETECTOR_SLOTS,
     EMISSIONS,
+    SOURCE_MODES,
     JointAtomPhotonState,
     NetworkLayout,
     network_map,
@@ -77,22 +77,13 @@ def ghz_target() -> StateVector:
     return StateVector(space, amps)
 
 
-def _three_atom(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """The read-only three-atom operator first ⊗ rest ⊗ rest."""
-    out = np.kron(np.kron(first, rest), rest)
-    out.setflags(write=False)
-    return out
-
-
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-_HADAMARD_GATE = _three_atom(_HADAMARD, _HADAMARD)
-# Sign flip of the first atom's eL component.
-_SIGN_FLIP = _three_atom(np.diag([-1.0, 1.0]).astype(np.complex128), np.eye(2, dtype=np.complex128))
-# Isometry from the emitted levels of three four-level atoms to their
-# relabeled two-level form.
-_EMITTED_SELECT = np.eye(len(EFFECTIVE_LEVELS), dtype=np.complex128)[
-    :, [EFFECTIVE_LEVELS.index(level) for level in EMITTED_LEVELS]]
-_EMITTED_ISOMETRY = _three_atom(_EMITTED_SELECT, _EMITTED_SELECT)
+_HADAMARD_GATE = np.kron(np.kron(_HADAMARD, _HADAMARD), _HADAMARD)
+_HADAMARD_GATE.setflags(write=False)
+# Sign flip S rho S of the first atom's eL component, S = diag(-1, 1) ⊗ I ⊗ I,
+# as the element-wise signs S_ii S_jj.
+_FLIP_DIAGONAL = np.repeat([-1.0, 1.0], 4)
+_FLIP_SIGNS = np.outer(_FLIP_DIAGONAL, _FLIP_DIAGONAL)
 
 
 def apply_hadamard_pulses(state: StateVector) -> StateVector:
@@ -112,6 +103,32 @@ def transfer_coefficients(params: SystemParams, t: float | None = None) -> Evolu
     return ideal_coefficients(params, t)
 
 
+# Each four-level atomic level as the ground qubit it came from and what it
+# left in its cavity (an entry of EMISSIONS).
+_LEVEL_ORIGIN = {"gL": (0, None), "gR": (1, None), "eL": (0, "L"), "eR": (1, "R")}
+# The 64 configurations of three four-level atoms (EFFECTIVE_LEVELS, last atom
+# fastest): the ground configuration each comes from, which atoms emitted,
+# the photons they left in their cavities, and the emission slot of
+# network_map that is.
+_CONFIG_LEVELS = tuple(itertools.product(EFFECTIVE_LEVELS, repeat=len(ATOMS)))
+_CONFIG_QUBIT = np.array([np.ravel_multi_index([_LEVEL_ORIGIN[level][0] for level in config], (2,) * len(ATOMS))
+                          for config in _CONFIG_LEVELS])
+_CONFIG_EMITTED = np.array([[_LEVEL_ORIGIN[level][1] is not None for level in config] for config in _CONFIG_LEVELS])
+_CONFIG_CAVITIES = tuple({(mode, _LEVEL_ORIGIN[level][1]): 1 for mode, level in zip(SOURCE_MODES, config)
+                          if _LEVEL_ORIGIN[level][1] is not None} for config in _CONFIG_LEVELS)
+_CONFIG_SLOT = np.array([np.ravel_multi_index([EMISSIONS.index(_LEVEL_ORIGIN[level][1]) for level in config],
+                                              (len(EMISSIONS),) * len(ATOMS)) for config in _CONFIG_LEVELS])
+
+
+def _configuration_amplitudes(ground: np.ndarray, coefficients: EvolutionCoefficients) -> np.ndarray:
+    """Amplitude of each of the 64 configurations once the three-atom ground
+    amplitudes ``ground`` have met the cavities: the amplitude of the ground
+    configuration it comes from times alpha per atom left in its ground level
+    and beta per atom that emitted."""
+    factors = np.where(_CONFIG_EMITTED, coefficients.beta, coefficients.alpha)
+    return ground[_CONFIG_QUBIT] * factors[:, 0] * factors[:, 1] * factors[:, 2]
+
+
 def cavity_interaction(state: StateVector, params: SystemParams, t: float | None = None,
                        coefficients: EvolutionCoefficients | None = None) -> JointAtomPhotonState:
     """Entangle each atom with its cavity: every ground level gains an
@@ -124,29 +141,9 @@ def cavity_interaction(state: StateVector, params: SystemParams, t: float | None
     if state.space != ground_state_space():
         raise ValueError("cavity interaction expects the three-atom ground-qubit state")
     coeffs = coefficients if coefficients is not None else transfer_coefficients(params, t)
-    alpha, beta = coeffs.alpha, coeffs.beta
-
-    entries = []
-    dims = state.space.dims
-    for flat, amp in enumerate(state.amplitudes):
-        if amp == 0.0:
-            continue
-        config = np.unravel_index(flat, dims)
-        branches = [((), {}, amp)]
-        for atom, level_idx in zip(ATOMS, config):
-            ground = GROUND_LEVELS[level_idx]
-            emitted = EMITTED_LEVELS[level_idx]
-            pol = "L" if level_idx == 0 else "R"
-            source = ATOM_TO_SOURCE[atom]
-            grown = []
-            for levels, occ, b_amp in branches:
-                grown.append((levels + (ground,), occ, b_amp * alpha))
-                with_photon = dict(occ)
-                with_photon[(source, pol)] = 1
-                grown.append((levels + (emitted,), with_photon, b_amp * beta))
-            branches = grown
-        entries.extend(branches)
-    return JointAtomPhotonState.from_terms(ATOMS, entries)
+    amps = _configuration_amplitudes(state.amplitudes, coeffs)
+    return JointAtomPhotonState.from_terms(ATOMS, (
+        (_CONFIG_LEVELS[c], _CONFIG_CAVITIES[c], amps[c]) for c in np.flatnonzero(amps)))
 
 
 def sign_correction(rho: DensityMatrix, outcome: OutcomeClass) -> DensityMatrix:
@@ -158,44 +155,21 @@ def sign_correction(rho: DensityMatrix, outcome: OutcomeClass) -> DensityMatrix:
         return rho
     if rho.space.dims != (2,) * len(ATOMS):
         raise ValueError(f"sign correction expects three two-level atoms, got dims {rho.space.dims}")
-    return DensityMatrix(rho.space, _SIGN_FLIP @ rho.elements @ _SIGN_FLIP, normalized=rho.normalized)
+    return DensityMatrix(rho.space, rho.elements * _FLIP_SIGNS, normalized=rho.normalized)
 
 
 def raman_mapping(rho: DensityMatrix) -> DensityMatrix:
-    """Relabel the emitted levels onto ground levels (eL -> gL, eR -> gR).
-
-    Two-level inputs are already confined to the emitted pair and map as an
-    exact relabeling; four-level inputs must have (numerically) no support
-    outside the emitted block, which is then extracted.
-    """
-    if rho.space.dims == (2,) * len(ATOMS):
-        return DensityMatrix(ground_state_space(), rho.elements, normalized=rho.normalized)
-    if rho.space.dims == (4,) * len(ATOMS):
-        block = _EMITTED_ISOMETRY.conj().T @ rho.elements @ _EMITTED_ISOMETRY
-        outside = abs(rho.elements.trace() - block.trace())
-        if outside > 1e-10:
-            raise ValueError(f"support outside the emitted levels (weight {outside:.3e}) cannot be Raman-mapped")
-        return DensityMatrix(ground_state_space(), block, normalized=rho.normalized)
-    raise ValueError(f"Raman mapping expects three two- or four-level atoms, got dims {rho.space.dims}")
+    """Relabel the emitted levels onto ground levels (eL -> gL, eR -> gR): a
+    state of three two-level atoms confined to the emitted pair keeps its
+    elements and moves to the ground-qubit space."""
+    if rho.space.dims != (2,) * len(ATOMS):
+        raise ValueError(f"Raman mapping expects three two-level atoms, got dims {rho.space.dims}")
+    return DensityMatrix(ground_state_space(), rho.elements, normalized=rho.normalized)
 
 
-# Each four-level atomic level as the ground qubit it came from and what it
-# left in its cavity (an entry of EMISSIONS).
-_LEVEL_ORIGIN = {"gL": (0, None), "gR": (1, None), "eL": (0, "L"), "eR": (1, "R")}
-# The 64 configurations of three four-level atoms (EFFECTIVE_LEVELS, last atom
-# fastest): the pulsed-W amplitude each comes from, which atoms emitted, and
-# the emission slot of network_map it leaves behind.
-_CONFIG_LEVELS = tuple(itertools.product(EFFECTIVE_LEVELS, repeat=len(ATOMS)))
-_CONFIG_QUBIT = np.array([np.ravel_multi_index([_LEVEL_ORIGIN[level][0] for level in config], (2,) * len(ATOMS))
-                          for config in _CONFIG_LEVELS])
-_CONFIG_EMITTED = np.array([[_LEVEL_ORIGIN[level][1] is not None for level in config] for config in _CONFIG_LEVELS])
-_CONFIG_SLOT = np.array([np.ravel_multi_index([EMISSIONS.index(_LEVEL_ORIGIN[level][1]) for level in config],
-                                              (len(EMISSIONS),) * len(ATOMS)) for config in _CONFIG_LEVELS])
 # The post-pulse state every run starts from, and the target it ends in.
 _PULSED_W = apply_hadamard_pulses(prepare_w_state()).amplitudes
 _GHZ = ghz_target().amplitudes
-# Element-wise form of the sign flip S rho S (S is diagonal).
-_FLIP_SIGNS = np.outer(np.diag(_SIGN_FLIP), np.diag(_SIGN_FLIP))
 
 
 def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +179,11 @@ def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayo
     ``layout``, and the photon counts of each occupation.
 
     Terms of magnitude at most AMPLITUDE_PRUNE_TOL are exact zeros, as in the
-    term-by-term pipeline; no network entry exceeds 1 in magnitude, so that
-    pipeline's earlier prune of the configuration amplitudes drops nothing
-    more.
+    term-by-term views; no network entry exceeds 1 in magnitude, so the prune
+    ``cavity_interaction`` applies to the configuration amplitudes first
+    drops nothing more.
     """
-    factors = np.where(_CONFIG_EMITTED, coefficients.beta, coefficients.alpha)
-    amps = _PULSED_W[_CONFIG_QUBIT] * factors[:, 0] * factors[:, 1] * factors[:, 2]
+    amps = _configuration_amplitudes(_PULSED_W, coefficients)
     network = network_map(layout)
     psi = amps[:, None] * network.matrix.T[_CONFIG_SLOT]
     psi[np.abs(psi) <= AMPLITUDE_PRUNE_TOL] = 0.0

@@ -1,27 +1,114 @@
-"""Test-only helpers over the term-by-term (dict) pipeline stages, which the
-compiled protocol route is checked against."""
+"""Test-only reference pipeline: the cavity interaction and the photon
+network written stage by stage and term by term, independently of the
+compiled route in ``w2ghz`` (this module reaches neither ``network_map`` nor
+the views built on it), with the helpers that check that route against it."""
 
 import itertools
+import math
 
+import numpy as np
+
+from w2ghz.atom_cavity import EMITTED_LEVELS, GROUND_LEVELS
 from w2ghz.detection import classify_pattern, enumerate_outcomes
 from w2ghz.hilbert import fidelity
 from w2ghz.photonics import (
     ATOMS,
+    DEFAULT_LAYOUT,
     OUTPUT_MODES,
     JointAtomPhotonState,
     NetworkLayout,
-    full_network,
     max_amplitude_deviation,
     reference_output_state,
 )
 from w2ghz.protocol import (
     apply_hadamard_pulses,
-    cavity_interaction,
     ghz_target,
     prepare_w_state,
     raman_mapping,
     sign_correction,
+    transfer_coefficients,
 )
+
+# The cavity (source mode) of each atom.
+SOURCE_OF_ATOM = {"a": 1, "b": 2, "c": 3}
+ATOM_OF_SOURCE = {mode: atom for atom, mode in SOURCE_OF_ATOM.items()}
+
+
+def map_single_photons(state: JointAtomPhotonState, slot_map) -> JointAtomPhotonState:
+    """Relabel every occupied slot through ``slot_map`` (amplitudes unchanged);
+    distinct slots mapped onto one target accumulate occupation."""
+    entries = []
+    for (config, occ), amp in state.terms.items():
+        new_occ: dict = {}
+        for slot, count in occ:
+            target = slot_map(slot)
+            new_occ[target] = new_occ.get(target, 0) + count
+        entries.append((config, new_occ, amp))
+    return JointAtomPhotonState.from_terms(state.atoms, entries)
+
+
+def staged_cavity_interaction(state, coefficients) -> JointAtomPhotonState:
+    """g_j -> alpha |g_j, vacuum> + beta |e_j, one j photon>, branch by branch
+    over every nonzero configuration of the ground-qubit state."""
+    entries = []
+    for flat, amp in enumerate(state.amplitudes):
+        if amp == 0.0:
+            continue
+        branches = [((), {}, amp)]
+        for atom, level_idx in zip(ATOMS, np.unravel_index(flat, state.space.dims)):
+            photon = (SOURCE_OF_ATOM[atom], "L" if level_idx == 0 else "R")
+            grown = []
+            for levels, occ, b_amp in branches:
+                grown.append((levels + (GROUND_LEVELS[level_idx],), occ, b_amp * coefficients.alpha))
+                grown.append((levels + (EMITTED_LEVELS[level_idx],), {**occ, photon: 1}, b_amp * coefficients.beta))
+            branches = grown
+        entries.extend(branches)
+    return JointAtomPhotonState.from_terms(ATOMS, entries)
+
+
+def emit_and_qwp(state: JointAtomPhotonState) -> JointAtomPhotonState:
+    """Quarter-wave plates: left-circular cavity photons become V, right-circular H."""
+    return map_single_photons(state, lambda slot: (slot[0], "V" if slot[1] == "L" else "H"))
+
+
+def apply_pbs_routing(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT) -> JointAtomPhotonState:
+    """Beam splitters: each photon moves from its source mode to the output
+    mode the layout gives its atom and polarization (no reflection phase)."""
+    return map_single_photons(state, lambda slot: (layout.route(ATOM_OF_SOURCE[slot[0]], slot[1]), slot[1]))
+
+
+# Half-wave plate action per photon: |H> -> (|H>+|V>)/sqrt2, |V> -> (|H>-|V>)/sqrt2.
+# Sector maps on the (n_H, n_V) occupation basis of one spatial mode, derived
+# from the creation-operator images; the two-photon block carries the bosonic
+# sqrt(2) factors and is an involution, like the single-photon block.
+_SQ2 = 1.0 / math.sqrt(2.0)
+_HWP_SECTORS = {
+    (0, 0): {(0, 0): 1.0},
+    (1, 0): {(1, 0): _SQ2, (0, 1): _SQ2},
+    (0, 1): {(1, 0): _SQ2, (0, 1): -_SQ2},
+    (2, 0): {(2, 0): 0.5, (1, 1): _SQ2, (0, 2): 0.5},
+    (1, 1): {(2, 0): _SQ2, (0, 2): -_SQ2},
+    (0, 2): {(2, 0): 0.5, (1, 1): -_SQ2, (0, 2): 0.5},
+}
+
+
+def apply_hwp(state: JointAtomPhotonState, modes=OUTPUT_MODES) -> JointAtomPhotonState:
+    """Apply the half-wave plate mixing to every listed spatial mode."""
+    entries = []
+    for (config, occ), amp in state.terms.items():
+        occ_map = dict(occ)
+        branches = [(amp, {})]
+        for mode in modes:
+            sector = _HWP_SECTORS[(occ_map.pop((mode, "H"), 0), occ_map.pop((mode, "V"), 0))]
+            branches = [(b_amp * coeff, {**b_occ, (mode, "H"): m_h, (mode, "V"): m_v})
+                        for b_amp, b_occ in branches for (m_h, m_v), coeff in sector.items()]
+        entries.extend((config, {**occ_map, **b_occ}, b_amp) for b_amp, b_occ in branches)
+    return JointAtomPhotonState.from_terms(state.atoms, entries)
+
+
+def staged_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT) -> JointAtomPhotonState:
+    """Quarter-wave plates, beam-splitter routing and half-wave plates in sequence."""
+    return apply_hwp(apply_pbs_routing(emit_and_qwp(state), layout))
 
 
 def photon_numbers(state: JointAtomPhotonState) -> set[int]:
@@ -50,19 +137,20 @@ def all_layouts() -> list[NetworkLayout]:
 
 
 def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1e-12) -> list[NetworkLayout]:
-    """The valid layouts whose network turns the pipeline input into the
-    analytic reference post-network state."""
+    """The valid layouts whose staged network turns the pipeline input into
+    the analytic reference post-network state."""
     reference = reference_output_state()
     return [layout for layout in all_layouts()
-            if states_equal_up_to_phase(full_network(pipeline_state, layout), reference, atol=atol)]
+            if states_equal_up_to_phase(staged_network(pipeline_state, layout), reference, atol=atol)]
 
 
 def staged_run(params, layout, t=None):
-    """run_protocol's fields from the staged pipeline: cavity_interaction,
-    full_network, enumerate_outcomes, then sign correction, relabeling and
-    fidelity per accepted pattern in sorted order."""
-    joint = cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params, t)
-    report = enumerate_outcomes(full_network(joint, layout, allow_vacuum=True), params.eta_d)
+    """run_protocol's fields from the staged pipeline: the branch-by-branch
+    cavity interaction, the staged network, enumerate_outcomes, then sign
+    correction, relabeling and fidelity per accepted pattern in sorted order."""
+    pulsed = apply_hadamard_pulses(prepare_w_state())
+    joint = staged_cavity_interaction(pulsed, transfer_coefficients(params, t))
+    report = enumerate_outcomes(staged_network(joint, layout), params.eta_d)
     results = []
     success = fidelity_acc = 0.0
     for pattern in sorted(report.conditional_states, key=lambda p: p.sorted_names):

@@ -91,6 +91,18 @@ def test_tolerances_are_unscaled():
     assert hilbert.tol(1.0) == 1.0
 
 
+def test_staged_reference_is_independent():
+    # The test-side oracle must not reach the compiled route it checks.
+    path = Path(__file__).with_name("staged_reference.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    compiled = {"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
+                "_network_amplitudes", "network_state", "heralded_states"}
+    assert not used & compiled
+
+
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
 def test_benchmark_imports_resolve(path):
     for module_name, name, attributes in package_imports(path):

@@ -96,6 +96,28 @@ class TestIdealRun:
         with pytest.raises(ValueError, match="not Hermitian"):
             main(["ideal-run"])
 
+    def test_malformed_layout_is_config_error(self, tmp_path, capsys):
+        # A fractional mode, a string mode or an extra atom must not be
+        # coerced or ignored into some other layout.
+        for layout in ({"a": {"V": 7.9, "H": 9}, "b": {"V": 8, "H": "7"}, "c": {"V": 9, "H": 8}},
+                       {**CORRUPTED_LAYOUT, "d": {}}):
+            cfg = write_json(tmp_path, "cfg.json", {"layout": layout})
+            assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and "field 'layout'" in captured.err
+
+    @pytest.mark.parametrize("out", [5, ["a"]])
+    def test_non_string_out_is_config_error(self, tmp_path, capsys, out):
+        cfg = write_json(tmp_path, "cfg.json", {"out": out})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        assert "field 'out'" in capsys.readouterr().err
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert main(["ideal-run", "--out", str(target)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write output {str(target)!r}" in err
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         main(["ideal-run", "--out", str(out1)])

@@ -6,9 +6,13 @@ import pytest
 
 from staged_reference import (
     all_layouts,
+    apply_hwp,
+    apply_pbs_routing,
+    emit_and_qwp,
     photon_numbers,
     require_photon_number,
     search_routing_layouts,
+    staged_network,
     states_equal_up_to_phase,
 )
 from w2ghz.atom_cavity import SystemParams
@@ -20,9 +24,6 @@ from w2ghz.photonics import (
     SOURCE_MODES,
     JointAtomPhotonState,
     NetworkLayout,
-    apply_hwp,
-    apply_pbs_routing,
-    emit_and_qwp,
     full_network,
     max_amplitude_deviation,
     network_map,
@@ -31,10 +32,11 @@ from w2ghz.photonics import (
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
+DECAYING = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.004)
 
 
-def pipeline_state():
-    return cavity_interaction(apply_hadamard_pulses(prepare_w_state()), IDEAL)
+def pipeline_state(params=IDEAL, fraction=1.0):
+    return cavity_interaction(apply_hadamard_pulses(prepare_w_state()), params, fraction * params.operating_time)
 
 
 def single_term(config, occupation, amp=1.0):
@@ -80,6 +82,16 @@ class TestLayout:
         with pytest.raises(ValueError, match="cover"):
             NetworkLayout.from_dict({"a": {"V": 7, "H": 9}})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"a": {"V": 7.9, "H": 9}, "b": {"V": 8, "H": 7}, "c": {"V": 9, "H": 8}}, "integer"),
+        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": "7"}, "c": {"V": 9, "H": 8}}, "integer"),
+        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": True}, "c": {"V": 9, "H": 8}}, "integer"),
+        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": 7}, "c": {"V": 9, "H": 8}, "d": {}}, "atoms"),
+    ], ids=["float", "string", "bool", "extra-atom"])
+    def test_malformed_layout_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            NetworkLayout.from_dict(doc)
+
 
 class TestEmitAndQwp:
     def test_circular_to_linear_map(self):
@@ -95,10 +107,11 @@ class TestEmitAndQwp:
         assert out.norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
 
     def test_vacuum_term_rejected(self):
+        # The emission check lives in the full_network view.
         state = single_term(("gL", "eL", "eL"), {(2, "L"): 1, (3, "L"): 1})
         with pytest.raises(ValueError, match="operating time"):
-            emit_and_qwp(state)
-        out = emit_and_qwp(state, allow_vacuum=True)
+            full_network(state)
+        out = full_network(state, allow_vacuum=True)
         assert photon_numbers(out) == {2}
 
 
@@ -117,9 +130,11 @@ class TestPbsRouting:
         assert dict(key[1]) == {(7, "V"): 1, (8, "V"): 1, (8, "H"): 1}
 
     def test_unrouted_slot_rejected(self):
-        state = single_term(("eL", "eL", "eL"), {(7, "V"): 1})
-        with pytest.raises(ValueError, match="unrouted"):
-            apply_pbs_routing(state)
+        # The full_network view reads cavity slots only.
+        for slot in ((7, "V"), (1, "V")):
+            state = single_term(("eL", "eL", "eL"), {slot: 1, (2, "L"): 1, (3, "L"): 1})
+            with pytest.raises(ValueError, match="not a cavity-polarization slot"):
+                full_network(state, allow_vacuum=True)
 
 
 class TestHalfWavePlate:
@@ -158,9 +173,14 @@ class TestHalfWavePlate:
         assert out.norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
 
     def test_more_than_two_photons_rejected(self):
-        state = single_term(("eL", "eL", "eL"), {(7, "V"): 2, (7, "H"): 1})
-        with pytest.raises(ValueError, match="two-photon"):
-            apply_hwp(state, modes=(7,))
+        # Each cavity emits at most one photon, so no output mode of a valid
+        # layout can receive more than two; the full_network view rejects a
+        # doubly occupied cavity, here one that would send three photons to
+        # output 7.
+        for cavity in ({(1, "L"): 2}, {(1, "L"): 1, (1, "R"): 1}):
+            state = single_term(("eL", "eL", "eL"), {**cavity, (2, "R"): 1})
+            with pytest.raises(ValueError, match="more than one photon in cavity 1"):
+                full_network(state, allow_vacuum=True)
 
 
 class TestFullNetwork:
@@ -203,9 +223,27 @@ def test_routing_search_recovers_unique_layout():
     assert matches == [DEFAULT_LAYOUT]
 
 
+def layout_id(layout):
+    return "".join(str(mode) for _, mode in layout.routing)
+
+
+class TestFullNetworkView:
+    """full_network reads its columns off network_map; the staged network
+    must give the same terms."""
+
+    @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
+    def test_matches_staged_network(self, layout):
+        # Lossless at the operating time, and decaying off it, where vacuum
+        # branches remain.
+        for state in (pipeline_state(), pipeline_state(DECAYING, 0.7)):
+            view = full_network(state, layout, allow_vacuum=True)
+            staged = staged_network(state, layout)
+            assert set(view.terms) == set(staged.terms)
+            assert max(abs(view.terms[key] - amp) for key, amp in staged.terms.items()) <= 1e-14
+
+
 class TestNetworkMap:
-    @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(
-        str(mode) for _, mode in layout.routing))
+    @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
     def test_isometry_equal_to_staged_network(self, layout):
         network = network_map(layout)
         m = network.matrix
@@ -214,7 +252,7 @@ class TestNetworkMap:
         row = {tuple(counts): o for o, counts in enumerate(network.counts.tolist())}
         for s, emission in enumerate(itertools.product(EMISSIONS, repeat=len(ATOMS))):
             photons = {(source, circular): 1 for source, circular in zip(SOURCE_MODES, emission) if circular}
-            staged = full_network(single_term(("eL", "eL", "eL"), photons), layout, allow_vacuum=True)
+            staged = staged_network(single_term(("eL", "eL", "eL"), photons), layout)
             column = np.zeros(len(row), dtype=complex)
             for (_, occ), amp in staged.terms.items():
                 occupation = dict(occ)
