@@ -43,15 +43,15 @@ from .atom_cavity import (
     full_hamiltonian,
     full_space,
 )
-from .detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
+from .detection import classify_pattern
 from .dynamics import (
     EvolutionCoefficients,
     IntegratorConfig,
     decay_coefficients,
     propagate_matrix,
 )
-from .photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
-from .protocol import heralded_states
+from .photonics import DEFAULT_LAYOUT, NetworkLayout
+from .protocol import _corrected_fidelities, heralded_states
 
 # Fixed drive parameters of the reference noise analysis, in units of gamma.
 REFERENCE_OMEGA = 2.9
@@ -144,11 +144,11 @@ def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
     return points
 
 
-def params_for_eta_over_kappa(ratio: float, eta_d: float = 1.0) -> SystemParams:
+def params_for_eta_over_kappa(ratio: float) -> SystemParams:
     """Symmetric-drive params realizing a given eta/kappa with kappa = 1."""
     if ratio <= 0:
         raise ValueError(f"eta/kappa must be positive, got {ratio}")
-    return SystemParams(delta=1.0 / ratio, lambda_c=1.0, omega=1.0, kappa=1.0, eta_d=eta_d)
+    return SystemParams(delta=1.0 / ratio, lambda_c=1.0, omega=1.0, kappa=1.0)
 
 
 def reference_noise_params(lambda_over_gamma_a: float) -> SystemParams:
@@ -234,30 +234,22 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     channel[1, 0] = channel[0, 1].conj().T
 
     # The lossless protocol's per-pattern conditional states over the emitted
-    # levels; the noisy channel replaces each atom's |e_p><e_q| by its block,
-    # and the GHZ targets are lifted from the emitted levels into all six.
+    # levels.  The noisy channel replaces each atom's |e_p><e_q| by its block.
+    # The GHZ targets live on the emitted levels, so only each block's emitted
+    # 2x2 corner enters the fidelity; the output's trace takes block traces.
     report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
     patterns = list(report.conditional_states)
     weights = np.array([report.probability(pattern) for pattern in patterns])
     ideal = (weights[:, None, None] * conditional).reshape((len(patterns),) + (2,) * 6)
-    noisy = np.einsum("pABCabc,AaIi,BbJj,CcKk->pIJKijk", ideal, channel, channel, channel,
-                      optimize=True).reshape((len(patterns),) + (n_atom**3,) * 2)
-    embed = np.zeros((n_atom, len(EMITTED_LEVELS)))
-    for k, level in enumerate(EMITTED_LEVELS):
-        embed[FULL_LEVELS.index(level), k] = 1.0
-    lift = np.kron(np.kron(embed, embed), embed)
-    plus, minus = ghz_pair_states(atomic_space(ATOMS))
-
-    fidelity_acc = 0.0
-    probability_acc = 0.0
-    for pattern, rho in zip(patterns, noisy):
-        probability = float(np.trace(rho).real)
-        if probability <= 0.0:
-            continue
-        ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
-        fidelity_acc += float(np.real(np.vdot(ghz, rho @ ghz)))
-        probability_acc += probability
-    network_fidelity = fidelity_acc / probability_acc if probability_acc > 0 else 0.0
+    emitted = [FULL_LEVELS.index(level) for level in EMITTED_LEVELS]
+    corner = channel[:, :, emitted][:, :, :, emitted]
+    traces = np.trace(channel, axis1=2, axis2=3)
+    noisy = np.einsum("pABCabc,AaIi,BbJj,CcKk->pIJKijk", ideal, corner, corner, corner,
+                      optimize=True).reshape(len(patterns), 8, 8)
+    probabilities = np.einsum("pABCabc,Aa,Bb,Cc->p", ideal, traces, traces, traces).real
+    _, fids = _corrected_fidelities(noisy, [classify_pattern(pattern) for pattern in patterns])
+    probability_acc = float(probabilities.sum())
+    network_fidelity = float(fids.sum()) / probability_acc if probability_acc > 0 else 0.0
     return FidelityEstimates(
         subsystem_fidelity=f_sub,
         product_fidelity=f_sub**3,

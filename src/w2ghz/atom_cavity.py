@@ -119,7 +119,10 @@ class SystemParams:
             else:
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ValueError(f"field {name!r}: expected a number, got {value!r}")
-                kwargs[name] = float(value)
+                try:
+                    kwargs[name] = float(value)
+                except OverflowError:
+                    raise ValueError(f"field {name!r}: integer too large for a float") from None
         return cls(**kwargs)
 
     @classmethod

@@ -13,7 +13,7 @@ import numpy as np
 
 from .analysis import SweepSpec, params_for_eta_over_kappa, pd_sweep
 from .atom_cavity import SystemParams
-from .detection import povm_elements
+from .detection import _PATTERN_SETS, DETECTORS, _pattern_weights
 from .hilbert import HilbertSpace, Operator, propagator, tol
 from .photonics import (
     DEFAULT_LAYOUT,
@@ -47,12 +47,17 @@ def check_propagator_unitarity() -> CheckResult:
 
 
 def check_povm_completeness() -> CheckResult:
-    """The no-click and click elements must sum to the identity exactly."""
-    worst = 0.0
+    """The pattern weights detection applies must form a POVM: for every
+    occupation with at most two photons per detector (the most any network
+    output holds), each weight lies in [0, 1] and the 64 weights sum to 1."""
+    counts = np.indices((3,) * len(DETECTORS)).reshape(len(DETECTORS), -1).T
+    worst, in_range = 0.0, True
     for eta_d in (0.0, 0.3, 0.7, 1.0):
-        off, click = povm_elements(eta_d, n_max=3)
-        worst = max(worst, float(np.max(np.abs(off.elements + click.elements - np.eye(4)))))
-    return CheckResult("povm-completeness", worst == 0.0, f"max |off + click - I| = {worst:.3e}")
+        weights = _pattern_weights(counts, eta_d, _PATTERN_SETS)
+        in_range &= bool(weights.min() >= 0.0 and weights.max() <= 1.0)
+        worst = max(worst, float(np.max(np.abs(weights.sum(axis=0) - 1.0))))
+    return CheckResult("povm-completeness", in_range and worst < tol(1e-14),
+                       f"pattern weights in [0, 1]: {in_range}; max |sum over patterns - 1| = {worst:.3e}")
 
 
 def check_network_reference_state(layout: NetworkLayout = DEFAULT_LAYOUT,

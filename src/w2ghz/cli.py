@@ -7,13 +7,17 @@ Subcommands::
     fidelity-surface  master-equation fidelity estimators as CSV
     validate          run the invariant battery, exit non-zero on failure
 
-Configs are JSON objects whose keys mirror SystemParams (delta, lambda_c,
-omega, kappa, gamma_a, eta_d, n_max), all rates in multiples of the reference
-rate gamma and times in 1/gamma; optional keys: "t" (interaction time,
-default the operating time), "dt" (integrator step), "sweep" ({"min", "max",
-"steps"} over kappa*t) and "layout" (routing map).  Exit codes: 0 success,
-1 validation failure, 2 config error.  All commands are deterministic:
-identical configs produce byte-identical output.
+Configs are JSON objects (rates in multiples of the reference rate gamma,
+times in 1/gamma) holding only keys their command reads:
+
+    ideal-run         the SystemParams fields, "t" (default: the operating
+                      time), "layout" (routing map), "out"
+    sweep-decay       "sweep" ({"min", "max", "steps"} over kappa*t), "out"
+    fidelity-surface  "dt" (RK4 step), "out"
+    validate          "layout"; other keys go to the params-invariants check
+
+Exit codes: 0 success, 1 validation failure, 2 config error.  All commands
+are deterministic: identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -44,28 +48,19 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
 _DEFAULT_PARAMS_DOC = {"delta": 20.0, "lambda_c": 1.0, "omega": 1.0}
-# Config keys that are run options rather than SystemParams fields.
-_OPTION_KEYS = ("t", "dt", "sweep", "layout", "out")
+_PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
+# The config keys each command reads.  ``validate`` hands every other key,
+# unparsed, to its params-invariants check; the other commands reject them.
+_COMMAND_KEYS = {
+    "ideal-run": _PARAMS_KEYS | {"t", "layout", "out"},
+    "sweep-decay": frozenset({"sweep", "out"}),
+    "fidelity-surface": frozenset({"dt", "out"}),
+    "validate": frozenset({"layout"}),
+}
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on, parsed from one JSON document.
-
-    All computations are deterministic, so a RunConfig fully determines the
-    output bytes.
-    """
-
-    params: SystemParams
-    layout: NetworkLayout = DEFAULT_LAYOUT
-    t: float | None = None
-    integrator: IntegratorConfig | None = None
-    sweep: dict | None = None
-    out: str | None = None
 
 
 def _fmt(value: float) -> str:
@@ -73,7 +68,9 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
+    """The JSON object at ``path`` ({} without one), holding only keys
+    ``command`` reads."""
     if path is None:
         return {}
     try:
@@ -82,65 +79,44 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path!r}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # a syntax error names its line and column
+        raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object, got {type(data).__name__}")
+    unknown = set(data) - _COMMAND_KEYS[command]
+    if unknown and command != "validate":
+        raise ConfigError(f"config error: {command} does not read key(s) {sorted(unknown)}; "
+                          f"it reads {sorted(_COMMAND_KEYS[command])}")
     return data
 
 
-def _split_options(data: dict) -> tuple[dict, dict]:
-    """The SystemParams fields of a config document and its run options."""
-    params_doc = {k: v for k, v in data.items() if k not in _OPTION_KEYS}
-    options = {k: v for k, v in data.items() if k in _OPTION_KEYS}
-    return params_doc, options
+def _number(value, name: str, positive: bool = False) -> float:
+    """A config number as a float: finite and non-negative, or positive."""
+    try:
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
+        raise ConfigError(f"config error: {name}: expected a finite {'positive' if positive else 'non-negative'} "
+                          f"number, got {value!r}")
+    return number
 
 
-def _parse_layout(options: dict) -> NetworkLayout:
-    if "layout" not in options:
+def _parse_layout(data: dict) -> NetworkLayout:
+    if "layout" not in data:
         return DEFAULT_LAYOUT
     try:
-        return NetworkLayout.from_dict(options["layout"])
+        return NetworkLayout.from_dict(data["layout"])
     except (ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"config error: field 'layout': {exc}") from exc
 
 
-def parse_run_config(data: dict, defaults: dict | None = None) -> RunConfig:
-    """Split a config document into run options and validated params."""
-    params_doc, options = _split_options(data)
-    merged = {**_DEFAULT_PARAMS_DOC, **(defaults or {}), **params_doc}
-    try:
-        params = SystemParams.from_json_dict(merged)
-    except ValueError as exc:
-        raise ConfigError(f"config error: {exc}") from exc
-
-    layout = _parse_layout(options)
-
-    t = options.get("t")
-    if t is not None and (not isinstance(t, (int, float)) or isinstance(t, bool)
-                          or not math.isfinite(t) or t < 0):
-        raise ConfigError(f"config error: field 't': expected a finite non-negative number, got {t!r}")
-
-    integrator = None
-    if "dt" in options:
-        dt = options["dt"]
-        if not isinstance(dt, (int, float)) or isinstance(dt, bool) or not math.isfinite(dt) or dt <= 0:
-            raise ConfigError(f"config error: field 'dt': expected a finite positive number, got {dt!r}")
-        integrator = IntegratorConfig(dt=float(dt))
-
-    sweep = options.get("sweep")
-    if sweep is not None and not isinstance(sweep, dict):
-        raise ConfigError("config error: field 'sweep': expected an object")
-
-    out = options.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"config error: field 'out': expected a path string, got {out!r}")
-    return RunConfig(params=params, layout=layout,
-                     t=None if t is None else float(t), integrator=integrator,
-                     sweep=sweep, out=out)
-
-
-def _write_output(text: str, out_path: str | None) -> None:
+def _write_output(text: str, out_arg: str | None, data: dict) -> None:
+    """Write to ``--out``, else to the config's "out", else to stdout."""
+    out_path = data.get("out")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"config error: field 'out': expected a path string, got {out_path!r}")
+    out_path = out_arg or out_path
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -151,55 +127,52 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def cmd_ideal_run(args) -> int:
-    config = parse_run_config(_load_config(args.config))
+    data = _load_config(args.config, args.command)
     try:
-        require_modelled(config.params)
+        params = SystemParams.from_json_dict(
+            {**_DEFAULT_PARAMS_DOC, **{k: v for k, v in data.items() if k in _PARAMS_KEYS}})
+        require_modelled(params)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
-    run = run_protocol(config.params, layout=config.layout, t=config.t)
+    layout = _parse_layout(data)
+    t = _number(data["t"], "field 't'") if "t" in data else None
+    run = run_protocol(params, layout=layout, t=t)
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write_output(report, args.out or config.out)
+    _write_output(report, args.out, data)
     return EXIT_OK
 
 
-def _sweep_grid(sweep: dict) -> tuple[float, float, int]:
+def _sweep_grid(sweep) -> tuple[float, float, int]:
     """The (min, max, steps) of a sweep object over kappa*t, with defaults
-    (1e-3, 3.0, 1000); bounds must be finite and non-negative, steps an
-    integer."""
+    (1e-3, 3.0, 1000)."""
+    if not isinstance(sweep, dict):
+        raise ConfigError("config error: field 'sweep': expected an object")
     unknown = set(sweep) - {"min", "max", "steps"}
     if unknown:
         raise ConfigError(f"config error: field 'sweep': unknown key(s) {sorted(unknown)}")
-    lo, hi, steps = sweep.get("min", 1e-3), sweep.get("max", 3.0), sweep.get("steps", 1000)
-    for key, value in (("min", lo), ("max", hi)):
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value) or value < 0):
-            raise ConfigError(f"config error: field 'sweep': {key!r} must be a finite non-negative "
-                              f"number, got {value!r}")
+    lo, hi = (_number(sweep.get(key, default), f"field 'sweep': {key!r}")
+              for key, default in (("min", 1e-3), ("max", 3.0)))
+    steps = sweep.get("steps", 1000)
     if not isinstance(steps, int) or isinstance(steps, bool):
         raise ConfigError(f"config error: field 'sweep': 'steps' must be an integer, got {steps!r}")
-    return float(lo), float(hi), steps
+    return lo, hi, steps
 
 
 def cmd_sweep_decay(args) -> int:
-    data = _load_config(args.config)
-    data.pop("kappa", None)  # the ratio list fixes kappa = 1 per row
-    config = parse_run_config(data)
-    lo, hi, steps = _sweep_grid(config.sweep or {})
+    data = _load_config(args.config, args.command)
+    lo, hi, steps = _sweep_grid(data.get("sweep", {}))
     if args.grid_steps is not None:
         steps = args.grid_steps
     try:
-        ratios = [float(r) for r in args.eta_over_kappa.split(",") if r.strip()]
+        rows = [(ratio, params_for_eta_over_kappa(ratio))
+                for ratio in (float(r) for r in args.eta_over_kappa.split(",") if r.strip())]
     except ValueError as exc:
         raise ConfigError(f"config error: --eta-over-kappa: {exc}") from exc
-    if not ratios:
+    if not rows:
         raise ConfigError("config error: --eta-over-kappa needs at least one ratio")
 
     lines = ["eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff"]
-    for ratio in ratios:
-        try:
-            params = params_for_eta_over_kappa(ratio, eta_d=config.params.eta_d)
-        except ValueError as exc:
-            raise ConfigError(f"config error: --eta-over-kappa: {exc}") from exc
+    for ratio, params in rows:
         try:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
         except ValueError as exc:
@@ -207,13 +180,13 @@ def cmd_sweep_decay(args) -> int:
         for point in pd_sweep(spec):
             lines.append(",".join((_fmt(ratio), _fmt(point.abscissa), _fmt(point.closed_form),
                                    _fmt(point.numeric), _fmt(point.abs_difference))))
-    _write_output("\n".join(lines) + "\n", args.out or config.out)
+    _write_output("\n".join(lines) + "\n", args.out, data)
     return EXIT_OK
 
 
 def cmd_fidelity_surface(args) -> int:
-    config = parse_run_config(_load_config(args.config))
-    cfg = config.integrator
+    data = _load_config(args.config, args.command)
+    cfg = IntegratorConfig(dt=_number(data["dt"], "field 'dt'", positive=True)) if "dt" in data else None
     steps = 3 if args.grid_steps is None else args.grid_steps
     if steps < 2:
         raise ConfigError("config error: --grid-steps must be at least 2")
@@ -238,15 +211,16 @@ def cmd_fidelity_surface(args) -> int:
     for p in points:
         lines.append(",".join((_fmt(p.kappa_over_gamma), _fmt(p.gamma_a_over_gamma),
                                _fmt(p.estimator_a), _fmt(p.estimator_b))))
-    _write_output("\n".join(lines) + "\n", args.out or config.out)
+    _write_output("\n".join(lines) + "\n", args.out, data)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     # Bad params are a validation failure here (exit 1), not a config error,
-    # so they go to the check battery unparsed.
-    params_doc, options = _split_options(_load_config(args.config))
-    layout = _parse_layout(options)
+    # so every key but the layout goes to the check battery unparsed.
+    data = _load_config(args.config, args.command)
+    layout = _parse_layout(data)
+    params_doc = {k: v for k, v in data.items() if k not in _COMMAND_KEYS["validate"]}
     document = {**_DEFAULT_PARAMS_DOC, **params_doc} if params_doc else None
     results = run_all_checks(params_document=document, layout=layout)
     failed = [r for r in results if not r.passed]

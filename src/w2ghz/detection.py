@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS
-from .hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, density_stack, fidelity
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelity
 from .photonics import ATOMS, DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
 
 DETECTORS = tuple(f"D{mode}{pol}" for mode, pol in DETECTOR_SLOTS)
@@ -89,17 +89,6 @@ def accepted_patterns() -> list[ClickPattern]:
 
 _PATTERNS = tuple(all_patterns())
 _ACCEPTED_INDICES = tuple(i for i, p in enumerate(_PATTERNS) if classify_pattern(p) is not OutcomeClass.REJECT)
-
-
-def povm_elements(eta_d: float, n_max: int = 2) -> tuple[Operator, Operator]:
-    """(no-click, click) POVM pair of one detector slot, truncated at n_max
-    photons: Pi_off = sum_k (1-eta_d)^k |k><k| and Pi_click = 1 - Pi_off."""
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
-    space = HilbertSpace.of(("photons", n_max + 1))
-    off = np.diag([(1.0 - eta_d) ** k for k in range(n_max + 1)]).astype(np.complex128)
-    click = np.eye(n_max + 1, dtype=np.complex128) - off
-    return Operator(space, off, hermitian=True), Operator(space, click, hermitian=True)
 
 
 def _infer_atom_basis(configs) -> tuple[str, ...]:

@@ -172,6 +172,14 @@ _PULSED_W = apply_hadamard_pulses(prepare_w_state()).amplitudes
 _GHZ = ghz_target().amplitudes
 
 
+def _corrected_fidelities(stack: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, 8, 8) emitted-level stack with the rows of the (-) class in
+    ``outcomes`` flipped onto the (+) form, and each row's GHZ fidelity."""
+    minus = np.array([outcome is OutcomeClass.GHZ_MINUS for outcome in outcomes], dtype=bool)
+    final = np.where(minus[:, None, None], stack * _FLIP_SIGNS, stack)
+    return final, fidelities(final, _GHZ)
+
+
 def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> tuple[np.ndarray, np.ndarray]:
     """psi[c, o], the amplitude of configuration c of the three four-level
     atoms with detector occupation o once the pulsed W state has met the
@@ -286,12 +294,10 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
     report, conditional = heralded_states(transfer_coefficients(params, t), layout, params.eta_d)
     patterns = list(report.conditional_states)
     outcomes = [classify_pattern(pattern) for pattern in patterns]
-    minus = np.array([outcome is OutcomeClass.GHZ_MINUS for outcome in outcomes], dtype=bool)
-    # Sign correction of the (-) class, then the Raman relabeling eL -> gL,
-    # eR -> gR, which keeps the elements and changes the space.
-    final = np.where(minus[:, None, None], conditional * _FLIP_SIGNS, conditional)
+    final, fids = _corrected_fidelities(conditional, outcomes)
+    # The Raman relabeling eL -> gL, eR -> gR keeps the elements, not the space.
     finals = density_stack(ground_state_space(), final)
-    fids = fidelities(final, _GHZ).tolist()
+    fids = fids.tolist()
 
     results = []
     success = 0.0

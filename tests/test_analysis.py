@@ -15,14 +15,16 @@ from w2ghz.analysis import (
     pd_sweep,
     reference_noise_params,
 )
-from w2ghz.atom_cavity import SystemParams
-from w2ghz.dynamics import IntegratorConfig, propagate_matrix
-from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout
-from w2ghz.protocol import run_protocol
+from w2ghz.atom_cavity import EMITTED_LEVELS, FULL_LEVELS, SystemParams, full_space
+from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
+from w2ghz.dynamics import EvolutionCoefficients, IntegratorConfig, propagate_matrix
+from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
+from w2ghz.protocol import heralded_states, run_protocol
 
 # Coarse but converged step for the master-equation tests (the generator's
 # largest rate is the detuning, 14).
 FAST = IntegratorConfig(dt=4e-3)
+ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
 
 
 class TestClosedFormCurve:
@@ -177,16 +179,51 @@ class TestMasterEquationFidelity:
         est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3))
         assert est.network_fidelity == pytest.approx(1.0, abs=1e-3)
 
-    @pytest.mark.parametrize("layout", [
-        DEFAULT_LAYOUT,
-        NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}),
-    ])
+    @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT])
     def test_network_estimator_follows_layout(self, layout):
         # Noiseless and deep in the dispersive regime, estimator b must
         # reproduce the lossless protocol on whatever network it is given.
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.86)
         est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3), layout=layout)
         assert est.network_fidelity == pytest.approx(run_protocol(params, layout).fidelity, abs=1e-3)
+
+    @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT], ids=["default", "aligned"])
+    def test_network_estimator_matches_six_level_loop(self, monkeypatch, layout):
+        # Reference: each pattern's noisy state over all six levels of every
+        # atom, scored against the GHZ target of its class lifted into them.
+        outputs = []
+
+        def recording(h, collapse, m0, t, cfg=None):
+            outputs.append(propagate_matrix(h, collapse, m0, t, cfg))
+            return outputs[-1]
+
+        monkeypatch.setattr(analysis, "propagate_matrix", recording)
+        params = reference_noise_params(50.0)
+        est = master_equation_estimates(params, cfg=FAST, layout=layout)
+        m_ll, m_rr, m_lr = outputs[0]
+        space, n = full_space(params.n_max), len(FULL_LEVELS)
+        sel = [[space.basis_index(k, 1, 0) for k in range(n)], [space.basis_index(k, 0, 1) for k in range(n)]]
+        channel = np.empty((2, 2, n, n), dtype=np.complex128)
+        channel[0, 0] = m_ll[np.ix_(sel[0], sel[0])]
+        channel[1, 1] = m_rr[np.ix_(sel[1], sel[1])]
+        channel[0, 1] = m_lr[np.ix_(sel[0], sel[1])]
+        channel[1, 0] = channel[0, 1].conj().T
+        embed = np.zeros((n, len(EMITTED_LEVELS)))
+        for k, level in enumerate(EMITTED_LEVELS):
+            embed[FULL_LEVELS.index(level), k] = 1.0
+        lift = np.kron(np.kron(embed, embed), embed)
+        plus, minus = ghz_pair_states(atomic_space(ATOMS))
+
+        report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
+        fidelity_acc = probability_acc = 0.0
+        for pattern, state in zip(report.conditional_states, conditional):
+            ideal = (report.probability(pattern) * state).reshape((2,) * 6)
+            rho = np.einsum("ABCabc,AaIi,BbJj,CcKk->IJKijk", ideal, channel, channel, channel).reshape(n**3, n**3)
+            ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
+            fidelity_acc += np.vdot(ghz, rho @ ghz).real
+            probability_acc += np.trace(rho).real
+        assert est.accepted_probability == pytest.approx(probability_acc, abs=1e-14)
+        assert est.network_fidelity == pytest.approx(fidelity_acc / probability_acc, abs=1e-14)
 
     @pytest.mark.parametrize("ratio, fidelity, probability", [
         (250.0, 0.999372830951915, 0.6363528423237638),

@@ -78,6 +78,10 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="'delta'"):
             SystemParams.from_json_dict({"delta": "big", "lambda_c": 1.0, "omega": 1.0})
 
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="field 'delta'"):
+            SystemParams.from_json_dict({"delta": 10**400, "lambda_c": 1.0, "omega": 1.0})
+
     def test_fractional_n_max_rejected(self):
         with pytest.raises(ValueError, match="n_max"):
             SystemParams.from_json_dict({"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, "n_max": 1.5})

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.photonics import NetworkLayout
 
 CORRUPTED_LAYOUT = {"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}}
+ALIGNED_LAYOUT = {"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def write_json(tmp_path, name, payload):
@@ -41,6 +45,13 @@ class TestIdealRun:
         assert main(["ideal-run", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "invalid JSON" in err and "line" in err
+
+    def test_integer_past_digit_limit_is_config_error(self, tmp_path, capsys):
+        # json.loads refuses it with a plain ValueError, not a decode error.
+        path = tmp_path / "huge.json"
+        path.write_text('{"delta": ' + "1" * 5000 + "}")
+        assert main(["ideal-run", "--config", str(path)]) == EXIT_CONFIG
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_unknown_field_named(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", {"efficiency": 0.5})
@@ -279,3 +290,60 @@ class TestChecksApi:
         result = check_network_reference_state(layout=NetworkLayout.from_dict(CORRUPTED_LAYOUT))
         assert not result.passed
         assert result.name == "network-reference-state"
+
+
+class TestConfigKeys:
+    """Each command accepts exactly the config keys it reads."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["sweep-decay"], {"delta": 5, "t": 3}),
+        (["sweep-decay"], {"eta_d": 0.3}),
+        (["sweep-decay"], {"kappa": 1}),
+        (["sweep-decay"], {"dt": 0.5, "layout": ALIGNED_LAYOUT}),
+        (["fidelity-surface", "--grid-steps", "2"], {"kappa": 0.5, "t": 3, "layout": ALIGNED_LAYOUT}),
+        (["fidelity-surface", "--grid-steps", "2"], {"eta_d": 0.5, "sweep": {}}),
+        (["ideal-run"], {"dt": 0.5}),
+        (["ideal-run"], {"sweep": {}}),
+    ])
+    def test_unread_key_is_config_error(self, tmp_path, capsys, argv, doc):
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main([*argv, "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(sorted(doc)) in captured.err
+
+    @pytest.mark.parametrize("doc", [{"t": 3}, {"dt": 0.5}, {"sweep": {}}, {"out": 5}])
+    def test_unread_key_fails_validate_params_check(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert f"FAIL params-invariants: unknown params field(s): {sorted(doc)}" in out
+
+    @pytest.mark.parametrize("argv, doc, code, message", [
+        (["ideal-run"], {"delta": 10**400}, EXIT_CONFIG, "field 'delta'"),
+        (["ideal-run"], {"t": 10**400}, EXIT_CONFIG, "field 't'"),
+        (["sweep-decay"], {"sweep": {"max": 10**400}}, EXIT_CONFIG, "field 'sweep'"),
+        (["fidelity-surface"], {"dt": 10**400}, EXIT_CONFIG, "field 'dt'"),
+        (["validate"], {"delta": 10**400}, EXIT_VALIDATION, "FAIL params-invariants: field 'delta'"),
+    ])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, argv, doc, code, message):
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main([*argv, "--config", cfg]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == EXIT_VALIDATION else captured.err)
+
+    def test_benchmark_configs_accepted(self, tmp_path, capsys):
+        # Every config shape the cli_batch benchmark workload sends.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        commands = {(cmd["command"], cmd["config_index"]): cmd
+                    for block in workloads.generate("cli_batch", 0) for cmd in block["commands"]}
+        assert {command for command, _ in commands} == {"ideal-run", "sweep-decay", "validate"}
+        for cmd in commands.values():
+            if cmd["command"] == "sweep-decay":
+                argv = ["sweep-decay", "--eta-over-kappa", cmd["eta_over_kappa"],
+                        "--grid-steps", str(cmd["grid_steps"])]
+            else:
+                argv = [cmd["command"], "--config", write_json(tmp_path, "cfg.json", cmd["config"])]
+            assert main(argv) == EXIT_OK, argv
+            assert capsys.readouterr().err == ""

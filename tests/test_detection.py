@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
+    _PATTERN_SETS,
     DETECTORS,
     ClickPattern,
     OutcomeClass,
     _infer_atom_basis,
+    _pattern_weights,
     accepted_patterns,
     all_patterns,
     atomic_space,
@@ -18,7 +20,6 @@ from w2ghz.detection import (
     enumerate_outcomes,
     ghz_pair_states,
     measure,
-    povm_elements,
     success_probability_ideal,
 )
 from w2ghz.hilbert import DensityMatrix, fidelity
@@ -100,27 +101,41 @@ ORACLE_STATES = {
 }
 
 
+# Every occupation with 0-2 photons per detector, the most a network output
+# holds, in DETECTORS order.
+OCCUPATIONS = np.array(list(itertools.product(range(3), repeat=len(DETECTORS))), dtype=np.intp)
+
+
 class TestPovm:
+    """The pattern weight table detection applies is the six detectors' POVM."""
+
     def test_completeness_exact(self):
-        for eta in (0.0, 0.4, 1.0):
-            off, click = povm_elements(eta, n_max=3)
-            assert np.array_equal(off.elements + click.elements, np.eye(4))
+        # Exact where every detector factor is 0 or 1, to rounding elsewhere.
+        for eta, tolerance in ((0.0, 0.0), (0.4, 1e-14), (1.0, 0.0)):
+            weights = _pattern_weights(OCCUPATIONS, eta, _PATTERN_SETS)
+            assert np.all((weights >= 0.0) & (weights <= 1.0))
+            assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= tolerance
 
     def test_perfect_detector_limit(self):
-        off, _ = povm_elements(1.0, n_max=2)
-        expected = np.zeros((3, 3))
-        expected[0, 0] = 1.0
-        assert np.array_equal(off.elements, expected)
+        # Each occupation fires exactly the detectors holding photons.
+        weights = _pattern_weights(OCCUPATIONS, 1.0, _PATTERN_SETS)
+        fired = (OCCUPATIONS > 0) @ (1 << np.arange(len(DETECTORS) - 1, -1, -1))
+        assert np.array_equal(weights, (_PATTERN_SETS[:, None] == fired[None, :]).astype(float))
 
     def test_click_weights(self):
         eta = 0.35
-        _, click = povm_elements(eta, n_max=2)
-        assert click.elements[1, 1].real == pytest.approx(eta)
-        assert click.elements[2, 2].real == pytest.approx(1 - (1 - eta) ** 2)
+        counts = np.zeros((3, len(DETECTORS)), dtype=np.intp)
+        counts[:, 0] = (0, 1, 2)
+        weights = _pattern_weights(counts, eta, _PATTERN_SETS)
+        patterns = all_patterns()
+        click, silent = patterns.index(ClickPattern.of(DETECTORS[0])), patterns.index(ClickPattern.of())
+        assert weights[click].tolist() == pytest.approx([0.0, eta, 1 - (1 - eta) ** 2])
+        assert weights[silent].tolist() == pytest.approx([1.0, 1 - eta, (1 - eta) ** 2])
 
     def test_invalid_efficiency_rejected(self):
-        with pytest.raises(ValueError):
-            povm_elements(1.2)
+        for eta in (1.2, -0.1):
+            with pytest.raises(ValueError, match="eta_d"):
+                enumerate_outcomes(network_state(), eta)
 
 
 class TestClassification:
