@@ -7,7 +7,9 @@ The success probability under cavity decay has the closed form
 
 with eta = lambda_c^2/Delta and phi' = sqrt(4 eta^2 - kappa^2), and must agree
 with (3/4)|beta'|^6 from the decaying transfer coefficients; sweeps emit both
-columns so the identity is checked point by point.
+columns so the identity is checked point by point.  Both routes take an
+array of times, so a sweep evaluates each once on its whole grid; a scalar
+time still gives a float.
 
 Fidelity under the full noise model comes from one master-equation run of a
 single atom-cavity unit (24-dimensional at the default Fock cutoff), which
@@ -47,6 +49,8 @@ from .detection import classify_pattern
 from .dynamics import (
     EvolutionCoefficients,
     IntegratorConfig,
+    _split,
+    _times,
     decay_coefficients,
     propagate_matrix,
 )
@@ -65,6 +69,11 @@ EXPERIMENTAL_KAPPA_RATIO = 250.0
 _DEFAULT_ANALYSIS_CONFIG = IntegratorConfig(dt=1e-3)
 
 
+# Most grid points of one sweep; a larger grid is refused before any array
+# is allocated.
+_MAX_SWEEP_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid for a one-parameter sweep at otherwise fixed params."""
@@ -78,6 +87,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if self.steps > _MAX_SWEEP_STEPS:
+            raise ValueError(f"steps must be at most {_MAX_SWEEP_STEPS}, got {self.steps}")
         if not self.minimum < self.maximum:
             raise ValueError(f"need minimum < maximum, got [{self.minimum}, {self.maximum}]")
 
@@ -95,7 +106,16 @@ class CurvePoint:
     abs_difference: float
 
 
-def pd_closed_form(params: SystemParams, t: float) -> float:
+def _sixth_power(x):
+    """x^6 by multiplication, which rounds alike for a time and an array of
+    times.  numpy's vectorised pow rounds some elements differently from the
+    scalar pow, and P_d reaches the subnormal range, where one such rounding
+    is a large relative change."""
+    x2 = x * x
+    return x2 * x2 * x2
+
+
+def pd_closed_form(params: SystemParams, t):
     """Success probability of detecting all three photons at time t under
     cavity decay: 6 eta^6 [1-cos(phi' t)]^3 e^{-3 kappa t} / phi'^6.
 
@@ -103,45 +123,65 @@ def pd_closed_form(params: SystemParams, t: float) -> float:
     overdamped sinh counterpart, with the exponents combined) so the
     expression stays accurate near the zeros and finite at large kappa*t;
     the phi' -> 0 degeneracy is series-expanded.
+
+    ``t`` is a finite non-negative time or an array of them: a scalar gives
+    a float, an array a float array of its shape.  The damping branch
+    follows from the params; the critical window is chosen per time.
     """
-    d = params.derived
-    eta, kappa = d.eta, params.kappa
+    eta, kappa = params.derived.eta, params.kappa
     phi_sq = kappa * kappa - 4.0 * eta * eta
-    if abs(phi_sq) * t * t / 4.0 < 1e-12:
+    ts = _times(t)
+
+    def critical(t):
         # Critically damped neighbourhood: sinh(x)/x -> 1 + x^2/6.
         x_sq = phi_sq * t * t / 4.0
         sinhc = 1.0 + x_sq / 6.0 + x_sq * x_sq / 120.0
-        return 0.75 * (eta * t * sinhc) ** 6 * math.exp(-3.0 * kappa * t)
+        return 0.75 * _sixth_power(eta * t * sinhc) * np.exp(-3.0 * kappa * t)
+
     if phi_sq < 0.0:
         phi_prime = math.sqrt(-phi_sq)
-        s = math.sin(phi_prime * t / 2.0)
-        return 48.0 * eta**6 * s**6 * math.exp(-3.0 * kappa * t) / phi_prime**6
-    # 2 sinh(phi t/2) = e^{phi t/2} (1 - e^{-phi t}): the growth is folded
-    # into the decay envelope, which wins since phi < kappa, so nothing
-    # overflows at large kappa*t.
-    phi = math.sqrt(phi_sq)
-    return 0.75 * eta**6 * (-math.expm1(-phi * t))**6 * math.exp(3.0 * (phi - kappa) * t) / phi**6
+
+        def damped(t):
+            s = np.sin(phi_prime * t / 2.0)
+            return 48.0 * eta**6 * _sixth_power(s) * np.exp(-3.0 * kappa * t) / phi_prime**6
+    else:
+        # 2 sinh(phi t/2) = e^{phi t/2} (1 - e^{-phi t}): the growth is folded
+        # into the decay envelope, which wins since phi < kappa, so nothing
+        # overflows at large kappa*t.
+        phi = math.sqrt(phi_sq)
+
+        def damped(t):
+            return (0.75 * eta**6 * _sixth_power(-np.expm1(-phi * t)) * np.exp(3.0 * (phi - kappa) * t)
+                    / phi**6)
+
+    p_d = _split(abs(phi_sq) * ts * ts / 4.0 < 1e-12, critical, damped, ts)
+    return float(p_d) if isinstance(ts, float) else p_d
 
 
-def pd_numeric(params: SystemParams, t: float) -> float:
-    """(3/4)|beta'(t)|^6 from the decaying transfer coefficients."""
-    return 0.75 * abs(decay_coefficients(params, t).beta) ** 6
+def pd_numeric(params: SystemParams, t):
+    """(3/4)|beta'(t)|^6 from the decaying transfer coefficients; a float for
+    a scalar t, a float array for an array of times."""
+    beta = decay_coefficients(params, t).beta
+    # np.hypot rounds a time and an array of times alike; abs() of a complex
+    # and numpy's complex abs of an array do not.
+    value = 0.75 * _sixth_power(np.hypot(beta.real, beta.imag))
+    return float(value) if isinstance(beta, complex) else value
 
 
 def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
     """Sample the decay success probability over a kappa*t grid, emitting the
-    closed form and the coefficient route side by side."""
+    closed form and the coefficient route side by side.  Each route is
+    evaluated once, on the whole grid."""
     if spec.parameter != "kappa_t":
         raise ValueError(f"decay sweeps run over 'kappa_t', got {spec.parameter!r}")
     if spec.fixed.kappa <= 0:
         raise ValueError("decay sweep needs kappa > 0")
-    points = []
-    for kt in spec.grid():
-        t = kt / spec.fixed.kappa
-        closed = pd_closed_form(spec.fixed, t)
-        numeric = pd_numeric(spec.fixed, t)
-        points.append(CurvePoint(float(kt), closed, numeric, abs(closed - numeric)))
-    return points
+    kappa_t = spec.grid()
+    t = kappa_t / spec.fixed.kappa
+    closed = pd_closed_form(spec.fixed, t)
+    numeric = pd_numeric(spec.fixed, t)
+    return [CurvePoint(*row) for row in zip(kappa_t.tolist(), closed.tolist(), numeric.tolist(),
+                                            np.abs(closed - numeric).tolist())]
 
 
 def params_for_eta_over_kappa(ratio: float) -> SystemParams:

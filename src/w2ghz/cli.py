@@ -23,6 +23,7 @@ are deterministic: identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -233,6 +234,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="w2ghz",

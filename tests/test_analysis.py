@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import w2ghz.analysis as analysis
 from w2ghz.analysis import (
@@ -17,7 +19,7 @@ from w2ghz.analysis import (
 )
 from w2ghz.atom_cavity import EMITTED_LEVELS, FULL_LEVELS, SystemParams, full_space
 from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
-from w2ghz.dynamics import EvolutionCoefficients, IntegratorConfig, propagate_matrix
+from w2ghz.dynamics import EvolutionCoefficients, IntegratorConfig, decay_coefficients, propagate_matrix
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
 from w2ghz.protocol import heralded_states, run_protocol
 
@@ -97,6 +99,102 @@ class TestClosedFormCurve:
             SweepSpec("kappa_t", 2.0, 1.0, 10, params)
         with pytest.raises(ValueError, match="kappa_t"):
             pd_sweep(SweepSpec("delta", 0.1, 1.0, 10, params))
+
+
+def assert_matches_scalar(grid_value, scalar_value):
+    """Within 1e-15 relative, or exactly where the scalar value is 0."""
+    if scalar_value == 0:
+        assert grid_value == 0
+    else:
+        assert abs(grid_value - scalar_value) <= 1e-15 * abs(scalar_value)
+
+
+# eta/kappa of each damping regime (kappa = 1): kappa = 2 eta is critical.
+REGIMES = {
+    "underdamped": st.floats(0.51, 1000.0),
+    "critical": st.sampled_from([0.5 / (1 - 1e-10), 0.5, 0.5 / (1 + 1e-10)]),
+    "overdamped": st.floats(0.01, 0.49),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestGridRoute:
+    """pd_sweep and array-valued times against per-point scalar calls."""
+
+    @staticmethod
+    def check_grid(params, kappa_t):
+        t = kappa_t / params.kappa
+        closed, numeric = pd_closed_form(params, t), pd_numeric(params, t)
+        coeffs = decay_coefficients(params, t)
+        assert closed.shape == numeric.shape == coeffs.alpha.shape == coeffs.beta.shape == t.shape
+        for k, tk in enumerate(t.ravel().tolist()):
+            scalar = decay_coefficients(params, tk)
+            assert isinstance(scalar.alpha, complex) and isinstance(scalar.beta, complex)
+            assert_matches_scalar(coeffs.alpha.ravel()[k], scalar.alpha)
+            assert_matches_scalar(coeffs.beta.ravel()[k], scalar.beta)
+            assert_matches_scalar(closed.ravel()[k], pd_closed_form(params, tk))
+            assert_matches_scalar(numeric.ravel()[k], pd_numeric(params, tk))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), regime=st.sampled_from(sorted(REGIMES)),
+           ends=st.lists(st.floats(0.0, 1e5), min_size=2, max_size=2, unique=True),
+           steps=st.integers(2, 40))
+    def test_sweep_matches_scalar_calls(self, data, regime, ends, steps):
+        params = params_for_eta_over_kappa(data.draw(REGIMES[regime]))
+        spec = SweepSpec("kappa_t", min(ends), max(ends), steps, params)
+        points = pd_sweep(spec)
+        assert [p.abscissa for p in points] == spec.grid().tolist()
+        for point in points:
+            t = point.abscissa / params.kappa
+            closed, numeric = pd_closed_form(params, t), pd_numeric(params, t)
+            assert isinstance(closed, float) and isinstance(numeric, float)
+            assert_matches_scalar(point.closed_form, closed)
+            assert_matches_scalar(point.numeric, numeric)
+            assert point.abs_difference == abs(point.closed_form - point.numeric)
+        self.check_grid(params, spec.grid())
+
+    @pytest.mark.parametrize("ratio", [100.0, 0.5, 0.3])
+    def test_grid_from_zero_across_critical_window(self, ratio):
+        # At eta/kappa = 100 both the critical window of pd_closed_form and
+        # the small-x series of decay_coefficients end near kappa*t = 1e-8.
+        params = params_for_eta_over_kappa(ratio)
+        grid = np.concatenate([np.linspace(0.0, 3e-8, 31), [1e-9, 1e-6, 1.0, 1e3, 1e5]])
+        self.check_grid(params, grid)
+        self.check_grid(params, grid.reshape(4, 9))
+        assert pd_closed_form(params, 0.0) == pd_numeric(params, 0.0) == 0.0
+        for point in pd_sweep(SweepSpec("kappa_t", 1e-9, 3e-8, 30, params)):
+            assert point.abs_difference <= 1e-12 * point.closed_form
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_time_rejected(self, bad):
+        params = params_for_eta_over_kappa(10.0)
+        for t in (bad, np.array([0.0, bad, 1.0])):
+            for route in (pd_closed_form, pd_numeric):
+                with pytest.raises(ValueError, match="t must be a finite non-negative time"):
+                    route(params, t)
+
+    def test_sweep_evaluates_each_route_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "decay_coefficients", counted("decay", analysis.decay_coefficients))
+        monkeypatch.setattr(analysis, "pd_closed_form", counted("closed", analysis.pd_closed_form))
+        for ratio in (10.0, 0.3):
+            calls.clear()
+            assert len(pd_sweep(SweepSpec("kappa_t", 1e-3, 3.0, 1000, params_for_eta_over_kappa(ratio)))) == 1000
+            assert sorted(calls) == ["closed", "decay"]
+
+    def test_sweep_steps_capped(self):
+        params = params_for_eta_over_kappa(10.0)
+        assert SweepSpec("kappa_t", 0.0, 1.0, 10**6, params).steps == 10**6
+        for steps in (10**6 + 1, 10**9, 111111111111111111111111111111):
+            with pytest.raises(ValueError, match="steps must be at most 1000000"):
+                SweepSpec("kappa_t", 0.0, 1.0, steps, params)
 
 
 class TestReferenceParams:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from w2ghz import hilbert
+from w2ghz import dynamics, hilbert
 from w2ghz.checks import check_network_reference_state, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.photonics import NetworkLayout
@@ -190,6 +190,18 @@ class TestSweepDecay:
         assert main(["sweep-decay", "--grid-steps", "0", "--eta-over-kappa", "10"]) == EXIT_CONFIG
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, sweep", [
+        (["--grid-steps", "1000000000"], {}),
+        ([], {"steps": 111111111111111111111111111111}),
+        ([], {"steps": 1000001}),
+    ])
+    def test_grid_past_cap_is_config_error(self, tmp_path, capsys, argv, sweep):
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": sweep})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "10", *argv]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "steps must be at most 1000000" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overdamped_large_kappa_t(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -232,6 +244,25 @@ class TestFidelitySurface:
         captured = capsys.readouterr()
         assert "dt" in captured.err and "stability" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-9])
+    def test_step_past_budget_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
+        steps = []
+        integrate = dynamics._rk4_propagate
+
+        def counting(rhs, y0, t, step):
+            def counted(y):
+                steps.append(t)
+                return rhs(y)
+            return integrate(counted, y0, t, step)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagate", counting)
+        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
+        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "field 'dt'" in captured.err and "RK4 steps" in captured.err
+        assert captured.out == ""
+        assert steps == []
 
     def test_zero_grid_steps_is_config_error(self, capsys):
         assert main(["fidelity-surface", "--grid-steps", "0"]) == EXIT_CONFIG

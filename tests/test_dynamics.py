@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import w2ghz.dynamics as dynamics
 from w2ghz.atom_cavity import (
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
@@ -272,6 +273,46 @@ class TestLindbladEvolve:
         rho0 = ground_vacuum(h.space).to_density_matrix()
         with pytest.raises(ValueError, match="dt.*stability"):
             lindblad_evolve(h, collapse_operators(params), rho0, 1.0, IntegratorConfig(dt=dt))
+
+
+class TestStepBudget:
+    @pytest.mark.parametrize("dt", [1e-300, 1e-9, 2.9e-5])
+    def test_too_many_steps_rejected_before_stepping(self, monkeypatch, dt):
+        # t = 3 over dt = 2.9e-5 is about 1.03e5 steps, just over the budget.
+        steps = []
+        integrate = dynamics._rk4_propagate
+
+        def counting(rhs, y0, t, step):
+            def counted(y):
+                steps.append(t)
+                return rhs(y)
+            return integrate(counted, y0, t, step)
+
+        monkeypatch.setattr(dynamics, "_rk4_propagate", counting)
+        params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
+        h = full_hamiltonian(params)
+        rho0 = ground_vacuum(h.space).to_density_matrix()
+        with pytest.raises(ValueError, match="dt = .* RK4 steps"):
+            propagate_matrix(h, collapse_operators(params), rho0.elements, 3.0, IntegratorConfig(dt=dt))
+        with pytest.raises(ValueError, match="dt = .* RK4 steps"):
+            schrodinger_evolve(h, ground_vacuum(h.space), 3.0, IntegratorConfig(dt=dt))
+        assert steps == []
+
+
+class TestArrayTimes:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_time_in_array_rejected(self, bad):
+        params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.01)
+        with pytest.raises(ValueError, match="t must be a finite non-negative time"):
+            decay_coefficients(params, np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_weight_of_array(self):
+        params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.01)
+        t = np.linspace(0.0, 40.0, 9)
+        weights = decay_coefficients(params, t).weight
+        assert weights.shape == t.shape
+        assert weights == pytest.approx([decay_coefficients(params, tk).weight for tk in t.tolist()],
+                                        rel=1e-15, abs=0.0)
 
 
 class TestPropagateMatrix:
