@@ -12,7 +12,6 @@ from .analysis import (
     reference_noise_params,
 )
 from .atom_cavity import (
-    DerivedRates,
     SystemParams,
     collapse_operators,
     conditional_hamiltonian,
@@ -33,7 +32,6 @@ from .dynamics import (
     IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
-    ideal_coefficients,
     lindblad_evolve,
     schrodinger_evolve,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "ClickPattern",
     "CurvePoint",
     "DensityMatrix",
-    "DerivedRates",
     "DetectionReport",
     "DEFAULT_LAYOUT",
     "EvolutionCoefficients",
@@ -100,7 +97,6 @@ __all__ = [
     "full_hamiltonian",
     "full_network",
     "ghz_target",
-    "ideal_coefficients",
     "lindblad_evolve",
     "master_equation_estimates",
     "measure",

@@ -5,11 +5,11 @@ The success probability under cavity decay has the closed form
 
     P_d = 6 eta^6 [1 - cos(phi' t)]^3 e^{-3 kappa t} / phi'^6,
 
-with eta = lambda_c^2/Delta and phi' = sqrt(4 eta^2 - kappa^2), and must agree
-with (3/4)|beta'|^6 from the decaying transfer coefficients; sweeps emit both
-columns so the identity is checked point by point.  Both routes take an
-array of times, so a sweep evaluates each once on its whole grid; a scalar
-time still gives a float.
+with eta = lambda_c^2/Delta and phi' = sqrt(4 eta^2 - kappa^2), derived for
+the symmetric drive lambda_c = Omega, and must agree there with (3/4)|beta|^6
+from the transfer coefficients; sweeps emit both columns so the identity is
+checked point by point.  Both routes take an array of times, so a sweep
+evaluates each once on its whole grid; a scalar time still gives a float.
 
 Fidelity under the full noise model comes from one master-equation run of a
 single atom-cavity unit (24-dimensional at the default Fock cutoff), which
@@ -126,9 +126,13 @@ def pd_closed_form(params: SystemParams, t):
 
     ``t`` is a finite non-negative time or an array of them: a scalar gives
     a float, an array a float array of its shape.  The damping branch
-    follows from the params; the critical window is chosen per time.
+    follows from the params; the critical window is chosen per time.  Off
+    the symmetric drive lambda_c = Omega it raises ValueError.
     """
-    eta, kappa = params.derived.eta, params.kappa
+    if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError("closed-form P_d and its sweeps require lambda_c == omega "
+                         f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}")
+    eta, kappa = params.eta, params.kappa
     phi_sq = kappa * kappa - 4.0 * eta * eta
     ts = _times(t)
 
@@ -159,8 +163,8 @@ def pd_closed_form(params: SystemParams, t):
 
 
 def pd_numeric(params: SystemParams, t):
-    """(3/4)|beta'(t)|^6 from the decaying transfer coefficients; a float for
-    a scalar t, a float array for an array of times."""
+    """(3/4)|beta(t)|^6 from the transfer coefficients; a float for a scalar
+    t, a float array for an array of times."""
     beta = decay_coefficients(params, t).beta
     # np.hypot rounds a time and an array of times alike; abs() of a complex
     # and numpy's complex abs of an array do not.

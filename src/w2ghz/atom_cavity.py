@@ -78,18 +78,20 @@ class SystemParams:
     @property
     def operating_time(self) -> float:
         """Interaction time Delta*pi/(lambda_c^2 + Omega^2) that completes the
-        ground -> emitted transfer when lambda_c = Omega."""
-        return self.delta * np.pi / (self.lambda_c**2 + self.omega**2)
+        ground -> emitted transfer when lambda_c = Omega.  A drive too weak
+        for a finite one (lambda_c = omega = 0) raises a ValueError naming
+        both fields."""
+        drive = self.lambda_c**2 + self.omega**2
+        t = self.delta * math.pi / drive if drive > 0.0 else math.inf
+        if not math.isfinite(t):
+            raise ValueError(f"no finite operating time: lambda_c={self.lambda_c}, omega={self.omega} "
+                             "give no drive")
+        return t
 
     @property
-    def derived(self) -> "DerivedRates":
-        eta = self.lambda_c**2 / self.delta
-        return DerivedRates(
-            eta=eta,
-            phi=complex(np.sqrt(complex(self.kappa**2 - 4.0 * eta**2))),
-            phi_prime=complex(np.sqrt(complex(4.0 * eta**2 - self.kappa**2))),
-            varphi=1j * eta - self.kappa / 2.0,
-        )
+    def eta(self) -> float:
+        """Raman rate lambda_c^2/Delta of the symmetric-drive closed forms."""
+        return self.lambda_c**2 / self.delta
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,18 +130,6 @@ class SystemParams:
     @classmethod
     def from_json(cls, text: str) -> "SystemParams":
         return cls.from_json_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class DerivedRates:
-    """Rates derived from SystemParams that govern the decaying transfer:
-    eta = lambda_c^2/delta, phi = sqrt(kappa^2 - 4 eta^2) (complex),
-    phi_prime = sqrt(4 eta^2 - kappa^2) and varphi = i eta - kappa/2."""
-
-    eta: float
-    phi: complex
-    phi_prime: complex
-    varphi: complex
 
 
 def full_space(n_max: int = 1) -> HilbertSpace:

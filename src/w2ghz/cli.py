@@ -48,6 +48,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 
+# Most steps per fidelity-surface axis; a larger grid is refused before any
+# point is estimated.
+_MAX_SURFACE_STEPS = 1000
+
 _DEFAULT_PARAMS_DOC = {"delta": 20.0, "lambda_c": 1.0, "omega": 1.0}
 _PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
 # The config keys each command reads.  ``validate`` hands every other key,
@@ -133,10 +137,10 @@ def cmd_ideal_run(args) -> int:
         params = SystemParams.from_json_dict(
             {**_DEFAULT_PARAMS_DOC, **{k: v for k, v in data.items() if k in _PARAMS_KEYS}})
         require_modelled(params)
+        t = _number(data["t"], "field 't'") if "t" in data else params.operating_time
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
     layout = _parse_layout(data)
-    t = _number(data["t"], "field 't'") if "t" in data else None
     run = run_protocol(params, layout=layout, t=t)
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(report, args.out, data)
@@ -178,8 +182,9 @@ def cmd_sweep_decay(args) -> int:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
         except ValueError as exc:
             raise ConfigError(f"config error: field 'sweep': {exc}") from exc
+        ratio_cell = _fmt(ratio)
         for point in pd_sweep(spec):
-            lines.append(",".join((_fmt(ratio), _fmt(point.abscissa), _fmt(point.closed_form),
+            lines.append(",".join((ratio_cell, _fmt(point.abscissa), _fmt(point.closed_form),
                                    _fmt(point.numeric), _fmt(point.abs_difference))))
     _write_output("\n".join(lines) + "\n", args.out, data)
     return EXIT_OK
@@ -191,6 +196,8 @@ def cmd_fidelity_surface(args) -> int:
     steps = 3 if args.grid_steps is None else args.grid_steps
     if steps < 2:
         raise ConfigError("config error: --grid-steps must be at least 2")
+    if steps > _MAX_SURFACE_STEPS:
+        raise ConfigError(f"config error: --grid-steps: steps must be at most {_MAX_SURFACE_STEPS}, got {steps}")
 
     # The drive and grid are fixed, so the step size is the only input that
     # can make propagation fail: past RK4's stability limit (ValueError) or

@@ -1,17 +1,19 @@
 """Time evolution engines for the atom-cavity transfer.
 
-Closed-form evolution coefficients describe how each ground level turns into
-an emitted-photon component, with and without cavity decay; the decaying ones
-take a whole array of times at once.  Fixed-step fourth-order integrators
-provide the independent numerical route for both the wavefunction and the
-master equation, with a budget of 1e5 steps per integration, and a
-comparison utility quantifies the error of eliminating the upper atomic
-levels.
+One closed form, the exact exponential of the no-jump ground/emitted block,
+describes how each ground level turns into an emitted-photon component for
+any drive and any cavity decay, at one time or a whole array of times at
+once.  Fixed-step fourth-order integrators provide the independent numerical
+route for both the wavefunction and the master equation, with a budget of
+1e5 steps per integration, and a comparison utility quantifies the error of
+eliminating the upper atomic levels.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +89,6 @@ def _split(owned, branch, rest, x):
     return out
 
 
-def _series_sinhc(x):
-    x2 = x * x
-    return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-
-
-def _sinhc(x):
-    """sinh(x)/x, series-expanded near the removable singularity at 0."""
-    return _split(abs(x) < 1e-6, _series_sinhc, lambda y: np.sinh(y) / y, x)
-
-
 def _require_time(t: float) -> None:
     """Raise ValueError naming ``t`` unless it is a finite, non-negative time."""
     if not (math.isfinite(t) and t >= 0.0):
@@ -106,84 +98,79 @@ def _require_time(t: float) -> None:
 def _times(t):
     """A time as a float, or an array of times as a float array, after
     checking that every time is finite and non-negative."""
-    times = np.asarray(t, dtype=float)
-    if times.ndim == 0:
-        times = float(times)
-        _require_time(times)
-    else:
-        for extreme in (times.min(), times.max()):  # a nan is its own extreme
-            _require_time(float(extreme))
-    return times
+    if not isinstance(t, float):
+        times = np.asarray(t, dtype=float)
+        if times.ndim:
+            for extreme in (times.min(), times.max()):  # a nan is its own extreme
+                _require_time(float(extreme))
+            return times
+    _require_time(float(t))
+    return float(t)
 
 
-def ideal_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
-    """Closed-form transfer amplitudes for the lossless cavity (kappa ignored).
-
-    With S = lambda_c^2 + Omega^2 and theta = S*t/Delta:
-
-        alpha = (lambda_c^2 + Omega^2 e^{i theta}) / S
-        beta  = lambda_c*Omega (e^{i theta} - 1) / S
-    """
-    _require_time(t)
-    s = params.lambda_c**2 + params.omega**2
-    theta = s * t / params.delta
-    phase = np.exp(1j * theta)
-    alpha = (params.lambda_c**2 + params.omega**2 * phase) / s
-    beta = params.lambda_c * params.omega * (phase - 1.0) / s
-    return EvolutionCoefficients(complex(alpha), complex(beta))
+def _complex_expm1(z: complex) -> complex:
+    """e^z - 1 without cancellation for small |z|, rounded as numpy's
+    complex expm1 rounds: Re = expm1(x) cos(y) - 2 sin^2(y/2), Im = e^x sin(y)."""
+    half = math.sin(z.imag / 2.0)
+    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
+                   math.exp(z.real) * math.sin(z.imag))
 
 
-def require_symmetric_drive(params: SystemParams) -> None:
-    """Raise ValueError unless lambda_c == Omega (to 1e-12 relative), the
-    drive the decaying closed form is derived for."""
-    if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            "closed-form decaying coefficients require lambda_c == omega "
-            f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}"
-        )
+def _product(a, b):
+    """a * b for complex arrays, rounded as Python rounds a * b for complex
+    scalars: numpy may fuse a multiply-add in its complex product, so the
+    product is taken in real arithmetic."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
 def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
-    """Closed-form transfer amplitudes with cavity decay (no-jump evolution).
+    """Transfer amplitudes at time t for any drive and any kappa >= 0: the
+    exact exponential of the no-jump block {|g_j, 0>, |e_j, 1_j>} of
+    ``conditional_hamiltonian``.
 
-    Derived for the symmetric drive lambda_c = Omega.  With
-    eta = lambda_c^2/Delta, phi = sqrt(kappa^2 - 4 eta^2) and
-    varphi = i eta - kappa/2:
+    The block is -i H_b = mu I + [[d, i g], [i g, -d]] with
+    mu = i (lambda_c^2 + Omega^2)/(2 Delta) - kappa/2,
+    2 d = kappa + i (Omega^2 - lambda_c^2)/Delta and g = lambda_c Omega/Delta.
+    With s = sqrt(d^2 - g^2) (the principal root, so Re s >= 0), x = s t and
+    h(x) = -expm1(-2x)/(2x):
 
-        alpha' = [phi cosh(phi t/2) + kappa sinh(phi t/2)] e^{varphi t} / phi
-        beta'  = i eta (e^{phi t} - 1) e^{t (varphi - phi/2)} / phi
+        alpha = e^{(mu + s) t} [(1 + e^{-2x})/2 + d t h(x)]
+        beta  = e^{(mu + s) t} i g t h(x)
 
-    Both expressions are evaluated through sinh(x)/x so the kappa = 2*eta
-    degeneracy (phi -> 0) is continuous.  In the overdamped regime (phi real)
-    cosh and sinh overflow from phi t/2 ~ 710 while the envelope e^{-kappa t/2}
-    decays faster, so there the exponents are combined first:
-    e^{-kappa t/2} sinh(x)/x = e^{x - kappa t/2} (1 - e^{-2x})/(2x).
+    Folding e^{s t} into the decaying envelope keeps one expression finite
+    in the underdamped, critical and overdamped regimes; (1 + e^{-2x})/2 is
+    taken as 1 - x h(x), and h as its series 1 - x + 2x^2/3 where
+    |Re x| + |Im x| < 1e-6, chosen per time.  At kappa = 0 this is the
+    lossless transfer.
 
-    ``t`` is a time or an array of times.  The damping branch follows from
-    the params; the small-x series and x = 0 are chosen per time, so each
-    branch sees only the times it owns.  A scalar t gives complex alpha and
-    beta, an array t complex arrays of its shape.
+    ``t`` is a time or an array of times: a scalar gives complex alpha and
+    beta, an array complex arrays of its shape.
     """
-    require_symmetric_drive(params)
     ts = _times(t)
-    d = params.derived
-    if d.phi.real > 0.0:
-        x = d.phi.real * ts / 2.0
-        half_kt = params.kappa * ts / 2.0
-        grow = np.exp(x - half_kt)
-        sc = _split(x > 0.0, lambda y: -np.expm1(-2.0 * y) / (2.0 * y), np.ones_like, x)
-        phase = np.cos(d.eta * ts) + 1j * np.sin(d.eta * ts)
-        alpha = (0.5 * (grow + np.exp(-x - half_kt)) + half_kt * grow * sc) * phase
-        beta = 1j * d.eta * ts * grow * sc * phase
-    else:
-        x = d.phi * ts / 2.0
-        envelope = np.exp(d.varphi * ts)
-        sc = _sinhc(x)
-        alpha = (np.cosh(x) + (params.kappa * ts / 2.0) * sc) * envelope
-        beta = 1j * d.eta * ts * sc * envelope
+    lam_sq, omega_sq = params.lambda_c**2, params.omega**2
+    g = params.lambda_c * params.omega / params.delta
+    two_d = complex(params.kappa, (omega_sq - lam_sq) / params.delta)
+    s = cmath.sqrt(two_d * two_d - (2.0 * g) ** 2) / 2.0
+    rate = complex(-params.kappa, (lam_sq + omega_sq) / params.delta) / 2.0 + s
     if isinstance(ts, float):
-        return EvolutionCoefficients(complex(alpha), complex(beta))
-    return EvolutionCoefficients(alpha, beta)
+        exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
+    else:
+        exp, expm1, product = np.exp, np.expm1, _product
+
+    def h_series(t):
+        x = s * t
+        return 1.0 - x + product(x, x) * (2.0 / 3.0)
+
+    def h_direct(t):
+        # 1/(2x) as the constant 1/(2s) times 1/t: no per-time complex
+        # division, which Python and numpy round differently.
+        return product(-expm1(-2.0 * (s * t)), (0.5 / s) * (1.0 / t))
+
+    x = s * ts
+    h = _split(abs(x.real) + abs(x.imag) < 1e-6, h_series, h_direct, ts)
+    envelope = exp(rate * ts)
+    return EvolutionCoefficients(product(envelope, 1.0 + product((two_d / 2.0 - s) * ts, h)),
+                                 product(envelope, product(1j * g * ts, h)))
 
 
 # Step budget of one integration.  Converged runs here take at most a few

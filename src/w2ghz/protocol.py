@@ -34,12 +34,7 @@ from .detection import (
     classify_pattern,
     detect_amplitudes,
 )
-from .dynamics import (
-    EvolutionCoefficients,
-    decay_coefficients,
-    ideal_coefficients,
-    require_symmetric_drive,
-)
+from .dynamics import EvolutionCoefficients, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
@@ -94,13 +89,9 @@ def apply_hadamard_pulses(state: StateVector) -> StateVector:
 
 
 def transfer_coefficients(params: SystemParams, t: float | None = None) -> EvolutionCoefficients:
-    """Ground/emitted amplitudes at time t (default: the operating time);
-    lossless closed form for kappa = 0, decaying closed form otherwise."""
-    if t is None:
-        t = params.operating_time
-    if params.kappa > 0.0:
-        return decay_coefficients(params, t)
-    return ideal_coefficients(params, t)
+    """Ground/emitted amplitudes ``decay_coefficients`` gives at time t
+    (default: the operating time)."""
+    return decay_coefficients(params, params.operating_time if t is None else t)
 
 
 # Each four-level atomic level as the ground qubit it came from and what it
@@ -267,13 +258,10 @@ class ProtocolRun:
 
 def require_modelled(params: SystemParams) -> None:
     """Raise ValueError for params ``run_protocol`` does not model: a nonzero
-    ``gamma_a`` (it models cavity decay only), or cavity decay off the
-    symmetric drive lambda_c = Omega (the decaying closed form needs it)."""
+    ``gamma_a`` (it models cavity decay only)."""
     if params.gamma_a != 0.0:
         raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
                          f"gamma_a = 0, got {params.gamma_a}")
-    if params.kappa > 0.0:
-        require_symmetric_drive(params)
 
 
 def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,

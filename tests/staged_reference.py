@@ -1,15 +1,18 @@
-"""Test-only reference pipeline: the cavity interaction and the photon
+"""Test-only reference pipeline: the transfer amplitudes as the two closed
+forms they were first derived in, and the cavity interaction and the photon
 network written stage by stage and term by term, independently of the
-compiled route in ``w2ghz`` (this module reaches neither ``network_map`` nor
-the views built on it), with the helpers that check that route against it."""
+compiled route in ``w2ghz`` (this module reaches neither ``network_map``,
+``decay_coefficients`` nor the views built on them), with the helpers that
+check that route against it."""
 
 import itertools
 import math
 
 import numpy as np
 
-from w2ghz.atom_cavity import EMITTED_LEVELS, GROUND_LEVELS
+from w2ghz.atom_cavity import EMITTED_LEVELS, GROUND_LEVELS, SystemParams
 from w2ghz.detection import classify_pattern, enumerate_outcomes
+from w2ghz.dynamics import EvolutionCoefficients, _split, _times
 from w2ghz.hilbert import fidelity
 from w2ghz.photonics import (
     ATOMS,
@@ -26,8 +29,87 @@ from w2ghz.protocol import (
     prepare_w_state,
     raman_mapping,
     sign_correction,
-    transfer_coefficients,
 )
+
+
+def lossless_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
+    """Closed-form transfer amplitudes for the lossless cavity (kappa ignored).
+
+    With S = lambda_c^2 + Omega^2 and theta = S*t/Delta:
+
+        alpha = (lambda_c^2 + Omega^2 e^{i theta}) / S
+        beta  = lambda_c*Omega (e^{i theta} - 1) / S
+    """
+    _times(t)
+    s = params.lambda_c**2 + params.omega**2
+    theta = s * t / params.delta
+    phase = np.exp(1j * theta)
+    alpha = (params.lambda_c**2 + params.omega**2 * phase) / s
+    beta = params.lambda_c * params.omega * (phase - 1.0) / s
+    return EvolutionCoefficients(complex(alpha), complex(beta))
+
+
+def _series_sinhc(x):
+    x2 = x * x
+    return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
+
+
+def _sinhc(x):
+    """sinh(x)/x, series-expanded near the removable singularity at 0."""
+    return _split(abs(x) < 1e-6, _series_sinhc, lambda y: np.sinh(y) / y, x)
+
+
+def symmetric_decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
+    """Closed-form transfer amplitudes with cavity decay (no-jump evolution).
+
+    Derived for the symmetric drive lambda_c = Omega.  With
+    eta = lambda_c^2/Delta, phi = sqrt(kappa^2 - 4 eta^2) and
+    varphi = i eta - kappa/2:
+
+        alpha' = [phi cosh(phi t/2) + kappa sinh(phi t/2)] e^{varphi t} / phi
+        beta'  = i eta (e^{phi t} - 1) e^{t (varphi - phi/2)} / phi
+
+    Both expressions are evaluated through sinh(x)/x so the kappa = 2*eta
+    degeneracy (phi -> 0) is continuous.  In the overdamped regime (phi real)
+    cosh and sinh overflow from phi t/2 ~ 710 while the envelope e^{-kappa t/2}
+    decays faster, so there the exponents are combined first:
+    e^{-kappa t/2} sinh(x)/x = e^{x - kappa t/2} (1 - e^{-2x})/(2x).
+    ``t`` is a time or an array of times.
+    """
+    if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError("the symmetric-drive closed form needs lambda_c == omega")
+    ts = _times(t)
+    eta = params.lambda_c**2 / params.delta
+    phi = complex(np.sqrt(complex(params.kappa**2 - 4.0 * eta**2)))
+    varphi = 1j * eta - params.kappa / 2.0
+    if phi.real > 0.0:
+        x = phi.real * ts / 2.0
+        half_kt = params.kappa * ts / 2.0
+        grow = np.exp(x - half_kt)
+        sc = _split(x > 0.0, lambda y: -np.expm1(-2.0 * y) / (2.0 * y), np.ones_like, x)
+        phase = np.cos(eta * ts) + 1j * np.sin(eta * ts)
+        alpha = (0.5 * (grow + np.exp(-x - half_kt)) + half_kt * grow * sc) * phase
+        beta = 1j * eta * ts * grow * sc * phase
+    else:
+        x = phi * ts / 2.0
+        envelope = np.exp(varphi * ts)
+        sc = _sinhc(x)
+        alpha = (np.cosh(x) + (params.kappa * ts / 2.0) * sc) * envelope
+        beta = 1j * eta * ts * sc * envelope
+    if isinstance(ts, float):
+        return EvolutionCoefficients(complex(alpha), complex(beta))
+    return EvolutionCoefficients(alpha, beta)
+
+
+def reference_coefficients(params: SystemParams, t=None) -> EvolutionCoefficients:
+    """The closed form that covers ``params``: lossless for kappa = 0, the
+    symmetric-drive decaying form otherwise; t defaults to the operating time."""
+    if t is None:
+        t = params.operating_time
+    if params.kappa > 0.0:
+        return symmetric_decay_coefficients(params, t)
+    return lossless_coefficients(params, t)
+
 
 # The cavity (source mode) of each atom.
 SOURCE_OF_ATOM = {"a": 1, "b": 2, "c": 3}
@@ -149,7 +231,7 @@ def staged_run(params, layout, t=None):
     cavity interaction, the staged network, enumerate_outcomes, then sign
     correction, relabeling and fidelity per accepted pattern in sorted order."""
     pulsed = apply_hadamard_pulses(prepare_w_state())
-    joint = staged_cavity_interaction(pulsed, transfer_coefficients(params, t))
+    joint = staged_cavity_interaction(pulsed, reference_coefficients(params, t))
     report = enumerate_outcomes(staged_network(joint, layout), params.eta_d)
     results = []
     success = fidelity_acc = 0.0

@@ -40,15 +40,23 @@ class TestClosedFormCurve:
         assert pd_closed_form(params, params.operating_time) == pytest.approx(0.75, abs=1e-12)
 
     def test_identity_with_coefficient_route(self):
-        for ratio in (3.0, 10.0, 100.0):
+        # Overdamped, both sides of critical damping, and underdamped.
+        for ratio in (0.1, 0.45, 0.5 * (1 - 1e-10), 0.5 * (1 + 1e-10), 3.0, 10.0, 100.0, 107.3, 250.0):
             spec = SweepSpec("kappa_t", 1e-3, 3.0, 1000, params_for_eta_over_kappa(ratio))
             for point in pd_sweep(spec):
                 assert point.abs_difference <= 1e-12 * max(point.closed_form, 1e-300)
 
+    def test_symmetric_drive_required(self):
+        params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.01)
+        with pytest.raises(ValueError, match="require lambda_c == omega"):
+            pd_closed_form(params, 1.0)
+        with pytest.raises(ValueError, match="require lambda_c == omega"):
+            pd_sweep(SweepSpec("kappa_t", 1e-3, 3.0, 10, params))
+
     def test_overdamped_regime_positive(self):
         # kappa > 2 eta: the oscillation turns into a hyperbolic envelope.
         params = SystemParams(delta=10.0, lambda_c=1.0, omega=1.0, kappa=1.0)
-        assert params.kappa > 2 * params.derived.eta
+        assert params.kappa > 2 * params.eta
         for t in (0.2, 1.0, 4.0):
             value = pd_closed_form(params, t)
             assert 0.0 <= value < 0.75
@@ -81,7 +89,7 @@ class TestClosedFormCurve:
         # Interior maxima of the curve sit near odd multiples of pi of the
         # oscillation phase phi' t (shifted only by the decay envelope).
         params = params_for_eta_over_kappa(100.0)
-        phi_p = params.derived.phi_prime.real
+        phi_p = np.sqrt(4 * params.eta**2 - params.kappa**2)
         spec = SweepSpec("kappa_t", 1e-3, 0.2, 4000, params)
         points = pd_sweep(spec)
         values = [p.closed_form for p in points]

@@ -99,7 +99,8 @@ def test_staged_reference_is_independent():
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     compiled = {"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
-                "_network_amplitudes", "network_state", "heralded_states"}
+                "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
+                "transfer_coefficients"}
     assert not used & compiled
 
 

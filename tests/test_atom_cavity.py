@@ -57,13 +57,12 @@ class TestSystemParams:
     def test_branch_rate_is_half_total(self):
         assert SystemParams(delta=5.0, lambda_c=1.0, omega=1.0, gamma_a=0.4).branch_rate == 0.2
 
-    def test_derived_rates_identity(self):
-        d = PARAMS.derived
-        assert d.eta == pytest.approx(PARAMS.lambda_c**2 / PARAMS.delta)
-        # phi and phi_prime are the two square-root branches of the same
-        # discriminant: phi = i * phi_prime.
-        assert abs(d.phi**2 + d.phi_prime**2) < 1e-14
-        assert d.varphi == pytest.approx(1j * d.eta - PARAMS.kappa / 2)
+    def test_operating_time_needs_a_drive(self):
+        assert SystemParams(delta=20.0, lambda_c=0.0, omega=1.0).operating_time == pytest.approx(20.0 * np.pi)
+        for undriven in (SystemParams(delta=20.0, lambda_c=0.0, omega=0.0),
+                         SystemParams(delta=1e300, lambda_c=1e-200, omega=0.0)):
+            with pytest.raises(ValueError, match="lambda_c=.*omega="):
+                undriven.operating_time
 
     def test_json_roundtrip(self):
         doc = PARAMS.to_json_dict()

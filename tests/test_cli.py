@@ -1,10 +1,11 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
-from w2ghz import dynamics, hilbert
+from w2ghz import analysis, dynamics, hilbert
 from w2ghz.checks import check_network_reference_state, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.photonics import NetworkLayout
@@ -91,11 +92,42 @@ class TestIdealRun:
         captured = capsys.readouterr()
         assert captured.out == "" and "field 'gamma_a'" in captured.err
 
-    def test_asymmetric_drive_under_decay_is_config_error(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "cfg.json", {"delta": 14, "lambda_c": 2.86, "omega": 2.9, "kappa": 0.01})
+    def test_asymmetric_drive_under_decay_runs(self, tmp_path, capsys, monkeypatch):
+        # The paper's reference drive with cavity decay: every returned
+        # matrix is validated, and decay only costs success probability.
+        checked = []
+        validate = hilbert.validate_density_stack
+
+        def counting(elements, normalized=True):
+            checked.extend(elements)
+            validate(elements, normalized)
+
+        monkeypatch.setattr(hilbert, "validate_density_stack", counting)
+        drive = {"delta": 14, "lambda_c": 2.86, "omega": 2.9}
+        cfg = write_json(tmp_path, "cfg.json", {**drive, "kappa": 0.01})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["kappa"] == 0.01 and len(doc["patterns"]) == 8
+        assert len(checked) == 2 * len(doc["patterns"])
+        assert main(["ideal-run", "--config", write_json(tmp_path, "lossless.json", drive)]) == EXIT_OK
+        lossless = json.loads(capsys.readouterr().out)
+        assert 0.0 < doc["success_probability"] <= lossless["success_probability"]
+        assert doc["success_probability"] + doc["reject_probability"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_drive_is_config_error(self, tmp_path, capsys):
+        # Without a drive there is no operating time to default to.
+        cfg = write_json(tmp_path, "cfg.json", {"lambda_c": 0, "omega": 0})
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.out == "" and "require lambda_c == omega" in captured.err
+        assert captured.out == "" and "lambda_c" in captured.err and "omega" in captured.err
+
+    def test_zero_drive_at_given_time_stays_in_ground_state(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cfg.json", {"lambda_c": 0, "omega": 0, "t": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ideal-run", "--config", cfg]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["success_probability"], doc["reject_probability"], doc["patterns"]) == (0.0, 1.0, [])
 
     def test_internal_error_is_not_config_error(self, monkeypatch):
         # Only params outside the model are config errors; a failed check on
@@ -267,6 +299,17 @@ class TestFidelitySurface:
     def test_zero_grid_steps_is_config_error(self, capsys):
         assert main(["fidelity-surface", "--grid-steps", "0"]) == EXIT_CONFIG
         assert "grid-steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["1001", "1000000000"])
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_grid_past_cap_is_config_error(self, capsys, monkeypatch, steps, axis):
+        estimated = []
+        monkeypatch.setattr(analysis, "master_equation_estimates",
+                            lambda *args, **kwargs: estimated.append(args))
+        assert main(["fidelity-surface", "--grid-steps", steps, "--axis-convention", axis]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"steps must be at most 1000, got {steps}" in captured.err
+        assert captured.out == "" and estimated == []
 
     def test_coupling_ratio_axis(self, tmp_path):
         out = tmp_path / "surface.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from staged_reference import lossless_coefficients, symmetric_decay_coefficients
 
 import w2ghz.dynamics as dynamics
 from w2ghz.atom_cavity import (
@@ -19,7 +20,6 @@ from w2ghz.dynamics import (
     IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
-    ideal_coefficients,
     lindblad_evolve,
     propagate_matrix,
     schrodinger_evolve,
@@ -41,20 +41,22 @@ def coefficient_indices(n_max=1):
 
 
 class TestIdealCoefficients:
+    """decay_coefficients in the lossless cavity (kappa = 0)."""
+
     def test_no_evolution_at_zero_time(self):
-        c = ideal_coefficients(ASYMMETRIC, 0.0)
+        c = decay_coefficients(ASYMMETRIC, 0.0)
         assert c.alpha == pytest.approx(1.0, abs=1e-15)
         assert c.beta == pytest.approx(0.0, abs=1e-15)
 
     def test_operating_point_full_transfer(self):
-        c = ideal_coefficients(SYMMETRIC, SYMMETRIC.operating_time)
+        c = decay_coefficients(SYMMETRIC, SYMMETRIC.operating_time)
         assert abs(c.alpha) < 1e-15
         assert c.beta == pytest.approx(-1.0, abs=1e-15)
 
     @given(t=st.floats(min_value=0.0, max_value=200.0))
     @settings(max_examples=60, deadline=None)
     def test_unitarity_of_pair(self, t):
-        c = ideal_coefficients(ASYMMETRIC, t)
+        c = decay_coefficients(ASYMMETRIC, t)
         assert c.weight == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("params", [SYMMETRIC, ASYMMETRIC,
@@ -65,7 +67,7 @@ class TestIdealCoefficients:
         t = frac * params.operating_time
         out = schrodinger_evolve(h, ground_vacuum(h.space), t, IntegratorConfig(dt=2e-3 * params.delta / 20.0))
         i_g, i_e = coefficient_indices()
-        c = ideal_coefficients(params, t)
+        c = decay_coefficients(params, t)
         assert abs(out.amplitudes[i_g] - c.alpha) < 1e-8
         assert abs(out.amplitudes[i_e] - c.beta) < 1e-8
 
@@ -78,11 +80,23 @@ class TestIdealCoefficients:
         t = 0.6 * wide.operating_time
         out = schrodinger_evolve(h, psi0, t, IntegratorConfig(dt=2e-3))
         space = effective_space(2)
-        c = ideal_coefficients(wide, t)
+        c = decay_coefficients(wide, t)
         assert abs(out.amplitudes[space.basis_index(0, 0, 0)] - c.alpha) < 1e-8
         assert abs(out.amplitudes[space.basis_index(2, 1, 0)] - c.beta) < 1e-8
         two_photon = [space.basis_index(k, 2, 0) for k in range(4)]
         assert max(abs(out.amplitudes[i]) for i in two_photon) < 1e-12
+
+    @pytest.mark.parametrize("params", [SYMMETRIC, ASYMMETRIC,
+                                        SystemParams(delta=2.0, lambda_c=1.0, omega=0.6)])
+    def test_matches_lossless_closed_form(self, params):
+        times = np.concatenate([np.linspace(0.0, 200.0, 2001), np.random.default_rng(3).uniform(0.0, 200.0, 500)])
+        grid = decay_coefficients(params, times)
+        for k, t in enumerate(times.tolist()):
+            oracle = lossless_coefficients(params, t)
+            c = decay_coefficients(params, t)
+            for got in ((c.alpha, c.beta), (grid.alpha[k], grid.beta[k])):
+                assert abs(got[0] - oracle.alpha) <= 1e-14
+                assert abs(got[1] - oracle.beta) <= 1e-14
 
 
 class TestDecayCoefficients:
@@ -91,33 +105,38 @@ class TestDecayCoefficients:
     def test_zero_decay_limit_matches_ideal(self):
         params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.0)
         for t in (0.3, 5.0, params.operating_time):
-            ideal = ideal_coefficients(params, t)
+            ideal = lossless_coefficients(params, t)
             decay = decay_coefficients(params, t)
             assert abs(ideal.alpha - decay.alpha) < 1e-10
             assert abs(ideal.beta - decay.beta) < 1e-10
 
     def test_small_decay_converges_to_ideal(self):
-        eta = SYMMETRIC.derived.eta
+        eta = SYMMETRIC.eta
         params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=1e-8 * eta)
         period = 2 * np.pi * params.delta / (params.lambda_c**2 + params.omega**2)
         for t in np.linspace(0.0, period, 13):
-            ideal = ideal_coefficients(params, t)
+            ideal = lossless_coefficients(params, t)
             decay = decay_coefficients(params, t)
             assert abs(ideal.alpha - decay.alpha) < 1e-6
             assert abs(ideal.beta - decay.beta) < 1e-6
 
-    def test_asymmetric_drive_rejected(self):
-        with pytest.raises(ValueError, match="lambda_c == omega"):
-            decay_coefficients(ASYMMETRIC, 1.0)
+    @pytest.mark.parametrize("kappa", [0.03, 0.1, 0.5])
+    def test_matches_symmetric_drive_closed_form(self, kappa):
+        # Underdamped, critical (kappa = 2 eta) and overdamped at lambda_c = Omega.
+        params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=kappa)
+        times = np.linspace(0.0, 60.0, 601)
+        grid, oracle = decay_coefficients(params, times), symmetric_decay_coefficients(params, times)
+        assert np.max(np.abs(grid.alpha - oracle.alpha)) <= 1e-13
+        assert np.max(np.abs(grid.beta - oracle.beta)) <= 1e-13
 
     def test_emitted_weight_closed_form(self):
         # |beta'|^2 = 2 eta^2 (1 - cos(phi' t)) e^{-kappa t} / phi'^2 in the
         # underdamped regime.
-        d = self.DECAYING.derived
-        phi_p = d.phi_prime.real
+        eta, kappa = self.DECAYING.eta, self.DECAYING.kappa
+        phi_p = np.sqrt(4 * eta**2 - kappa**2)
         for t in (0.4, 2.0, 7.3):
             c = decay_coefficients(self.DECAYING, t)
-            expected = 2 * d.eta**2 * (1 - np.cos(phi_p * t)) * np.exp(-self.DECAYING.kappa * t) / phi_p**2
+            expected = 2 * eta**2 * (1 - np.cos(phi_p * t)) * np.exp(-kappa * t) / phi_p**2
             assert abs(c.beta) ** 2 == pytest.approx(expected, rel=1e-12)
 
     @staticmethod
@@ -136,6 +155,33 @@ class TestDecayCoefficients:
     def test_overdamped_matches_conditional_integration_oracle(self):
         # kappa = 0.5 > 2 eta = 0.1.
         self.assert_matches_conditional_integration(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.5))
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.3),
+        SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, kappa=0.03),
+        SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, kappa=0.5),
+    ], ids=["reference", "asymmetric-underdamped", "asymmetric-overdamped"])
+    def test_off_symmetric_drive_matches_conditional_integration_oracle(self, params):
+        self.assert_matches_conditional_integration(params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.floats(0.5, 50.0), lambda_c=st.floats(0.0, 5.0), omega=st.floats(0.0, 5.0),
+           kappa=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), t=st.floats(0.0, 1e3))
+    def test_weight_bounded_for_any_drive(self, delta, lambda_c, omega, kappa, t):
+        # The no-jump evolution never gains norm, and loses none without decay.
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        weight = decay_coefficients(params, t).weight
+        assert weight <= 1.0 + 1e-12
+        if kappa == 0.0:
+            assert weight == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_drive_leaves_ground_state(self):
+        for kappa in (0.0, 0.2):
+            params = SystemParams(delta=20.0, lambda_c=0.0, omega=0.0, kappa=kappa)
+            for t in (0.0, 1.0, np.array([0.0, 1.0, 1e5])):
+                c = decay_coefficients(params, t)
+                assert np.all(c.alpha == 1.0) and np.all(c.beta == 0.0)
 
     def test_weight_never_exceeds_one(self):
         for t in np.linspace(0.0, 30.0, 50):

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from staged_reference import photon_numbers, require_photon_number, staged_cavity_interaction, staged_run
+from staged_reference import (
+    lossless_coefficients,
+    photon_numbers,
+    require_photon_number,
+    staged_cavity_interaction,
+    staged_run,
+)
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import OutcomeClass, atomic_space, ghz_pair_states
-from w2ghz.dynamics import decay_coefficients, ideal_coefficients
+from w2ghz.dynamics import decay_coefficients
 from w2ghz import hilbert
 from w2ghz.hilbert import DensityMatrix, StateVector, fidelity
 from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout
@@ -89,9 +95,10 @@ class TestCavityInteraction:
             assert joint.norm_sq() == pytest.approx(coeffs.weight ** 3, abs=1e-12)
 
     def test_transfer_coefficients_dispatch(self):
-        t = 1.1
-        assert transfer_coefficients(IDEAL, t) == ideal_coefficients(IDEAL, t)
-        assert transfer_coefficients(DECAYING, t) == decay_coefficients(DECAYING, t)
+        # One route for every kappa; only the default time is added.
+        for params in (IDEAL, DECAYING, SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.01)):
+            assert transfer_coefficients(params, 1.1) == decay_coefficients(params, 1.1)
+            assert transfer_coefficients(params) == decay_coefficients(params, params.operating_time)
 
     def test_requires_ground_space(self):
         bad = StateVector(atomic_space(("a", "b"), ("gL", "gR")), [1, 0, 0, 0])
@@ -210,7 +217,7 @@ class TestRunProtocol:
         # itself stays perfect because all three atoms share one amplitude.
         t = 0.6 * IDEAL.operating_time
         run = run_protocol(IDEAL, t=t)
-        beta = ideal_coefficients(IDEAL, t).beta
+        beta = lossless_coefficients(IDEAL, t).beta
         assert run.success_probability == pytest.approx(0.75 * abs(beta) ** 6, abs=1e-12)
         assert run.success_probability < 0.75
         assert run.fidelity == pytest.approx(1.0, abs=1e-10)
@@ -297,14 +304,11 @@ class TestCompiledRouteOracle:
             run_protocol(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5))
 
     def test_model_coverage(self):
-        # Decay is modelled on the symmetric drive only; without decay any
-        # drive is covered.
+        # Cavity decay is modelled at any drive; spontaneous decay is not.
         asymmetric = dict(delta=14.0, lambda_c=2.86, omega=2.9)
-        for params in (SystemParams(**asymmetric, kappa=0.01),
-                       SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5)):
-            with pytest.raises(ValueError):
-                require_modelled(params)
-        for params in (SystemParams(**asymmetric), IDEAL, DECAYING):
+        with pytest.raises(ValueError):
+            require_modelled(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5))
+        for params in (SystemParams(**asymmetric), SystemParams(**asymmetric, kappa=0.01), IDEAL, DECAYING):
             require_modelled(params)
 
 
