@@ -14,8 +14,6 @@ from .analysis import (
 from .atom_cavity import (
     SystemParams,
     collapse_operators,
-    conditional_hamiltonian,
-    effective_hamiltonian,
     full_hamiltonian,
 )
 from .detection import (
@@ -32,8 +30,6 @@ from .dynamics import (
     IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
-    lindblad_evolve,
-    schrodinger_evolve,
 )
 from .hilbert import (
     DensityMatrix,
@@ -41,8 +37,6 @@ from .hilbert import (
     Operator,
     StateVector,
     fidelity,
-    propagator,
-    trace_distance,
 )
 from .photonics import (
     DEFAULT_LAYOUT,
@@ -88,27 +82,21 @@ __all__ = [
     "classify_pattern",
     "collapse_operators",
     "compare_full_vs_effective",
-    "conditional_hamiltonian",
     "decay_coefficients",
-    "effective_hamiltonian",
     "enumerate_outcomes",
     "fidelity",
     "fidelity_surface",
     "full_hamiltonian",
     "full_network",
     "ghz_target",
-    "lindblad_evolve",
     "master_equation_estimates",
     "measure",
     "pd_closed_form",
     "pd_sweep",
     "prepare_w_state",
-    "propagator",
     "raman_mapping",
     "reference_noise_params",
     "run_protocol",
-    "schrodinger_evolve",
     "sign_correction",
     "success_probability_ideal",
-    "trace_distance",
 ]

@@ -49,6 +49,7 @@ from .detection import classify_pattern
 from .dynamics import (
     EvolutionCoefficients,
     IntegratorConfig,
+    _binade,
     _split,
     _times,
     decay_coefficients,
@@ -133,32 +134,35 @@ def pd_closed_form(params: SystemParams, t):
         raise ValueError("closed-form P_d and its sweeps require lambda_c == omega "
                          f"(symmetric drive); got lambda_c={params.lambda_c}, omega={params.omega}")
     eta, kappa = params.eta, params.kappa
-    phi_sq = kappa * kappa - 4.0 * eta * eta
+    # The rates in units of a power of two m just above the larger, so that
+    # no square or sixth power leaves the float range: phi_sq is
+    # (kappa^2 - 4 eta^2)/m^2 and phi (phi' when underdamped) is
+    # sqrt(|kappa^2 - 4 eta^2|)/m.
+    m = _binade(max(kappa, eta))
+    eta_m, kappa_m = eta / m, kappa / m
+    phi_sq = kappa_m * kappa_m - 4.0 * eta_m * eta_m
+    phi = math.sqrt(abs(phi_sq))
     ts = _times(t)
 
     def critical(t):
         # Critically damped neighbourhood: sinh(x)/x -> 1 + x^2/6.
-        x_sq = phi_sq * t * t / 4.0
+        x_sq = phi_sq * (m * t) * (m * t) / 4.0
         sinhc = 1.0 + x_sq / 6.0 + x_sq * x_sq / 120.0
         return 0.75 * _sixth_power(eta * t * sinhc) * np.exp(-3.0 * kappa * t)
 
     if phi_sq < 0.0:
-        phi_prime = math.sqrt(-phi_sq)
-
         def damped(t):
-            s = np.sin(phi_prime * t / 2.0)
-            return 48.0 * eta**6 * _sixth_power(s) * np.exp(-3.0 * kappa * t) / phi_prime**6
+            s = np.sin(phi * (m * t) / 2.0)
+            return 48.0 * eta_m**6 * _sixth_power(s) * np.exp(-3.0 * kappa * t) / phi**6
     else:
         # 2 sinh(phi t/2) = e^{phi t/2} (1 - e^{-phi t}): the growth is folded
         # into the decay envelope, which wins since phi < kappa, so nothing
         # overflows at large kappa*t.
-        phi = math.sqrt(phi_sq)
-
         def damped(t):
-            return (0.75 * eta**6 * _sixth_power(-np.expm1(-phi * t)) * np.exp(3.0 * (phi - kappa) * t)
-                    / phi**6)
+            return (0.75 * eta_m**6 * _sixth_power(-np.expm1(-phi * (m * t)))
+                    * np.exp(3.0 * (phi - kappa_m) * (m * t)) / phi**6)
 
-    p_d = _split(abs(phi_sq) * ts * ts / 4.0 < 1e-12, critical, damped, ts)
+    p_d = _split(abs(phi_sq) * (m * ts) * (m * ts) / 4.0 < 1e-12, critical, damped, ts)
     return float(p_d) if isinstance(ts, float) else p_d
 
 
@@ -175,15 +179,23 @@ def pd_numeric(params: SystemParams, t):
 def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
     """Sample the decay success probability over a kappa*t grid, emitting the
     closed form and the coefficient route side by side.  Each route is
-    evaluated once, on the whole grid."""
+    evaluated once, on the whole grid; a grid on which either leaves the
+    float range (eta*t past it, say) raises ValueError."""
     if spec.parameter != "kappa_t":
         raise ValueError(f"decay sweeps run over 'kappa_t', got {spec.parameter!r}")
     if spec.fixed.kappa <= 0:
         raise ValueError("decay sweep needs kappa > 0")
     kappa_t = spec.grid()
     t = kappa_t / spec.fixed.kappa
-    closed = pd_closed_form(spec.fixed, t)
-    numeric = pd_numeric(spec.fixed, t)
+    # An intermediate past the float range either cancels (a window test
+    # that reads inf, a phase times a vanished envelope) or leaves a
+    # non-finite P_d, which is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = pd_closed_form(spec.fixed, t)
+        numeric = pd_numeric(spec.fixed, t)
+    if not (np.isfinite(closed).all() and np.isfinite(numeric).all()):
+        raise ValueError(f"P_d leaves the float range on this grid (eta = {spec.fixed.eta!r}, "
+                         f"kappa = {spec.fixed.kappa!r}, kappa*t up to {spec.maximum!r})")
     return [CurvePoint(*row) for row in zip(kappa_t.tolist(), closed.tolist(), numeric.tolist(),
                                             np.abs(closed - numeric).tolist())]
 

@@ -3,9 +3,12 @@
 The atom has two Raman branches (left/right circular): classical driving
 couples |g_j> <-> |f_j> with Rabi frequency Omega, and cavity mode a_j couples
 |e_j> <-> |f_j> with strength lambda_c, both detuned by Delta from the upper
-level |f_j>.  For large detuning the |f_j> levels stay only virtually
-populated and can be eliminated, leaving an effective ground-manifold
-Hamiltonian with Stark shifts and a Raman g <-> e,1-photon coupling.
+level |f_j>.  This module writes that six-level model once, in the tensor
+space of the atom and both cavity modes, with its Lindblad channels.  For
+large detuning the |f_j> levels stay only virtually populated and can be
+eliminated, leaving Stark shifts and a Raman g <-> e,1-photon coupling; the
+one place that model is written is the 2x2 no-jump block of
+``dynamics.decay_coefficients``, built from the light shifts here.
 
 All rates are dimensionless multiples of a reference rate gamma; times are in
 units of 1/gamma.
@@ -76,22 +79,30 @@ class SystemParams:
         return self.gamma_a / 2.0
 
     @property
+    def light_shifts(self) -> tuple[float, float]:
+        """The light shifts (lambda_c^2/Delta, Omega^2/Delta), each formed as
+        (x/Delta)*x: the ratio comes first, so no raw rate is squared and a
+        result is out of range only where the shift itself is."""
+        return (self.lambda_c / self.delta) * self.lambda_c, (self.omega / self.delta) * self.omega
+
+    @property
     def operating_time(self) -> float:
         """Interaction time Delta*pi/(lambda_c^2 + Omega^2) that completes the
-        ground -> emitted transfer when lambda_c = Omega.  A drive too weak
-        for a finite one (lambda_c = omega = 0) raises a ValueError naming
+        ground -> emitted transfer when lambda_c = Omega, as pi over the sum
+        of the light shifts.  A drive too weak or too strong for a finite,
+        non-zero one (lambda_c = omega = 0, say) raises a ValueError naming
         both fields."""
-        drive = self.lambda_c**2 + self.omega**2
-        t = self.delta * math.pi / drive if drive > 0.0 else math.inf
-        if not math.isfinite(t):
+        shift = sum(self.light_shifts)
+        t = math.pi / shift if shift > 0.0 else math.inf
+        if not 0.0 < t < math.inf:
             raise ValueError(f"no finite operating time: lambda_c={self.lambda_c}, omega={self.omega} "
-                             "give no drive")
+                             f"give a light shift of {shift!r} at delta={self.delta}")
         return t
 
     @property
     def eta(self) -> float:
         """Raman rate lambda_c^2/Delta of the symmetric-drive closed forms."""
-        return self.lambda_c**2 / self.delta
+        return self.light_shifts[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,11 +148,6 @@ def full_space(n_max: int = 1) -> HilbertSpace:
     return HilbertSpace.of(("atom", 6), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
 
 
-def effective_space(n_max: int = 1) -> HilbertSpace:
-    """Four-level ground manifold tensored with the two cavity modes."""
-    return HilbertSpace.of(("atom", 4), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
-
-
 def _annihilator(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim), dtype=np.complex128)
     for n in range(1, dim):
@@ -178,42 +184,6 @@ def full_hamiltonian(params: SystemParams) -> Operator:
     return Operator(full_space(params.n_max), h, hermitian=True)
 
 
-def effective_hamiltonian(params: SystemParams) -> Operator:
-    """Ground-manifold Hamiltonian after eliminating the upper levels.
-
-    Stark terms -(lambda_c^2/Delta) |e_j><e_j| a_j^dag a_j and
-    -(Omega^2/Delta) |g_j><g_j|, plus the Raman coupling
-    -(lambda_c Omega/Delta) (|g_j><e_j| a_j + h.c.).
-    """
-    nph = params.n_max + 1
-    a = _annihilator(nph)
-    num = a.conj().T @ a
-    eye = np.eye(nph, dtype=np.complex128)
-    stark_e = params.lambda_c**2 / params.delta
-    stark_g = params.omega**2 / params.delta
-    raman = params.lambda_c * params.omega / params.delta
-    h = np.zeros((4 * nph * nph,) * 2, dtype=np.complex128)
-    for j, (g, e) in (("L", ("gL", "eL")), ("R", ("gR", "eR"))):
-        a_l, a_r = (a, eye) if j == "L" else (eye, a)
-        n_l, n_r = (num, eye) if j == "L" else (eye, num)
-        h -= stark_e * _embed(_atom_op(EFFECTIVE_LEVELS, e, e), n_l, n_r)
-        h -= stark_g * _embed(_atom_op(EFFECTIVE_LEVELS, g, g), eye, eye)
-        flip = raman * _embed(_atom_op(EFFECTIVE_LEVELS, g, e), a_l, a_r)
-        h -= flip + flip.conj().T
-    return Operator(effective_space(params.n_max), h, hermitian=True)
-
-
-def conditional_hamiltonian(params: SystemParams) -> Operator:
-    """Effective Hamiltonian minus i*kappa * sum_j a_j^dag a_j (no-jump decay)."""
-    nph = params.n_max + 1
-    num = _annihilator(nph).conj().T @ _annihilator(nph)
-    eye4 = np.eye(4, dtype=np.complex128)
-    eye = np.eye(nph, dtype=np.complex128)
-    total_num = _embed(eye4, num, eye) + _embed(eye4, eye, num)
-    h = effective_hamiltonian(params).elements - 1j * params.kappa * total_num
-    return Operator(effective_space(params.n_max), h, hermitian=False)
-
-
 def collapse_operators(params: SystemParams) -> list[tuple[float, Operator]]:
     """Lindblad channels of the full-space master equation as (rate, operator).
 
@@ -234,18 +204,3 @@ def collapse_operators(params: SystemParams) -> list[tuple[float, Operator]]:
             ops.append((params.branch_rate,
                         Operator(space, _embed(_atom_op(FULL_LEVELS, x, f), eye, eye))))
     return ops
-
-
-def effective_embedding(n_max: int = 1) -> np.ndarray:
-    """Isometry from the four-level effective space into the six-level full
-    space (identity on the shared levels, no upper-level component).
-
-    Returns a (6*(n_max+1)^2) x (4*(n_max+1)^2) matrix E with E^dag E = I, so
-    E^dag projects full-space vectors onto the shared manifold.
-    """
-    nph = n_max + 1
-    atom_embed = np.zeros((6, 4), dtype=np.complex128)
-    for k, level in enumerate(EFFECTIVE_LEVELS):
-        atom_embed[FULL_LEVELS.index(level), k] = 1.0
-    eye = np.eye(nph, dtype=np.complex128)
-    return _embed(atom_embed, eye, eye)

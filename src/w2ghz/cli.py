@@ -182,8 +182,12 @@ def cmd_sweep_decay(args) -> int:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
         except ValueError as exc:
             raise ConfigError(f"config error: field 'sweep': {exc}") from exc
+        try:
+            points = pd_sweep(spec)
+        except ValueError as exc:
+            raise ConfigError(f"config error: --eta-over-kappa {ratio!r} with field 'sweep': {exc}") from exc
         ratio_cell = _fmt(ratio)
-        for point in pd_sweep(spec):
+        for point in points:
             lines.append(",".join((ratio_cell, _fmt(point.abscissa), _fmt(point.closed_form),
                                    _fmt(point.numeric), _fmt(point.abs_difference))))
     _write_output("\n".join(lines) + "\n", args.out, data)

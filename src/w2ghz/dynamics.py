@@ -1,12 +1,13 @@
-"""Time evolution engines for the atom-cavity transfer.
+"""Time evolution of one atom-cavity unit.
 
 One closed form, the exact exponential of the no-jump ground/emitted block,
 describes how each ground level turns into an emitted-photon component for
 any drive and any cavity decay, at one time or a whole array of times at
-once.  Fixed-step fourth-order integrators provide the independent numerical
-route for both the wavefunction and the master equation, with a budget of
-1e5 steps per integration, and a comparison utility quantifies the error of
-eliminating the upper atomic levels.
+once.  It is the one place the adiabatically eliminated model is written;
+``compare_full_vs_effective`` measures its error against the six-level atom
+on the branch block the dynamics never leave.  A fixed-step fourth-order
+integrator propagates the six-level master equation, with a budget of 1e5
+steps per integration.
 """
 
 from __future__ import annotations
@@ -14,18 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atom_cavity import (
-    SystemParams,
-    effective_embedding,
-    effective_hamiltonian,
-    effective_space,
-    full_hamiltonian,
-)
-from .hilbert import DensityMatrix, Operator, StateVector, tol, trace_distance
+from .atom_cavity import FULL_LEVELS, SystemParams, full_hamiltonian, full_space
+from .hilbert import Operator
 
 
 @dataclass(frozen=True)
@@ -70,6 +65,15 @@ def default_config(h: Operator, rates: tuple[float, ...] = ()) -> IntegratorConf
     """Step size 1e-3 / (largest rate in the generator), the package default."""
     scale = max(_matrix_rate_scale(h.elements), *rates, 0.0)
     return IntegratorConfig(dt=1e-3 / scale if scale > 0 else 1.0)
+
+
+def _binade(x: float) -> float:
+    """The power of two 2^e with x < 2^e <= 2x (1 for x = 0), capped at the
+    largest finite one.  Rates divided by it are below 2, so their squares
+    stay in the float range; and the division is exact, so a result scaled
+    back by it rounds exactly as the unscaled expression would wherever
+    that one is in range."""
+    return math.ldexp(1.0, min(math.frexp(x)[1], 1023))
 
 
 def _split(owned, branch, rest, x):
@@ -125,14 +129,20 @@ def _product(a, b):
 
 def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     """Transfer amplitudes at time t for any drive and any kappa >= 0: the
-    exact exponential of the no-jump block {|g_j, 0>, |e_j, 1_j>} of
-    ``conditional_hamiltonian``.
+    exact exponential of the no-jump block {|g_j, 0>, |e_j, 1_j>} of the
+    adiabatically eliminated model, whose Hamiltonian is the Stark shifts
+    -(Omega^2/Delta) |g_j><g_j| and -(lambda_c^2/Delta) |e_j><e_j| a_j^dag a_j,
+    the Raman coupling -(lambda_c Omega/Delta) (|g_j><e_j| a_j + h.c.) and
+    the no-jump decay -i kappa a_j^dag a_j.
 
     The block is -i H_b = mu I + [[d, i g], [i g, -d]] with
     mu = i (lambda_c^2 + Omega^2)/(2 Delta) - kappa/2,
-    2 d = kappa + i (Omega^2 - lambda_c^2)/Delta and g = lambda_c Omega/Delta.
-    With s = sqrt(d^2 - g^2) (the principal root, so Re s >= 0), x = s t and
-    h(x) = -expm1(-2x)/(2x):
+    2 d = kappa + i (Omega^2 - lambda_c^2)/Delta and g = lambda_c Omega/Delta,
+    each rate formed from lambda_c/Delta and Omega/Delta before any product
+    (``SystemParams.light_shifts``).  With s = sqrt(d^2 - g^2) (the principal
+    root, so Re s >= 0), taken as (m/2) sqrt((2d/m)^2 - (2g/m)^2) with m the
+    power of two just above the largest of |Re 2d|, |Im 2d| and g, so that
+    no square leaves the float range, x = s t and h(x) = -expm1(-2x)/(2x):
 
         alpha = e^{(mu + s) t} [(1 + e^{-2x})/2 + d t h(x)]
         beta  = e^{(mu + s) t} i g t h(x)
@@ -147,11 +157,13 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     beta, an array complex arrays of its shape.
     """
     ts = _times(t)
-    lam_sq, omega_sq = params.lambda_c**2, params.omega**2
-    g = params.lambda_c * params.omega / params.delta
-    two_d = complex(params.kappa, (omega_sq - lam_sq) / params.delta)
-    s = cmath.sqrt(two_d * two_d - (2.0 * g) ** 2) / 2.0
-    rate = complex(-params.kappa, (lam_sq + omega_sq) / params.delta) / 2.0 + s
+    stark_e, stark_g = params.light_shifts
+    g = (params.lambda_c / params.delta) * params.omega
+    two_d = complex(params.kappa, stark_g - stark_e)
+    m = _binade(max(abs(two_d.real), abs(two_d.imag), g))
+    u, v = two_d / m, 2.0 * g / m
+    s = cmath.sqrt(u * u - v * v) * (m / 2.0)
+    rate = complex(-params.kappa, stark_e + stark_g) / 2.0 + s
     if isinstance(ts, float):
         exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
     else:
@@ -196,33 +208,6 @@ def _rk4_propagate(rhs, y0: np.ndarray, t: float, dt: float) -> np.ndarray:
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
-
-
-def schrodinger_evolve(h: Operator, psi0: StateVector, t: float,
-                       cfg: IntegratorConfig | None = None) -> StateVector:
-    """Integrate d psi/dt = -i H psi with fixed-step RK4.
-
-    Norm is preserved (within 1e-8) for Hermitian generators and is
-    monotonically non-increasing for the no-jump conditional generator.
-    """
-    if h.space != psi0.space:
-        raise ValueError(f"space mismatch: {h.space.subsystems} vs {psi0.space.subsystems}")
-    if cfg is None:
-        cfg = default_config(h)
-    if t == 0.0:
-        return StateVector(psi0.space, psi0.amplitudes, normalized=False)
-    hm = h.elements
-
-    def rhs(psi):
-        return -1j * (hm @ psi)
-
-    out = _rk4_propagate(rhs, psi0.amplitudes.astype(np.complex128), t, cfg.dt)
-    result = StateVector(psi0.space, out, normalized=False)
-    if h.hermitian and psi0.norm() > 0:
-        drift = abs(result.norm() - psi0.norm()) / psi0.norm()
-        if drift > tol(1e-8):
-            raise RuntimeError(f"integrator norm drift {drift:.3e} exceeds tolerance; reduce dt")
-    return result
 
 
 def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np.ndarray,
@@ -277,20 +262,6 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
     return _rk4_propagate(rhs, np.array(m0, dtype=np.complex128), t, cfg.dt)
 
 
-def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: DensityMatrix,
-                    t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
-    """Integrate the master equation
-    d rho/dt = -i[H, rho] - sum_k (rate_k/2)(C_k^dag C_k rho - 2 C_k rho C_k^dag + rho C_k^dag C_k)
-    with fixed-step RK4, returning a validated density matrix."""
-    if rho0.space != h.space:
-        raise ValueError(f"space mismatch: {h.space.subsystems} vs {rho0.space.subsystems}")
-    out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
-    result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
-    if rho0.normalized and abs(result.trace() - 1.0) > tol(1e-8):
-        raise RuntimeError(f"integrator trace drift {result.trace() - 1.0:.3e}; reduce dt")
-    return result
-
-
 @dataclass(frozen=True)
 class DeviationPoint:
     """Per-time comparison entry: trace distance on the shared manifold and
@@ -315,41 +286,44 @@ class DeviationReport:
 
 
 def compare_full_vs_effective(params: SystemParams, t_grid) -> DeviationReport:
-    """Evolve |g_L, vacuum> under the six-level and the eliminated four-level
-    Hamiltonians and report, per grid time, the trace distance between the
-    four-level state and the (unnormalized) projection of the six-level state
-    onto the shared manifold.
+    """Evolve |g_L, vacuum> under the six-level and the eliminated model and
+    report, per grid time, the trace distance between the eliminated state
+    and the (unnormalized) projection of the six-level state onto the levels
+    they share, and the population leaked into the upper level f_L.
 
-    Both evolutions use the exact spectral propagator, so the report isolates
-    the model difference rather than integration error.  Density matrices make
-    the comparison insensitive to any global phase.
+    Neither model leaves the L branch from there.  The six-level state stays
+    in {|gL,0,0>, |fL,0,0>, |eL,1,0>}, whose 3x3 block of ``full_hamiltonian``
+    is diagonalised once for the whole grid; the eliminated state is the
+    (alpha, beta) of ``decay_coefficients`` at kappa = 0.  Both are exact
+    exponentials, so the report isolates the model difference rather than
+    integration error.  For the eliminated pair a and the projected pair b,
+
+        D = sqrt((|a|^2 - |b|^2)^2 + 4 |a_0 b_1 - a_1 b_0|^2) / 2
+
+    is the trace distance of |a><a| and |b><b|, free of any global phase; the
+    Lagrange identity |a|^2 |b|^2 - |<a|b>|^2 = |a_0 b_1 - a_1 b_0|^2 gives it
+    without cancellation.  The leakage |<fL,0,0|psi>|^2 equals 1 - |b|^2, and
+    is read off directly so it is never negative.
+
+    ``t_grid`` is a non-empty one-dimensional grid of finite, non-negative
+    times; anything else raises ValueError.
     """
-    h_full = full_hamiltonian(params)
-    h_eff = effective_hamiltonian(params)
-    embed = effective_embedding(params.n_max)
+    times = np.asarray(t_grid, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"t_grid must be a non-empty one-dimensional grid of times, got shape {times.shape}")
+    times = _times(times)
+    space = full_space(params.n_max)
+    branch = [space.basis_index(FULL_LEVELS.index(level), photons, 0)
+              for level, photons in (("gL", 0), ("fL", 0), ("eL", 1))]
+    energies, vectors = np.linalg.eigh(full_hamiltonian(params).elements[np.ix_(branch, branch)])
+    b0, upper, b1 = ((np.exp(-1j * np.outer(times, energies)) * vectors[0].conj()) @ vectors.T).T
+    eliminated = decay_coefficients(replace(params, kappa=0.0), times)
+    a0, a1 = eliminated.alpha, eliminated.beta
 
-    e_full, v_full = np.linalg.eigh(h_full.elements)
-    e_eff, v_eff = np.linalg.eigh(h_eff.elements)
+    def population(z):
+        return z.real * z.real + z.imag * z.imag
 
-    # |g_L> tensor vacuum in both pictures (g_L is index 0 in both orderings).
-    psi0_full = np.zeros(h_full.space.total_dim, dtype=np.complex128)
-    psi0_full[0] = 1.0
-    psi0_eff = np.zeros(h_eff.space.total_dim, dtype=np.complex128)
-    psi0_eff[0] = 1.0
-
-    c_full = v_full.conj().T @ psi0_full
-    c_eff = v_eff.conj().T @ psi0_eff
-
-    eff_space = effective_space(params.n_max)
-    points = []
-    for t in t_grid:
-        psi_full = v_full @ (np.exp(-1j * e_full * t) * c_full)
-        psi_eff = v_eff @ (np.exp(-1j * e_eff * t) * c_eff)
-        projected = embed.conj().T @ psi_full
-        rho_proj = DensityMatrix(eff_space, np.outer(projected, projected.conj()), normalized=False)
-        rho_eff = DensityMatrix(eff_space, np.outer(psi_eff, psi_eff.conj()), normalized=False)
-        leak = 1.0 - float(np.vdot(projected, projected).real)
-        points.append(DeviationPoint(time=float(t),
-                                     distance=trace_distance(rho_eff, rho_proj),
-                                     leakage=leak))
-    return DeviationReport(tuple(points))
+    gap = population(a0) + population(a1) - population(b0) - population(b1)
+    distance = 0.5 * np.hypot(gap, 2.0 * np.abs(a0 * b1 - a1 * b0))
+    return DeviationReport(tuple(DeviationPoint(*point) for point in
+                                 zip(times.tolist(), distance.tolist(), population(upper).tolist())))

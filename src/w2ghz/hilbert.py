@@ -1,4 +1,7 @@
-"""Dense complex linear algebra over explicit tensor-product Hilbert spaces.
+"""Dense complex states, operators and density matrices over explicit
+tensor-product Hilbert spaces, one validation routine for stacks of density
+matrices, and the fidelity to a pure target.  No matrix function lives here:
+each time evolution is taken by the route that runs it (``dynamics``).
 
 States, operators and density matrices carry a :class:`HilbertSpace` that
 records the ordered subsystem factorisation.  Basis ordering is row-major
@@ -203,30 +206,3 @@ def fidelities(elements: NDArray[np.complex128], target: NDArray[np.complex128])
     if bad.size:
         raise ValueError(f"fidelity came out non-real: {complex(values[bad[0]])!r}")
     return values.real
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference, in [0, 1] for density matrices."""
-    _require_same_space(a.space, b.space)
-    eigs = np.linalg.eigvalsh(a.elements - b.elements)
-    return float(0.5 * np.sum(np.abs(eigs)))
-
-
-def propagator(h: Operator, t: float) -> Operator:
-    """Matrix exponential exp(-i·H·t).
-
-    Hermitian generators go through an eigendecomposition (exactly unitary up
-    to rounding); general generators use scaling-and-squaring.
-    """
-    if h.hermitian:
-        energies, vectors = np.linalg.eigh(h.elements)
-        u = (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
-    else:
-        # Imported here: scipy costs more to import than the rest of the
-        # package, and only non-Hermitian generators need it.
-        from scipy.linalg import expm
-
-        u = expm(-1j * t * h.elements)
-    if not np.all(np.isfinite(u)):
-        raise OverflowError("propagator overflowed; generator has strongly amplifying spectrum")
-    return Operator(h.space, u, hermitian=False)

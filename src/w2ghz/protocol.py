@@ -258,10 +258,16 @@ class ProtocolRun:
 
 def require_modelled(params: SystemParams) -> None:
     """Raise ValueError for params ``run_protocol`` does not model: a nonzero
-    ``gamma_a`` (it models cavity decay only)."""
+    ``gamma_a`` (it models cavity decay only), or a drive whose light shifts
+    lambda_c^2/Delta and Omega^2/Delta, or their sum, are past the float
+    range."""
     if params.gamma_a != 0.0:
         raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
                          f"gamma_a = 0, got {params.gamma_a}")
+    shift_e, shift_g = params.light_shifts
+    if not math.isfinite(shift_e + shift_g):
+        raise ValueError(f"fields 'lambda_c', 'omega' and 'delta': the light shifts lambda_c^2/delta = "
+                         f"{shift_e!r} and omega^2/delta = {shift_g!r} sum past the float range")
 
 
 def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,

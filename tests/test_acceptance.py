@@ -9,6 +9,14 @@ import time
 
 import numpy as np
 from staged_reference import lossless_coefficients
+from unit_reference import (
+    conditional_hamiltonian,
+    effective_hamiltonian,
+    effective_space,
+    lindblad_evolve,
+    propagator,
+    schrodinger_evolve,
+)
 
 from w2ghz.analysis import (
     SweepSpec,
@@ -18,22 +26,10 @@ from w2ghz.analysis import (
     pd_sweep,
     reference_noise_params,
 )
-from w2ghz.atom_cavity import (
-    EFFECTIVE_LEVELS,
-    SystemParams,
-    conditional_hamiltonian,
-    effective_hamiltonian,
-    effective_space,
-)
+from w2ghz.atom_cavity import EFFECTIVE_LEVELS, SystemParams
 from w2ghz.detection import enumerate_outcomes, success_probability_ideal
-from w2ghz.dynamics import (
-    IntegratorConfig,
-    compare_full_vs_effective,
-    decay_coefficients,
-    lindblad_evolve,
-    schrodinger_evolve,
-)
-from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, propagator
+from w2ghz.dynamics import IntegratorConfig, compare_full_vs_effective, decay_coefficients
+from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector
 from w2ghz.photonics import full_network
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, run_protocol
 

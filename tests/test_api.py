@@ -80,11 +80,21 @@ def test_all_names_resolve(name):
 
 
 def test_import_leaves_scipy_out():
-    # scipy is imported only where a non-Hermitian propagator needs it.
+    # scipy is a test dependency only: no module of the package imports it,
+    # at the top or inside a function.
     code = "import sys, w2ghz.cli; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={"PYTHONPATH": str(Path(w2ghz.__file__).parents[1])})
     assert out.stdout.strip() == "False"
+    for path in sorted(Path(w2ghz.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m.split(".")[0] == "scipy" for m in modules), f"{path.name}:{node.lineno}"
 
 
 def test_tolerances_are_unscaled():
@@ -92,16 +102,17 @@ def test_tolerances_are_unscaled():
 
 
 def test_staged_reference_is_independent():
-    # The test-side oracle must not reach the compiled route it checks.
-    path = Path(__file__).with_name("staged_reference.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # The test-side oracles must not reach the compiled routes they check.
     compiled = {"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
                 "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
-                "transfer_coefficients"}
-    assert not used & compiled
+                "transfer_coefficients", "compare_full_vs_effective"}
+    for name in ("staged_reference.py", "unit_reference.py"):
+        path = Path(__file__).with_name(name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not used & compiled, name
 
 
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)

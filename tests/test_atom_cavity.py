@@ -2,16 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from unit_reference import conditional_hamiltonian, effective_embedding, effective_hamiltonian, effective_space
 
 from w2ghz.atom_cavity import (
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
     SystemParams,
     collapse_operators,
-    conditional_hamiltonian,
-    effective_embedding,
-    effective_hamiltonian,
-    effective_space,
     full_hamiltonian,
     full_space,
 )
@@ -63,6 +60,23 @@ class TestSystemParams:
                          SystemParams(delta=1e300, lambda_c=1e-200, omega=0.0)):
             with pytest.raises(ValueError, match="lambda_c=.*omega="):
                 undriven.operating_time
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1.0, 1e100, 1e150])
+    def test_operating_time_is_scale_free(self, scale):
+        # Rates times s and times over s: the ratios come first, so no square
+        # leaves the float range on the way.
+        reference = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9)
+        scaled = SystemParams(delta=14.0 * scale, lambda_c=2.86 * scale, omega=2.9 * scale)
+        assert scaled.operating_time * scale == pytest.approx(reference.operating_time, rel=1e-15)
+        assert scaled.eta / scale == pytest.approx(reference.eta, rel=1e-15)
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(delta=20.0, lambda_c=1e200, omega=1e200),
+        SystemParams(delta=1e-310, lambda_c=1.0, omega=1.0),
+    ], ids=["huge-drive", "subnormal-detuning"])
+    def test_operating_time_past_float_range_is_value_error(self, params):
+        with pytest.raises(ValueError, match="lambda_c=.*omega="):
+            params.operating_time
 
     def test_json_roundtrip(self):
         doc = PARAMS.to_json_dict()

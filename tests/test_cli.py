@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from w2ghz import analysis, dynamics, hilbert
-from w2ghz.checks import check_network_reference_state, run_all_checks
+from w2ghz import analysis, checks, dynamics, hilbert
+from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from w2ghz.dynamics import EvolutionCoefficients
 from w2ghz.photonics import NetworkLayout
 
 CORRUPTED_LAYOUT = {"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}}
@@ -129,6 +130,32 @@ class TestIdealRun:
         doc = json.loads(capsys.readouterr().out)
         assert (doc["success_probability"], doc["reject_probability"], doc["patterns"]) == (0.0, 1.0, [])
 
+    @pytest.mark.parametrize("doc, fields", [
+        ({"lambda_c": 1e200, "omega": 1e200}, ("'lambda_c'", "'omega'", "'delta'")),
+        ({"lambda_c": 1e200, "omega": 1e200, "t": 1}, ("'lambda_c'", "'omega'", "'delta'")),
+        ({"delta": 1e-310}, ("'lambda_c'", "'omega'", "'delta'")),
+        ({"delta": 1, "lambda_c": 1.3e154, "omega": 1.3e154, "t": 1}, ("'lambda_c'", "'omega'", "'delta'")),
+    ], ids=["huge-drive", "huge-drive-at-t", "subnormal-detuning", "finite-shifts-infinite-sum"])
+    def test_light_shift_past_float_range_is_config_error(self, tmp_path, capsys, doc, fields):
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "past the float range" in captured.err
+        assert all(field in captured.err for field in fields)
+
+    @pytest.mark.parametrize("doc", [
+        {"delta": 1e300},
+        {"delta": 1e-160, "lambda_c": 5e-162, "omega": 5e-162},
+    ], ids=["far-detuned", "tiny-rates"])
+    def test_rates_at_the_float_range_edges_run(self, tmp_path, capsys, doc):
+        # Each rate is formed as a ratio first, so neither a square that
+        # underflows nor one that overflows moves the lossless answer.
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main(["ideal-run", "--config", cfg]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["success_probability"] == pytest.approx(0.75, abs=1e-12)
+        assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
+
     def test_internal_error_is_not_config_error(self, monkeypatch):
         # Only params outside the model are config errors; a failed check on
         # a computed state is a defect and must surface as such.
@@ -246,6 +273,30 @@ class TestSweepDecay:
             assert 0.0 < closed < 1e-20
             assert diff <= 1e-12 * closed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_ratio_gives_finite_cells(self, tmp_path, capsys):
+        # eta = 1e154 puts eta^6 past the float range; (eta/phi')^6 is not.
+        # The phase eta*t is then far past double resolution, so only the
+        # range of each cell is pinned.
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep-decay", "--eta-over-kappa", "1e154", "--grid-steps", "5",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [[float(cell) for cell in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 5
+        for _, _, closed, numeric, diff in rows:
+            assert 0.0 <= closed <= 1.0 and 0.0 <= numeric <= 1.0 and 0.0 <= diff <= 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ratio, sweep", [("1e308", {}), ("1e10", {"max": 1e300})])
+    def test_curve_past_float_range_is_config_error(self, tmp_path, capsys, ratio, sweep):
+        # eta*t past the float range leaves no finite P_d to print.
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": sweep})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", ratio, "--grid-steps", "3"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--eta-over-kappa" in captured.err and "P_d leaves the float range" in captured.err
+
 
 class TestFidelitySurface:
     def test_grid_output(self, tmp_path):
@@ -353,7 +404,7 @@ class TestChecksApi:
         results = run_all_checks()
         assert all(r.passed for r in results)
         assert [r.name for r in results] == [
-            "propagator-unitarity",
+            "transfer-norm",
             "povm-completeness",
             "network-reference-state",
             "decay-probability-identity",
@@ -364,6 +415,23 @@ class TestChecksApi:
         result = check_network_reference_state(layout=NetworkLayout.from_dict(CORRUPTED_LAYOUT))
         assert not result.passed
         assert result.name == "network-reference-state"
+
+    @pytest.mark.parametrize("corruption", ["beta-scaled", "decay-reversed"])
+    def test_corrupted_transfer_norm_detected(self, monkeypatch, corruption):
+        # beta scaled by 1.001 breaks the lossless norm; the decaying norm
+        # read backwards in time grows, while staying at most 1.
+        coefficients = checks.decay_coefficients
+
+        def corrupted(params, t):
+            if corruption == "beta-scaled":
+                c = coefficients(params, t)
+                return EvolutionCoefficients(c.alpha, 1.001 * c.beta)
+            return coefficients(params, t[::-1] if params.kappa > 0 else t)
+
+        monkeypatch.setattr(checks, "decay_coefficients", corrupted)
+        result = check_transfer_norm()
+        assert not result.passed
+        assert result.name == "transfer-norm"
 
 
 class TestConfigKeys:

@@ -3,6 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from staged_reference import lossless_coefficients, symmetric_decay_coefficients
+from unit_reference import (
+    conditional_hamiltonian,
+    effective_hamiltonian,
+    effective_space,
+    lindblad_evolve,
+    propagator,
+    schrodinger_evolve,
+    tensor_space_deviation,
+)
 
 import w2ghz.dynamics as dynamics
 from w2ghz.atom_cavity import (
@@ -10,9 +19,6 @@ from w2ghz.atom_cavity import (
     FULL_LEVELS,
     SystemParams,
     collapse_operators,
-    conditional_hamiltonian,
-    effective_hamiltonian,
-    effective_space,
     full_hamiltonian,
     full_space,
 )
@@ -20,11 +26,9 @@ from w2ghz.dynamics import (
     IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
-    lindblad_evolve,
     propagate_matrix,
-    schrodinger_evolve,
 )
-from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, propagator
+from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector
 
 SYMMETRIC = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 ASYMMETRIC = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9)
@@ -182,6 +186,22 @@ class TestDecayCoefficients:
             for t in (0.0, 1.0, np.array([0.0, 1.0, 1e5])):
                 c = decay_coefficients(params, t)
                 assert np.all(c.alpha == 1.0) and np.all(c.beta == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e100, 1e150])
+    @pytest.mark.parametrize("params", [
+        SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.3),
+        SystemParams(delta=20.0, lambda_c=1.0, omega=1.0),
+        SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, kappa=0.5),
+    ], ids=["reference", "symmetric", "asymmetric-overdamped"])
+    def test_scale_free(self, params, scale):
+        # Every rate times s and every time over s leaves the amplitudes
+        # unchanged; the rates are formed as ratios before any square.
+        scaled = SystemParams(delta=params.delta * scale, lambda_c=params.lambda_c * scale,
+                              omega=params.omega * scale, kappa=params.kappa * scale)
+        times = np.linspace(0.0, 3.0, 31) * params.operating_time
+        expected, got = decay_coefficients(params, times), decay_coefficients(scaled, times / scale)
+        for a, b in ((got.alpha, expected.alpha), (got.beta, expected.beta)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
     def test_weight_never_exceeds_one(self):
         for t in np.linspace(0.0, 30.0, 50):
@@ -413,3 +433,65 @@ class TestCompareFullVsEffective:
         report = compare_full_vs_effective(params, self.one_period_grid(params))
         assert 0.0 <= report.max_leakage < 0.05
         assert report.points[0].distance < 1e-12
+
+    @pytest.mark.parametrize("params", [
+        SYMMETRIC,
+        ASYMMETRIC,
+        SystemParams(delta=14.0, lambda_c=2.86, omega=2.9),
+        SystemParams(delta=2.0, lambda_c=1.0, omega=0.6),
+        SystemParams(delta=20.0, lambda_c=0.0, omega=1.0),
+        SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, kappa=0.2),
+    ], ids=["symmetric", "asymmetric", "reference", "near-resonant", "no-cavity", "kappa-ignored"])
+    def test_matches_tensor_space_oracle(self, params):
+        grid = self.one_period_grid(params) if params.lambda_c else np.linspace(0.0, 20.0, 40)
+        self.assert_matches_oracle(compare_full_vs_effective(params, grid), tensor_space_deviation(params, grid))
+
+    @staticmethod
+    def assert_matches_oracle(report, oracle):
+        assert len(report.points) == len(oracle.points)
+        for got, expected in zip(report.points, oracle.points):
+            assert got.time == expected.time
+            assert abs(got.distance - expected.distance) <= 1e-12
+            assert abs(got.leakage - expected.leakage) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(detuning=st.floats(2.0, 200.0), lambda_c=st.floats(0.1, 3.0), omega=st.floats(0.1, 3.0),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12))
+    def test_random_drives_match_tensor_space_oracle(self, detuning, lambda_c, omega, fractions):
+        # A double-precision diagonalisation of the six-level block leaves a
+        # phase error of order 1e-16 r t, with r = Delta + lambda_c + Omega
+        # bounding its spectrum: measured against a 40-digit reference, both
+        # routes stray about 1e-12 at r t ~ 1e4, and agree with each other no
+        # better.  The grid stops at r t = 2000.
+        params = SystemParams(delta=detuning * lambda_c, lambda_c=lambda_c, omega=omega)
+        horizon = 2000.0 / (params.delta + params.lambda_c + params.omega)
+        grid = [0.0, *(horizon * f for f in fractions)]
+        report = compare_full_vs_effective(params, grid)
+        self.assert_matches_oracle(report, tensor_space_deviation(params, grid))
+        # Both are physical distances and populations, up to rounding.
+        for point in report.points:
+            assert 0.0 <= point.distance <= 1.0 + 1e-12
+            assert 0.0 <= point.leakage <= 1.0 + 1e-12
+        assert report.points[0].distance <= 1e-12
+
+    def test_same_report_at_any_fock_cutoff(self):
+        # From |gL, vacuum> no second photon is ever made, so the cutoff
+        # changes only where the branch block sits in the full space.
+        reports = []
+        for n_max in (1, 2, 3):
+            params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, n_max=n_max)
+            grid = self.one_period_grid(params)
+            reports.append(compare_full_vs_effective(params, grid))
+            self.assert_matches_oracle(reports[-1], tensor_space_deviation(params, grid))
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_bad_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="t must be a finite non-negative time"):
+            compare_full_vs_effective(SYMMETRIC, [0.0, 1.0, bad])
+
+    @pytest.mark.parametrize("grid", [[], np.empty(0), np.zeros((2, 2))], ids=["list", "array", "matrix"])
+    def test_grid_must_be_non_empty_and_flat(self, grid):
+        with pytest.raises(ValueError, match="t_grid must be a non-empty one-dimensional grid"):
+            compare_full_vs_effective(SYMMETRIC, grid)
+

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unit_reference import propagator, trace_distance
 
 from w2ghz.hilbert import (
     DensityMatrix,
@@ -10,8 +11,6 @@ from w2ghz.hilbert import (
     StateVector,
     density_stack,
     fidelity,
-    propagator,
-    trace_distance,
     validate_density_stack,
 )
 
