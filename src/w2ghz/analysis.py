@@ -12,21 +12,22 @@ checked point by point.  Both routes take an array of times, so a sweep
 evaluates each once on its whole grid; a scalar time still gives a float.
 
 Fidelity under the full noise model comes from one master-equation run of a
-single atom-cavity unit (24-dimensional at the default Fock cutoff), which
-propagates the ground-qubit operator basis |gL><gL|, |gR><gR|, |gL><gR|
-tensor vacuum as one stacked array.  The three-subsystem figure is
-under-specified by a single number, so two documented estimators are
-reported, both fields of ``master_equation_estimates``:
+single atom-cavity unit, which propagates the ground-qubit operator basis
+|gL><gL|, |gR><gR|, |gL><gR| tensor vacuum as one stacked array.  Both
+estimators read only its emitted-photon block M = [[P_L, C], [conj(C), P_R]]:
+the populations left in |eL,1,0> and |eR,0,1> and their coherence.  The
+three-subsystem figure is under-specified by a single number, so two
+documented estimators are reported, both fields of
+``master_equation_estimates``:
 
 * ``product_fidelity`` (estimator a): the Uhlmann fidelity of the three-fold
   product of subsystem outputs against the product of ideal targets, i.e.
-  sqrt(<psi|rho_1|psi>) cubed, where rho_1 is the output for the
-  (gL + gR)/sqrt2 input.  This counts photon loss and spontaneous decay
+  sqrt(sum(M)/4) cubed.  This counts photon loss and spontaneous decay
   against the fidelity, and is the estimator matching the headline values.
-* ``network_fidelity`` (estimator b): the noisy single-unit channel applied
-  to every atom of the protocol's own per-pattern conditional state (the
-  lossless network of the given layout with perfect detectors), averaged
-  over accepted patterns.  It follows the layout like ``run_protocol`` does.
+* ``network_fidelity`` (estimator b): the protocol's own per-pattern
+  conditional states (the lossless network of the given layout with perfect
+  detectors) multiplied element-wise by M x M x M, averaged over accepted
+  patterns.  It follows the layout like ``run_protocol`` does.
   Post-selection filters loss, so this estimator is systematically higher.
 """
 
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom_cavity import (
-    EMITTED_LEVELS,
     FULL_LEVELS,
     SystemParams,
     collapse_operators,
@@ -50,6 +50,7 @@ from .dynamics import (
     EvolutionCoefficients,
     IntegratorConfig,
     _binade,
+    _require_resolved,
     _split,
     _times,
     decay_coefficients,
@@ -128,7 +129,9 @@ def pd_closed_form(params: SystemParams, t):
     ``t`` is a finite non-negative time or an array of them: a scalar gives
     a float, an array a float array of its shape.  The damping branch
     follows from the params; the critical window is chosen per time.  Off
-    the symmetric drive lambda_c = Omega it raises ValueError.
+    the symmetric drive lambda_c = Omega it raises ValueError, and so does a
+    time whose fast phase is past double resolution, as in
+    ``decay_coefficients``.
     """
     if not math.isclose(params.lambda_c, params.omega, rel_tol=1e-12, abs_tol=0.0):
         raise ValueError("closed-form P_d and its sweeps require lambda_c == omega "
@@ -143,6 +146,7 @@ def pd_closed_form(params: SystemParams, t):
     phi_sq = kappa_m * kappa_m - 4.0 * eta_m * eta_m
     phi = math.sqrt(abs(phi_sq))
     ts = _times(t)
+    _require_resolved(kappa + 2.0 * eta, ts)
 
     def critical(t):
         # Critically damped neighbourhood: sinh(x)/x -> 1 + x^2/6.
@@ -157,10 +161,13 @@ def pd_closed_form(params: SystemParams, t):
     else:
         # 2 sinh(phi t/2) = e^{phi t/2} (1 - e^{-phi t}): the growth is folded
         # into the decay envelope, which wins since phi < kappa, so nothing
-        # overflows at large kappa*t.
+        # overflows at large kappa*t.  Its rate phi - kappa is taken as
+        # -4 eta^2/(phi + kappa), which does not cancel where eta << kappa.
+        decay = 4.0 * eta_m * eta_m / (phi + kappa_m)
+
         def damped(t):
             return (0.75 * eta_m**6 * _sixth_power(-np.expm1(-phi * (m * t)))
-                    * np.exp(3.0 * (phi - kappa_m) * (m * t)) / phi**6)
+                    * np.exp(-3.0 * decay * (m * t)) / phi**6)
 
     p_d = _split(abs(phi_sq) * (m * ts) * (m * ts) / 4.0 < 1e-12, critical, damped, ts)
     return float(p_d) if isinstance(ts, float) else p_d
@@ -242,15 +249,20 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
                               layout: NetworkLayout = DEFAULT_LAYOUT) -> FidelityEstimates:
     """Run the single-unit master equation and form both fidelity estimators.
 
-    Both estimators need the action of the noisy channel on the ground-qubit
-    operator basis, obtained by propagating |gL><gL|, |gR><gR| and the
-    coherence |gL><gR| together in one stacked call (the generator is
-    linear, so the non-Hermitian initial matrix is legitimate).  Estimator a
-    takes the output of the (gL + gR)/sqrt2 input from them by linearity.
-    For estimator b, the emitted one-photon blocks of those outputs form the
-    noisy unit channel, which is applied to every atom of the lossless
-    protocol's own conditional state for each accepted pattern, as produced
-    by ``heralded_states`` on ``layout`` with perfect detectors.
+    |gL><gL|, |gR><gR| and the coherence |gL><gR| are propagated together in
+    one stacked call (the generator is linear, so the non-Hermitian initial
+    matrix is legitimate).  From |g_j, 0> the one-photon-j sector holds only
+    |e_j, 1_j>, and the coherence takes no jump term, so both estimators read
+    the noisy unit as one 2x2 block over the emitted levels (eL, eR):
+    M = [[P_L, C], [conj(C), P_R]] with P_L = <eL,1,0|m_LL|eL,1,0>,
+    P_R = <eR,0,1|m_RR|eR,0,1> and C = <eL,1,0|m_LR|eR,0,1>.
+
+    Estimator a is sqrt(sum(M)/4), sum(M)/4 being the overlap of the
+    (gL + gR)/sqrt2 input's output with (|eL,1,0> + |eR,0,1>)/sqrt2.  For
+    estimator b each atom's |e_p><e_q| becomes M[p, q] |e_p><e_q|, so the
+    noisy state of accepted pattern k is the Schur product p_k rho_k * M^(x3)
+    with the lossless protocol's conditional state rho_k, as
+    ``heralded_states`` gives it on ``layout`` with perfect detectors.
     """
     if t is None:
         t = params.operating_time
@@ -270,41 +282,16 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
         if drift > 1e-8:
             raise RuntimeError(f"master-equation trace drift {drift:.3e} on the {label} run; reduce dt")
 
-    # Subsystem output for the (gL+gR)/sqrt2 input, by linearity.
-    rho_plus = 0.5 * (m_ll + m_rr + m_lr + m_lr.conj().T)
-    target = np.zeros(dim, dtype=np.complex128)
-    target[ix["eL1"]] = target[ix["eR1"]] = 1.0 / math.sqrt(2.0)
-    f_sub = math.sqrt(max(float(np.real(np.vdot(target, rho_plus @ target))), 0.0))
+    el, er = ix["eL1"], ix["eR1"]
+    block = np.array([[m_ll[el, el], m_lr[el, er]], [np.conj(m_lr[el, er]), m_rr[er, er]]])
+    f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
-    # The unit channel on the emitted-photon sector: channel[p, q] is the 6x6
-    # atomic block that |g_p><g_q| leaves behind with one photon in mode p on
-    # the left and mode q on the right (index 0 = L, 1 = R, as in
-    # EMITTED_LEVELS).
-    n_atom = len(FULL_LEVELS)
-    sel = ([space.basis_index(k, 1, 0) for k in range(n_atom)],
-           [space.basis_index(k, 0, 1) for k in range(n_atom)])
-    channel = np.empty((2, 2, n_atom, n_atom), dtype=np.complex128)
-    channel[0, 0] = m_ll[np.ix_(sel[0], sel[0])]
-    channel[1, 1] = m_rr[np.ix_(sel[1], sel[1])]
-    channel[0, 1] = m_lr[np.ix_(sel[0], sel[1])]
-    channel[1, 0] = channel[0, 1].conj().T
-
-    # The lossless protocol's per-pattern conditional states over the emitted
-    # levels.  The noisy channel replaces each atom's |e_p><e_q| by its block.
-    # The GHZ targets live on the emitted levels, so only each block's emitted
-    # 2x2 corner enters the fidelity; the output's trace takes block traces.
     report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
     patterns = list(report.conditional_states)
     weights = np.array([report.probability(pattern) for pattern in patterns])
-    ideal = (weights[:, None, None] * conditional).reshape((len(patterns),) + (2,) * 6)
-    emitted = [FULL_LEVELS.index(level) for level in EMITTED_LEVELS]
-    corner = channel[:, :, emitted][:, :, :, emitted]
-    traces = np.trace(channel, axis1=2, axis2=3)
-    noisy = np.einsum("pABCabc,AaIi,BbJj,CcKk->pIJKijk", ideal, corner, corner, corner,
-                      optimize=True).reshape(len(patterns), 8, 8)
-    probabilities = np.einsum("pABCabc,Aa,Bb,Cc->p", ideal, traces, traces, traces).real
+    noisy = weights[:, None, None] * conditional * np.kron(np.kron(block, block), block)
     _, fids = _corrected_fidelities(noisy, [classify_pattern(pattern) for pattern in patterns])
-    probability_acc = float(probabilities.sum())
+    probability_acc = float(np.trace(noisy, axis1=1, axis2=2).real.sum())
     network_fidelity = float(fids.sum()) / probability_acc if probability_acc > 0 else 0.0
     return FidelityEstimates(
         subsystem_fidelity=f_sub,
@@ -322,28 +309,25 @@ class SurfacePoint:
     estimator_b: float
 
 
+def _surface_points(params_list, cfg: IntegratorConfig | None) -> list[SurfacePoint]:
+    """Both estimators at each of ``params_list``, in order."""
+    points = []
+    for params in params_list:
+        est = master_equation_estimates(params, cfg=cfg)
+        points.append(SurfacePoint(params.kappa, params.gamma_a, est.product_fidelity, est.network_fidelity))
+    return points
+
+
 def fidelity_surface(kappa_values, gamma_a_values,
                      cfg: IntegratorConfig | None = None) -> list[SurfacePoint]:
     """Evaluate both fidelity estimators over a (kappa, gamma_a) grid at the
     fixed reference drive (Omega = 2.9, Delta = 14, lambda_c = 2.86)."""
-    points = []
-    for kappa in kappa_values:
-        for gamma_a in gamma_a_values:
-            params = SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C,
-                                  omega=REFERENCE_OMEGA, kappa=float(kappa), gamma_a=float(gamma_a))
-            est = master_equation_estimates(params, cfg=cfg)
-            points.append(SurfacePoint(float(kappa), float(gamma_a),
-                                       est.product_fidelity, est.network_fidelity))
-    return points
+    return _surface_points([SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C, omega=REFERENCE_OMEGA,
+                                         kappa=float(kappa), gamma_a=float(gamma_a))
+                            for kappa in kappa_values for gamma_a in gamma_a_values], cfg)
 
 
 def fidelity_curve_vs_coupling_ratio(ratios, cfg: IntegratorConfig | None = None) -> list[SurfacePoint]:
     """Both estimators along a lambda_c/gamma_a axis (the alternative axis
     convention for the noise analysis)."""
-    points = []
-    for ratio in ratios:
-        params = reference_noise_params(float(ratio))
-        est = master_equation_estimates(params, cfg=cfg)
-        points.append(SurfacePoint(params.kappa, params.gamma_a,
-                                   est.product_fidelity, est.network_fidelity))
-    return points
+    return _surface_points([reference_noise_params(float(ratio)) for ratio in ratios], cfg)

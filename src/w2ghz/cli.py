@@ -10,8 +10,8 @@ Subcommands::
 Configs are JSON objects (rates in multiples of the reference rate gamma,
 times in 1/gamma) holding only keys their command reads:
 
-    ideal-run         the SystemParams fields, "t" (default: the operating
-                      time), "layout" (routing map), "out"
+    ideal-run         the SystemParams fields but "n_max", "t" (default: the
+                      operating time), "layout" (routing map), "out"
     sweep-decay       "sweep" ({"min", "max", "steps"} over kappa*t), "out"
     fidelity-surface  "dt" (RK4 step), "out"
     validate          "layout"; other keys go to the params-invariants check
@@ -57,7 +57,7 @@ _PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
 # The config keys each command reads.  ``validate`` hands every other key,
 # unparsed, to its params-invariants check; the other commands reject them.
 _COMMAND_KEYS = {
-    "ideal-run": _PARAMS_KEYS | {"t", "layout", "out"},
+    "ideal-run": (_PARAMS_KEYS - {"n_max"}) | {"t", "layout", "out"},
     "sweep-decay": frozenset({"sweep", "out"}),
     "fidelity-surface": frozenset({"dt", "out"}),
     "validate": frozenset({"layout"}),
@@ -136,8 +136,8 @@ def cmd_ideal_run(args) -> int:
     try:
         params = SystemParams.from_json_dict(
             {**_DEFAULT_PARAMS_DOC, **{k: v for k, v in data.items() if k in _PARAMS_KEYS}})
-        require_modelled(params)
-        t = _number(data["t"], "field 't'") if "t" in data else params.operating_time
+        t = _number(data["t"], "field 't'") if "t" in data else None
+        require_modelled(params, t)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
     layout = _parse_layout(data)
@@ -203,9 +203,10 @@ def cmd_fidelity_surface(args) -> int:
     if steps > _MAX_SURFACE_STEPS:
         raise ConfigError(f"config error: --grid-steps: steps must be at most {_MAX_SURFACE_STEPS}, got {steps}")
 
-    # The drive and grid are fixed, so the step size is the only input that
-    # can make propagation fail: past RK4's stability limit (ValueError) or
-    # through trace drift (RuntimeError).
+    # The drive and grid are fixed, so a given step size is the only input
+    # that can make propagation fail: past RK4's stability limit
+    # (ValueError) or through trace drift (RuntimeError).  Without one, such
+    # a failure is a defect and surfaces as itself.
     try:
         if args.axis_convention == "a":
             # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
@@ -217,6 +218,8 @@ def cmd_fidelity_surface(args) -> int:
             ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
             points = fidelity_curve_vs_coupling_ratio(ratios, cfg=cfg)
     except (ValueError, RuntimeError) as exc:
+        if cfg is None:
+            raise
         raise ConfigError(f"config error: field 'dt': {exc}") from exc
 
     lines = ["kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"]

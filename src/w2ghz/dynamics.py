@@ -112,6 +112,28 @@ def _times(t):
     return float(t)
 
 
+# Largest fast phase (kappa + S) t the closed forms accept, S being the
+# light-shift sum (lambda_c^2 + Omega^2)/Delta.  Every exponent they take at
+# time t is at most that in size: the Stark and Raman phases S t, and s t
+# with |s| <= kappa/2 + S.  Each is a rounded product of rates that carry a
+# few roundings of their own, so its absolute error is a few times
+# 2^-53 (kappa + S) t; past 2^50 rad that reaches half a radian, and the
+# sines and exponentials of the phase carry no information.
+_MAX_PHASE = 2.0**50
+
+
+def _require_resolved(rate: float, t) -> None:
+    """Raise ValueError when the fast phase rate * t, at the latest of the
+    checked times ``t``, is finite but past _MAX_PHASE.  A phase past the
+    float range is a range failure, not a resolution one: it leaves a
+    non-finite result, which the callers refuse as such."""
+    t_max = t if isinstance(t, float) else float(t.max())
+    phase = rate * t_max
+    if _MAX_PHASE < phase < math.inf:
+        raise ValueError(f"t = {t_max!r} puts the fast phase (kappa + light shifts) * t = {phase:.3g} rad "
+                         f"past double resolution (2^50 rad)")
+
+
 def _complex_expm1(z: complex) -> complex:
     """e^z - 1 without cancellation for small |z|, rounded as numpy's
     complex expm1 rounds: Re = expm1(x) cos(y) - 2 sin^2(y/2), Im = e^x sin(y)."""
@@ -154,16 +176,22 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     lossless transfer.
 
     ``t`` is a time or an array of times: a scalar gives complex alpha and
-    beta, an array complex arrays of its shape.
+    beta, an array complex arrays of its shape.  A time whose fast phase
+    (kappa + S) t is past double resolution raises ValueError naming it.
     """
     ts = _times(t)
     stark_e, stark_g = params.light_shifts
+    _require_resolved(params.kappa + stark_e + stark_g, ts)
     g = (params.lambda_c / params.delta) * params.omega
     two_d = complex(params.kappa, stark_g - stark_e)
     m = _binade(max(abs(two_d.real), abs(two_d.imag), g))
     u, v = two_d / m, 2.0 * g / m
     s = cmath.sqrt(u * u - v * v) * (m / 2.0)
     rate = complex(-params.kappa, stark_e + stark_g) / 2.0 + s
+    # The block is dissipative, so Re(mu + s) <= 0.  Where g << kappa,
+    # -kappa/2 + Re s cancels to a rounding error of either sign, and a
+    # positive one would grow the no-jump norm by about 2^-52 kappa t.
+    rate = complex(min(rate.real, 0.0), rate.imag)
     if isinstance(ts, float):
         exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
     else:

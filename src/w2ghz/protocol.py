@@ -34,7 +34,7 @@ from .detection import (
     classify_pattern,
     detect_amplitudes,
 )
-from .dynamics import EvolutionCoefficients, decay_coefficients
+from .dynamics import EvolutionCoefficients, _require_resolved, _require_time, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
@@ -256,11 +256,13 @@ class ProtocolRun:
         }
 
 
-def require_modelled(params: SystemParams) -> None:
+def require_modelled(params: SystemParams, t: float | None = None) -> None:
     """Raise ValueError for params ``run_protocol`` does not model: a nonzero
-    ``gamma_a`` (it models cavity decay only), or a drive whose light shifts
+    ``gamma_a`` (it models cavity decay only), a drive whose light shifts
     lambda_c^2/Delta and Omega^2/Delta, or their sum, are past the float
-    range."""
+    range, or an interaction time t (default: the operating time) at which
+    the fast phase of ``decay_coefficients`` is past the float range or
+    double resolution."""
     if params.gamma_a != 0.0:
         raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
                          f"gamma_a = 0, got {params.gamma_a}")
@@ -268,6 +270,12 @@ def require_modelled(params: SystemParams) -> None:
     if not math.isfinite(shift_e + shift_g):
         raise ValueError(f"fields 'lambda_c', 'omega' and 'delta': the light shifts lambda_c^2/delta = "
                          f"{shift_e!r} and omega^2/delta = {shift_g!r} sum past the float range")
+    t = params.operating_time if t is None else t
+    _require_time(t)
+    rate = params.kappa + shift_e + shift_g
+    if rate * t == math.inf:
+        raise ValueError(f"t = {t!r} puts the fast phase (kappa + light shifts) * t past the float range")
+    _require_resolved(rate, t)
 
 
 def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
@@ -280,7 +288,7 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
     never reaches the detectors.  Spontaneous decay is not part of this
     model; ``require_modelled`` rejects the params it does not cover.
     """
-    require_modelled(params)
+    require_modelled(params, t)
     if t is None:
         t = params.operating_time
     # Incomplete transfer (decay, or an off-operating interaction time) leaves

@@ -27,6 +27,23 @@ from w2ghz.protocol import heralded_states, run_protocol
 # largest rate is the detuning, 14).
 FAST = IntegratorConfig(dt=4e-3)
 ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
+# Off the reference drive: a two-photon cutoff with an asymmetric drive, and
+# an overdamped cavity (kappa > 2 lambda_c^2/Delta).
+N_MAX_2 = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=2)
+OVERDAMPED = SystemParams(delta=3.0, lambda_c=1.0, omega=1.0, kappa=1.5, gamma_a=0.05)
+
+
+def record_propagation(monkeypatch):
+    """The list every propagate_matrix output of master_equation_estimates
+    is appended to."""
+    outputs = []
+
+    def recording(h, collapse, m0, t, cfg=None):
+        outputs.append(propagate_matrix(h, collapse, m0, t, cfg))
+        return outputs[-1]
+
+    monkeypatch.setattr(analysis, "propagate_matrix", recording)
+    return outputs
 
 
 class TestClosedFormCurve:
@@ -205,6 +222,43 @@ class TestGridRoute:
                 SweepSpec("kappa_t", 0.0, 1.0, steps, params)
 
 
+class TestRateScaling:
+    # Rates are in units of an arbitrary gamma: every rate times s and every
+    # time over s must leave each dimensionless output unchanged, over the
+    # whole range the arithmetic is meant to cover.
+    @given(exponent=st.floats(min_value=-150.0, max_value=150.0),
+           delta=st.floats(min_value=1.0, max_value=50.0),
+           lambda_c=st.floats(min_value=0.1, max_value=3.0),
+           omega=st.floats(min_value=0.1, max_value=3.0),
+           kappa=st.floats(min_value=0.0, max_value=0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_invariant_under_rate_scaling(self, exponent, delta, lambda_c, omega, kappa):
+        s = 10.0**exponent
+
+        def scaled(params):
+            return SystemParams(delta=params.delta * s, lambda_c=params.lambda_c * s,
+                                omega=params.omega * s, kappa=params.kappa * s)
+
+        def assert_close(got, expected):
+            got, expected = np.asarray(got), np.asarray(expected)
+            assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        times = np.linspace(0.0, 3.0, 31) * params.operating_time
+        expected, got = decay_coefficients(params, times), decay_coefficients(scaled(params), times / s)
+        assert_close(got.alpha, expected.alpha)
+        assert_close(got.beta, expected.beta)
+
+        symmetric = SystemParams(delta=delta, lambda_c=lambda_c, omega=lambda_c, kappa=kappa)
+        times = np.linspace(0.0, 3.0, 31) * symmetric.operating_time
+        assert_close(pd_closed_form(scaled(symmetric), times / s), pd_closed_form(symmetric, times))
+
+        expected, got = run_protocol(params), run_protocol(scaled(params))
+        assert got.time == pytest.approx(expected.time / s, rel=1e-14)
+        assert got.success_probability == pytest.approx(expected.success_probability, rel=1e-12)
+        assert got.fidelity == pytest.approx(expected.fidelity, rel=1e-12)
+
+
 class TestReferenceParams:
     def test_experimental_convention_pins_cavity(self):
         p250 = reference_noise_params(250.0)
@@ -293,8 +347,13 @@ class TestMasterEquationFidelity:
         est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3), layout=layout)
         assert est.network_fidelity == pytest.approx(run_protocol(params, layout).fidelity, abs=1e-3)
 
-    @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT], ids=["default", "aligned"])
-    def test_network_estimator_matches_six_level_loop(self, monkeypatch, layout):
+    @pytest.mark.parametrize("params, layout", [
+        (reference_noise_params(50.0), DEFAULT_LAYOUT),
+        (reference_noise_params(50.0), ALIGNED_LAYOUT),
+        (N_MAX_2, DEFAULT_LAYOUT),
+        (OVERDAMPED, DEFAULT_LAYOUT),
+    ], ids=["default", "aligned", "n_max-2", "overdamped"])
+    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout):
         # Reference: each pattern's noisy state over all six levels of every
         # atom, scored against the GHZ target of its class lifted into them.
         outputs = []
@@ -304,7 +363,6 @@ class TestMasterEquationFidelity:
             return outputs[-1]
 
         monkeypatch.setattr(analysis, "propagate_matrix", recording)
-        params = reference_noise_params(50.0)
         est = master_equation_estimates(params, cfg=FAST, layout=layout)
         m_ll, m_rr, m_lr = outputs[0]
         space, n = full_space(params.n_max), len(FULL_LEVELS)
@@ -330,6 +388,43 @@ class TestMasterEquationFidelity:
             probability_acc += np.trace(rho).real
         assert est.accepted_probability == pytest.approx(probability_acc, abs=1e-14)
         assert est.network_fidelity == pytest.approx(fidelity_acc / probability_acc, abs=1e-14)
+
+    @pytest.mark.parametrize("params", [reference_noise_params(250.0), N_MAX_2, OVERDAMPED],
+                             ids=["reference", "n_max-2", "overdamped"])
+    def test_subsystem_fidelity_matches_projected_output(self, monkeypatch, params):
+        # Oracle: <t|rho_+|t> on the whole unit space, rho_+ the output of the
+        # (gL + gR)/sqrt2 input by linearity, t = (|eL,1,0> + |eR,0,1>)/sqrt2.
+        outputs = record_propagation(monkeypatch)
+        est = master_equation_estimates(params, cfg=FAST)
+        m_ll, m_rr, m_lr = outputs[0]
+        space = full_space(params.n_max)
+        rho_plus = 0.5 * (m_ll + m_rr + m_lr + m_lr.conj().T)
+        target = np.zeros(space.total_dim, dtype=np.complex128)
+        target[space.basis_index(FULL_LEVELS.index("eL"), 1, 0)] = 1.0 / np.sqrt(2.0)
+        target[space.basis_index(FULL_LEVELS.index("eR"), 0, 1)] = 1.0 / np.sqrt(2.0)
+        overlap = np.vdot(target, rho_plus @ target).real
+        assert est.subsystem_fidelity == pytest.approx(np.sqrt(max(overlap, 0.0)), abs=1e-15)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_one_photon_sectors_hold_only_the_emitted_block(self, monkeypatch, n_max):
+        # The estimators read three numbers of the one-photon sectors: P_L,
+        # P_R and C.  Every other entry of the three 6x6 blocks the unit
+        # leaves there must be an exact zero, for an asymmetric drive with
+        # both decays on; a model change that couples the branches breaks it.
+        outputs = record_propagation(monkeypatch)
+        params = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=n_max)
+        master_equation_estimates(params, t=1.5, cfg=IntegratorConfig(dt=1e-2))
+        m_ll, m_rr, m_lr = outputs[0]
+        space, n = full_space(n_max), len(FULL_LEVELS)
+        left = [space.basis_index(k, 1, 0) for k in range(n)]
+        right = [space.basis_index(k, 0, 1) for k in range(n)]
+        e_l, e_r = FULL_LEVELS.index("eL"), FULL_LEVELS.index("eR")
+        for m, rows, cols, (i, j) in ((m_ll, left, left, (e_l, e_l)), (m_rr, right, right, (e_r, e_r)),
+                                      (m_lr, left, right, (e_l, e_r))):
+            block = m[np.ix_(rows, cols)].copy()
+            assert abs(block[i, j]) > 1e-3
+            block[i, j] = 0.0
+            assert np.count_nonzero(block) == 0
 
     @pytest.mark.parametrize("ratio, fidelity, probability", [
         (250.0, 0.999372830951915, 0.6363528423237638),

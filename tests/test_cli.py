@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from w2ghz import analysis, checks, dynamics, hilbert
+from w2ghz import analysis, checks, cli, dynamics, hilbert
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
@@ -156,6 +156,36 @@ class TestIdealRun:
         assert report["success_probability"] == pytest.approx(0.75, abs=1e-12)
         assert report["fidelity"] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"t": 1e308}, "t = 1e+308 puts the fast phase"),
+        ({"kappa": 1e10, "t": 1e8}, "t = 100000000.0 puts the fast phase"),
+        ({"kappa": 1e20}, "t = 31.41592653589793 puts the fast phase"),
+    ], ids=["huge-time", "overdamped-time", "overdamped-operating-time"])
+    def test_phase_past_resolution_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
+        ran = []
+        monkeypatch.setattr(cli, "run_protocol", lambda *args, **kwargs: ran.append(args))
+        cfg = write_json(tmp_path, "cfg.json", doc)
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert message in captured.err and "past double resolution" in captured.err
+
+    def test_phase_past_float_range_is_config_error(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cfg.json", {"delta": 0.5, "t": 1.7e308})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "t = 1.7e+308" in captured.err and "past the float range" in captured.err
+
+    def test_fock_cutoff_is_not_read(self, tmp_path, capsys):
+        # run_protocol never reads n_max, so ideal-run refuses it like any
+        # other unread key; the report still echoes the default cutoff.
+        cfg = write_json(tmp_path, "cfg.json", {"n_max": 7})
+        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "['n_max']" in captured.err
+        assert main(["ideal-run"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["params"]["n_max"] == 1
+
     def test_internal_error_is_not_config_error(self, monkeypatch):
         # Only params outside the model are config errors; a failed check on
         # a computed state is a defect and must surface as such.
@@ -274,18 +304,14 @@ class TestSweepDecay:
             assert diff <= 1e-12 * closed
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_huge_ratio_gives_finite_cells(self, tmp_path, capsys):
-        # eta = 1e154 puts eta^6 past the float range; (eta/phi')^6 is not.
-        # The phase eta*t is then far past double resolution, so only the
-        # range of each cell is pinned.
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep-decay", "--eta-over-kappa", "1e154", "--grid-steps", "5",
-                     "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        rows = [[float(cell) for cell in line.split(",")] for line in out.read_text().splitlines()[1:]]
-        assert len(rows) == 5
-        for _, _, closed, numeric, diff in rows:
-            assert 0.0 <= closed <= 1.0 and 0.0 <= numeric <= 1.0 and 0.0 <= diff <= 1.0
+    def test_huge_ratio_gives_finite_cells(self, capsys):
+        # eta = 1e154 puts the phase eta*t far past double resolution, where
+        # the cells would be finite but carry no information, so the curve
+        # is refused instead.
+        assert main(["sweep-decay", "--eta-over-kappa", "1e154", "--grid-steps", "5"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--eta-over-kappa 1e+154" in captured.err and "past double resolution" in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("ratio, sweep", [("1e308", {}), ("1e10", {"max": 1e300})])
@@ -346,6 +372,18 @@ class TestFidelitySurface:
         assert "field 'dt'" in captured.err and "RK4 steps" in captured.err
         assert captured.out == ""
         assert steps == []
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_internal_error_without_step_is_not_config_error(self, monkeypatch, error, axis):
+        # Without a dt key no config field can be at fault, so a failure in
+        # the estimates surfaces as itself rather than as field 'dt'.
+        def failing(*args, **kwargs):
+            raise error("master-equation trace drift 1.000e-07 on the gL run")
+
+        monkeypatch.setattr(analysis, "master_equation_estimates", failing)
+        with pytest.raises(error, match="trace drift"):
+            main(["fidelity-surface", "--grid-steps", "2", "--axis-convention", axis])
 
     def test_zero_grid_steps_is_config_error(self, capsys):
         assert main(["fidelity-surface", "--grid-steps", "0"]) == EXIT_CONFIG

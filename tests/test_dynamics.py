@@ -14,6 +14,7 @@ from unit_reference import (
 )
 
 import w2ghz.dynamics as dynamics
+from w2ghz.analysis import pd_closed_form
 from w2ghz.atom_cavity import (
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
@@ -178,6 +179,14 @@ class TestDecayCoefficients:
         assert weight <= 1.0 + 1e-12
         if kappa == 0.0:
             assert weight == pytest.approx(1.0, abs=1e-12)
+
+    def test_uncoupled_ground_level_keeps_its_norm(self):
+        # lambda_c = 0 leaves |g_j, 0> a pure phase.  -kappa/2 + Re s cancels
+        # to a rounding error there, which once grew the norm by 1e-12 at
+        # kappa t = 5.5e3; the block is dissipative, so it must not.
+        params = SystemParams(delta=3.0, lambda_c=0.0, omega=2.0, kappa=9.69340421405007)
+        for t in (564.0, np.linspace(0.0, 1e3, 101)):
+            assert np.all(decay_coefficients(params, t).weight <= 1.0 + 1e-15)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_drive_leaves_ground_state(self):
@@ -379,6 +388,30 @@ class TestArrayTimes:
         assert weights.shape == t.shape
         assert weights == pytest.approx([decay_coefficients(params, tk).weight for tk in t.tolist()],
                                         rel=1e-15, abs=0.0)
+
+
+class TestPhaseResolution:
+    # (kappa + light-shift sum) = 0.01 + 0.05 + 0.05: the fast phase reaches
+    # 2^50 rad at t = 2^50 / 0.11.
+    PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.01)
+    LIMIT = 2.0**50 / 0.11
+
+    @pytest.mark.parametrize("route", ["decay", "closed"])
+    def test_time_past_resolution_rejected(self, route):
+        call = decay_coefficients if route == "decay" else pd_closed_form
+        for t in (0.99 * self.LIMIT, np.array([0.0, 0.99 * self.LIMIT])):
+            call(self.PARAMS, t)
+        for t in (1.01 * self.LIMIT, 1e308, np.array([0.0, 1.01 * self.LIMIT, 1.0])):
+            with pytest.raises(ValueError, match="past double resolution"):
+                call(self.PARAMS, t)
+
+    def test_overdamped_cavity_counts(self):
+        # Past critical damping the envelope's exponent is a difference of
+        # terms of size kappa t, so kappa alone can exhaust the resolution.
+        params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=1e10)
+        decay_coefficients(params, 1e4)
+        with pytest.raises(ValueError, match="t = 1000000.0 puts the fast phase"):
+            decay_coefficients(params, 1e6)
 
 
 class TestPropagateMatrix:

@@ -303,6 +303,12 @@ class TestCompiledRouteOracle:
         with pytest.raises(ValueError, match="gamma_a"):
             run_protocol(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, gamma_a=0.5))
 
+    @pytest.mark.parametrize("t", [1e17, 1e308])
+    def test_time_past_phase_resolution_rejected(self, t):
+        for call in (lambda: require_modelled(IDEAL, t), lambda: run_protocol(IDEAL, t=t)):
+            with pytest.raises(ValueError, match="past double resolution"):
+                call()
+
     def test_model_coverage(self):
         # Cavity decay is modelled at any drive; spontaneous decay is not.
         asymmetric = dict(delta=14.0, lambda_c=2.86, omega=2.9)
