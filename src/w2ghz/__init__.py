@@ -27,7 +27,6 @@ from .detection import (
 )
 from .dynamics import (
     EvolutionCoefficients,
-    IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "FidelityEstimates",
     "SweepSpec",
     "HilbertSpace",
-    "IntegratorConfig",
     "JointAtomPhotonState",
     "NetworkLayout",
     "Operator",

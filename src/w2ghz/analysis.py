@@ -11,11 +11,10 @@ from the transfer coefficients; sweeps emit both columns so the identity is
 checked point by point.  Both routes take an array of times, so a sweep
 evaluates each once on its whole grid; a scalar time still gives a float.
 
-Fidelity under the full noise model comes from one master-equation run of a
-single atom-cavity unit, which propagates the ground-qubit operator basis
-|gL><gL|, |gR><gR|, |gL><gR| tensor vacuum as one stacked array.  Both
-estimators read only its emitted-photon block M = [[P_L, C], [conj(C), P_R]]:
-the populations left in |eL,1,0> and |eR,0,1> and their coherence.  The
+Fidelity under the full noise model comes from the master equation of a
+single atom-cavity unit, solved exactly by ``dynamics.emitted_block`` for the
+one block both estimators read, M = [[P_L, C], [conj(C), P_R]]: the
+populations left in |eL,1,0> and |eR,0,1> and their coherence.  The
 three-subsystem figure is under-specified by a single number, so two
 documented estimators are reported, both fields of
 ``master_equation_estimates``:
@@ -38,23 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atom_cavity import (
-    FULL_LEVELS,
-    SystemParams,
-    collapse_operators,
-    full_hamiltonian,
-    full_space,
-)
+from .atom_cavity import SystemParams
 from .detection import classify_pattern
 from .dynamics import (
     EvolutionCoefficients,
-    IntegratorConfig,
     _binade,
     _require_resolved,
     _split,
     _times,
     decay_coefficients,
-    propagate_matrix,
+    emitted_block,
 )
 from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import _corrected_fidelities, heralded_states
@@ -65,11 +57,6 @@ REFERENCE_DELTA = 14.0
 REFERENCE_LAMBDA_C = 2.86
 # Experimentally reported cavity quality: kappa = lambda_c / 250.
 EXPERIMENTAL_KAPPA_RATIO = 250.0
-
-# Step converged to <1e-8 in the reference-parameter scale (rates of order
-# 10 gamma, horizons of order 3/gamma).
-_DEFAULT_ANALYSIS_CONFIG = IntegratorConfig(dt=1e-3)
-
 
 # Most grid points of one sweep; a larger grid is refused before any array
 # is allocated.
@@ -224,16 +211,6 @@ def reference_noise_params(lambda_over_gamma_a: float) -> SystemParams:
                         gamma_a=REFERENCE_LAMBDA_C / lambda_over_gamma_a)
 
 
-def _unit_indices(n_max: int):
-    space = full_space(n_max)
-    return space, {
-        "gL": space.basis_index(FULL_LEVELS.index("gL"), 0, 0),
-        "gR": space.basis_index(FULL_LEVELS.index("gR"), 0, 0),
-        "eL1": space.basis_index(FULL_LEVELS.index("eL"), 1, 0),
-        "eR1": space.basis_index(FULL_LEVELS.index("eR"), 0, 1),
-    }
-
-
 @dataclass(frozen=True)
 class FidelityEstimates:
     """Both documented three-subsystem fidelity estimators plus diagnostics."""
@@ -245,17 +222,10 @@ class FidelityEstimates:
 
 
 def master_equation_estimates(params: SystemParams, t: float | None = None,
-                              cfg: IntegratorConfig | None = None,
                               layout: NetworkLayout = DEFAULT_LAYOUT) -> FidelityEstimates:
-    """Run the single-unit master equation and form both fidelity estimators.
-
-    |gL><gL|, |gR><gR| and the coherence |gL><gR| are propagated together in
-    one stacked call (the generator is linear, so the non-Hermitian initial
-    matrix is legitimate).  From |g_j, 0> the one-photon-j sector holds only
-    |e_j, 1_j>, and the coherence takes no jump term, so both estimators read
-    the noisy unit as one 2x2 block over the emitted levels (eL, eR):
-    M = [[P_L, C], [conj(C), P_R]] with P_L = <eL,1,0|m_LL|eL,1,0>,
-    P_R = <eR,0,1|m_RR|eR,0,1> and C = <eL,1,0|m_LR|eR,0,1>.
+    """Both fidelity estimators at time t (default: the operating time),
+    which read the noisy unit as its emitted block M = [[P_L, C], [conj(C), P_R]]
+    over (eL, eR), from ``emitted_block``.
 
     Estimator a is sqrt(sum(M)/4), sum(M)/4 being the overlap of the
     (gL + gR)/sqrt2 input's output with (|eL,1,0> + |eR,0,1>)/sqrt2.  For
@@ -264,26 +234,7 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     with the lossless protocol's conditional state rho_k, as
     ``heralded_states`` gives it on ``layout`` with perfect detectors.
     """
-    if t is None:
-        t = params.operating_time
-    cfg = cfg or _DEFAULT_ANALYSIS_CONFIG
-    space, ix = _unit_indices(params.n_max)
-    dim = space.total_dim
-
-    inputs = np.zeros((3, dim, dim), dtype=np.complex128)
-    for k, (i, j) in enumerate((("gL", "gL"), ("gR", "gR"), ("gL", "gR"))):
-        inputs[k, ix[i], ix[j]] = 1.0
-    m_ll, m_rr, m_lr = propagate_matrix(full_hamiltonian(params), collapse_operators(params),
-                                        inputs, t, cfg)
-    # The generator preserves the trace: 1 for the populations, 0 for the
-    # coherence.
-    for label, m, expected in (("gL", m_ll, 1.0), ("gR", m_rr, 1.0), ("gL-gR", m_lr, 0.0)):
-        drift = abs(complex(np.trace(m)) - expected)
-        if drift > 1e-8:
-            raise RuntimeError(f"master-equation trace drift {drift:.3e} on the {label} run; reduce dt")
-
-    el, er = ix["eL1"], ix["eR1"]
-    block = np.array([[m_ll[el, el], m_lr[el, er]], [np.conj(m_lr[el, er]), m_rr[er, er]]])
+    block = emitted_block(params, params.operating_time if t is None else t)
     f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
     report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
@@ -309,25 +260,24 @@ class SurfacePoint:
     estimator_b: float
 
 
-def _surface_points(params_list, cfg: IntegratorConfig | None) -> list[SurfacePoint]:
+def _surface_points(params_list) -> list[SurfacePoint]:
     """Both estimators at each of ``params_list``, in order."""
     points = []
     for params in params_list:
-        est = master_equation_estimates(params, cfg=cfg)
+        est = master_equation_estimates(params)
         points.append(SurfacePoint(params.kappa, params.gamma_a, est.product_fidelity, est.network_fidelity))
     return points
 
 
-def fidelity_surface(kappa_values, gamma_a_values,
-                     cfg: IntegratorConfig | None = None) -> list[SurfacePoint]:
+def fidelity_surface(kappa_values, gamma_a_values) -> list[SurfacePoint]:
     """Evaluate both fidelity estimators over a (kappa, gamma_a) grid at the
     fixed reference drive (Omega = 2.9, Delta = 14, lambda_c = 2.86)."""
     return _surface_points([SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C, omega=REFERENCE_OMEGA,
                                          kappa=float(kappa), gamma_a=float(gamma_a))
-                            for kappa in kappa_values for gamma_a in gamma_a_values], cfg)
+                            for kappa in kappa_values for gamma_a in gamma_a_values])
 
 
-def fidelity_curve_vs_coupling_ratio(ratios, cfg: IntegratorConfig | None = None) -> list[SurfacePoint]:
+def fidelity_curve_vs_coupling_ratio(ratios) -> list[SurfacePoint]:
     """Both estimators along a lambda_c/gamma_a axis (the alternative axis
     convention for the noise analysis)."""
-    return _surface_points([reference_noise_params(float(ratio)) for ratio in ratios], cfg)
+    return _surface_points([reference_noise_params(float(ratio)) for ratio in ratios])

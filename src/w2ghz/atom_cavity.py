@@ -148,6 +148,17 @@ def full_space(n_max: int = 1) -> HilbertSpace:
     return HilbertSpace.of(("atom", 6), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
 
 
+def branch_levels(n_max: int, branch: str) -> list[int]:
+    """Indices in ``full_space(n_max)`` of |g_j,0,0>, |f_j,0,0> and |e_j,1_j>
+    for branch j = "L" or "R": the levels the unit leaves from |g_j, vacuum>
+    only by jumps that nothing brings back."""
+    space = full_space(n_max)
+    photons = (1, 0) if branch == "L" else (0, 1)
+    return [space.basis_index(FULL_LEVELS.index("g" + branch), 0, 0),
+            space.basis_index(FULL_LEVELS.index("f" + branch), 0, 0),
+            space.basis_index(FULL_LEVELS.index("e" + branch), *photons)]
+
+
 def _annihilator(dim: int) -> np.ndarray:
     a = np.zeros((dim, dim), dtype=np.complex128)
     for n in range(1, dim):

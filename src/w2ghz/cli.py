@@ -13,7 +13,7 @@ times in 1/gamma) holding only keys their command reads:
     ideal-run         the SystemParams fields but "n_max", "t" (default: the
                       operating time), "layout" (routing map), "out"
     sweep-decay       "sweep" ({"min", "max", "steps"} over kappa*t), "out"
-    fidelity-surface  "dt" (RK4 step), "out"
+    fidelity-surface  "out"
     validate          "layout"; other keys go to the params-invariants check
 
 Exit codes: 0 success, 1 validation failure, 2 config error.  All commands
@@ -40,7 +40,6 @@ from .analysis import (
 )
 from .atom_cavity import SystemParams
 from .checks import run_all_checks
-from .dynamics import IntegratorConfig
 from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import require_modelled, run_protocol
 
@@ -59,7 +58,7 @@ _PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
 _COMMAND_KEYS = {
     "ideal-run": (_PARAMS_KEYS - {"n_max"}) | {"t", "layout", "out"},
     "sweep-decay": frozenset({"sweep", "out"}),
-    "fidelity-surface": frozenset({"dt", "out"}),
+    "fidelity-surface": frozenset({"out"}),
     "validate": frozenset({"layout"}),
 }
 
@@ -95,15 +94,14 @@ def _load_config(path: str | None, command: str) -> dict:
     return data
 
 
-def _number(value, name: str, positive: bool = False) -> float:
-    """A config number as a float: finite and non-negative, or positive."""
+def _number(value, name: str) -> float:
+    """A config number as a float, finite and non-negative."""
     try:
         number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
     except OverflowError:  # an integer past the float range
         number = math.inf
-    if not (math.isfinite(number) and (number > 0 if positive else number >= 0)):
-        raise ConfigError(f"config error: {name}: expected a finite {'positive' if positive else 'non-negative'} "
-                          f"number, got {value!r}")
+    if not (math.isfinite(number) and number >= 0):
+        raise ConfigError(f"config error: {name}: expected a finite non-negative number, got {value!r}")
     return number
 
 
@@ -196,31 +194,21 @@ def cmd_sweep_decay(args) -> int:
 
 def cmd_fidelity_surface(args) -> int:
     data = _load_config(args.config, args.command)
-    cfg = IntegratorConfig(dt=_number(data["dt"], "field 'dt'", positive=True)) if "dt" in data else None
     steps = 3 if args.grid_steps is None else args.grid_steps
     if steps < 2:
         raise ConfigError("config error: --grid-steps must be at least 2")
     if steps > _MAX_SURFACE_STEPS:
         raise ConfigError(f"config error: --grid-steps: steps must be at most {_MAX_SURFACE_STEPS}, got {steps}")
 
-    # The drive and grid are fixed, so a given step size is the only input
-    # that can make propagation fail: past RK4's stability limit
-    # (ValueError) or through trace drift (RuntimeError).  Without one, such
-    # a failure is a defect and surfaces as itself.
-    try:
-        if args.axis_convention == "a":
-            # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
-            top = 2.0 * REFERENCE_LAMBDA_C / 50.0
-            grid = [top * i / (steps - 1) for i in range(steps)]
-            points = fidelity_surface(grid, grid, cfg=cfg)
-        else:
-            # One-dimensional lambda_c/gamma_a axis at the experimental kappa.
-            ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
-            points = fidelity_curve_vs_coupling_ratio(ratios, cfg=cfg)
-    except (ValueError, RuntimeError) as exc:
-        if cfg is None:
-            raise
-        raise ConfigError(f"config error: field 'dt': {exc}") from exc
+    if args.axis_convention == "a":
+        # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
+        top = 2.0 * REFERENCE_LAMBDA_C / 50.0
+        grid = [top * i / (steps - 1) for i in range(steps)]
+        points = fidelity_surface(grid, grid)
+    else:
+        # One-dimensional lambda_c/gamma_a axis at the experimental kappa.
+        ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
+        points = fidelity_curve_vs_coupling_ratio(ratios)
 
     lines = ["kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"]
     for p in points:

@@ -5,9 +5,9 @@ describes how each ground level turns into an emitted-photon component for
 any drive and any cavity decay, at one time or a whole array of times at
 once.  It is the one place the adiabatically eliminated model is written;
 ``compare_full_vs_effective`` measures its error against the six-level atom
-on the branch block the dynamics never leave.  A fixed-step fourth-order
-integrator propagates the six-level master equation, with a budget of 1e5
-steps per integration.
+on the branch block the dynamics never leave.  ``emitted_block`` solves the
+six-level master equation exactly on the branch blocks; a fixed-step RK4
+integrator on the whole unit space (at most 1e5 steps) is its oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .atom_cavity import FULL_LEVELS, SystemParams, full_hamiltonian, full_space
+from .atom_cavity import SystemParams, branch_levels, collapse_operators, full_hamiltonian
 from .hilbert import Operator
 
 
@@ -186,12 +186,13 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     two_d = complex(params.kappa, stark_g - stark_e)
     m = _binade(max(abs(two_d.real), abs(two_d.imag), g))
     u, v = two_d / m, 2.0 * g / m
-    s = cmath.sqrt(u * u - v * v) * (m / 2.0)
-    rate = complex(-params.kappa, stark_e + stark_g) / 2.0 + s
-    # The block is dissipative, so Re(mu + s) <= 0.  Where g << kappa,
-    # -kappa/2 + Re s cancels to a rounding error of either sign, and a
-    # positive one would grow the no-jump norm by about 2^-52 kappa t.
-    rate = complex(min(rate.real, 0.0), rate.imag)
+    root = cmath.sqrt(u * u - v * v)
+    s = root * (m / 2.0)
+    # Re(mu + s) = Re s - kappa/2 cancels where g << kappa; it is taken as
+    # -2 a^2 g^2 / ((a^2 + b^2 + g^2 + |s|^2)(a + Re s)), a + ib = d, all in units of m/2.
+    a, b = u.real, u.imag
+    decay = -2.0 * a * a * v * v / ((a * a + b * b + v * v + abs(root) ** 2) * (a + root.real)) if a else 0.0
+    rate = complex(decay * (m / 2.0), (stark_e + stark_g) / 2.0 + s.imag)
     if isinstance(ts, float):
         exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
     else:
@@ -211,6 +212,54 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     envelope = exp(rate * ts)
     return EvolutionCoefficients(product(envelope, 1.0 + product((two_d / 2.0 - s) * ts, h)),
                                  product(envelope, product(1j * g * ts, h)))
+
+
+def _expm_minus_identity(x: np.ndarray) -> np.ndarray:
+    """e^x - I by scaling and squaring (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 488, 2011): a degree-14 Taylor series of E = e^(x/2^k) - I,
+    x/2^k being of infinity norm below 1/2, then k squarings of E as
+    2E + E E, which keep the slow modes' small increments that squaring
+    I + E would round away."""
+    k = max(0, math.frexp(float(np.max(np.sum(np.abs(x), axis=1))))[1] + 1)
+    x = x * 2.0**-k
+    series = eye = np.eye(len(x))
+    for n in range(14, 1, -1):
+        series = eye + (x / n) @ series
+    e = x @ series
+    for _ in range(k):
+        e = 2.0 * e + e @ e
+    return e
+
+
+def emitted_block(params: SystemParams, t: float) -> np.ndarray:
+    """The noisy unit's emitted block M = [[P_L, C], [conj(C), P_R]] at time
+    t: P_j = <e_j,1_j|m_jj|e_j,1_j> and C = <eL,1,0|m_LR|eR,0,1>, m_jk being
+    the six-level master equation's output of |g_j><g_k| tensor vacuum.
+
+    Jumps out of the (j, k) block of ``branch_levels`` never return, so it
+    obeys dX/dt = A_j X + X A_k^dag + sum rate c_j X c_k^dag, with
+    A = -i H - (1/2) sum rate c^dag c restricted like c to the branches, and
+    its 9x9 generator is exponentiated.  No c acts on both branches, so C
+    takes no jump term (Plenio and Knight, RMP 70, 101, 1998).  A time is
+    refused as in ``decay_coefficients`` or where it takes the generator
+    past the float range, and an M that is not a state raises RuntimeError."""
+    t = _times(float(t))
+    _require_resolved(params.kappa + sum(params.light_shifts), t)
+    collapse = [(rate, op.elements) for rate, op in collapse_operators(params)]
+    drift = -1j * full_hamiltonian(params).elements - 0.5 * sum(rate * (c.conj().T @ c) for rate, c in collapse)
+    ix = [np.ix_(levels, levels) for levels in (branch_levels(params.n_max, j) for j in "LR")]
+    entries = []
+    for j, k in ((0, 0), (1, 1), (0, 1)):
+        generator = (np.kron(drift[ix[j]], np.eye(3)) + np.kron(np.eye(3), drift[ix[k]].conj())
+                     + sum(rate * np.kron(c[ix[j]], c[ix[k]].conj()) for rate, c in collapse))
+        if t * float(np.max(np.sum(np.abs(generator), axis=1))) == math.inf:
+            raise ValueError(f"t = {t!r} puts the unit's generator times t past the float range")
+        # |g_j><g_k| and |e_j><e_k| are entries 0 and 8 of the row-major vec.
+        entries.append(_expm_minus_identity(generator * t)[8, 0])
+    p_l, p_r, c = entries[0].real, entries[1].real, entries[2]
+    if not (-1e-12 <= p_l <= 1.0 + 1e-12 and -1e-12 <= p_r <= 1.0 + 1e-12 and abs(c) ** 2 <= p_l * p_r + 1e-12):
+        raise RuntimeError(f"the unit's emitted block is not a state: P_L = {p_l!r}, P_R = {p_r!r}, C = {c!r}")
+    return np.array([[p_l, c], [c.conjugate(), p_r]])
 
 
 # Step budget of one integration.  Converged runs here take at most a few
@@ -340,9 +389,7 @@ def compare_full_vs_effective(params: SystemParams, t_grid) -> DeviationReport:
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"t_grid must be a non-empty one-dimensional grid of times, got shape {times.shape}")
     times = _times(times)
-    space = full_space(params.n_max)
-    branch = [space.basis_index(FULL_LEVELS.index(level), photons, 0)
-              for level, photons in (("gL", 0), ("fL", 0), ("eL", 1))]
+    branch = branch_levels(params.n_max, "L")
     energies, vectors = np.linalg.eigh(full_hamiltonian(params).elements[np.ix_(branch, branch)])
     b0, upper, b1 = ((np.exp(-1j * np.outer(times, energies)) * vectors[0].conj()) @ vectors.T).T
     eliminated = decay_coefficients(replace(params, kappa=0.0), times)

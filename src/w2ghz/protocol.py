@@ -34,7 +34,7 @@ from .detection import (
     classify_pattern,
     detect_amplitudes,
 )
-from .dynamics import EvolutionCoefficients, _require_resolved, _require_time, decay_coefficients
+from .dynamics import _MAX_PHASE, EvolutionCoefficients, _require_resolved, _require_time, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
@@ -262,7 +262,8 @@ def require_modelled(params: SystemParams, t: float | None = None) -> None:
     lambda_c^2/Delta and Omega^2/Delta, or their sum, are past the float
     range, or an interaction time t (default: the operating time) at which
     the fast phase of ``decay_coefficients`` is past the float range or
-    double resolution."""
+    double resolution; at the operating time, where that phase is
+    pi (1 + kappa/S), S the light-shift sum, the error names ``kappa``."""
     if params.gamma_a != 0.0:
         raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
                          f"gamma_a = 0, got {params.gamma_a}")
@@ -270,9 +271,13 @@ def require_modelled(params: SystemParams, t: float | None = None) -> None:
     if not math.isfinite(shift_e + shift_g):
         raise ValueError(f"fields 'lambda_c', 'omega' and 'delta': the light shifts lambda_c^2/delta = "
                          f"{shift_e!r} and omega^2/delta = {shift_g!r} sum past the float range")
-    t = params.operating_time if t is None else t
-    _require_time(t)
     rate = params.kappa + shift_e + shift_g
+    if t is None:
+        t = params.operating_time
+        if not rate * t <= _MAX_PHASE:
+            raise ValueError(f"field 'kappa': kappa = {params.kappa!r} puts the fast phase (kappa + light shifts) * t "
+                             f"at the operating time {t!r} past double resolution (2^50 rad)")
+    _require_time(t)
     if rate * t == math.inf:
         raise ValueError(f"t = {t!r} puts the fast phase (kappa + light shifts) * t past the float range")
     _require_resolved(rate, t)

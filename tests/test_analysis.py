@@ -1,9 +1,14 @@
+import functools
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from unit_reference import block_of, unit_levels, unit_outputs
 
 import w2ghz.analysis as analysis
+from w2ghz import dynamics
 from w2ghz.analysis import (
     CurvePoint,
     FidelityEstimates,
@@ -17,15 +22,21 @@ from w2ghz.analysis import (
     pd_sweep,
     reference_noise_params,
 )
-from w2ghz.atom_cavity import EMITTED_LEVELS, FULL_LEVELS, SystemParams, full_space
+from w2ghz.atom_cavity import (
+    EMITTED_LEVELS,
+    FULL_LEVELS,
+    SystemParams,
+    branch_levels,
+    collapse_operators,
+    full_hamiltonian,
+    full_space,
+)
+from w2ghz.cli import main
 from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
-from w2ghz.dynamics import EvolutionCoefficients, IntegratorConfig, decay_coefficients, propagate_matrix
+from w2ghz.dynamics import EvolutionCoefficients, decay_coefficients
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
 from w2ghz.protocol import heralded_states, run_protocol
 
-# Coarse but converged step for the master-equation tests (the generator's
-# largest rate is the detuning, 14).
-FAST = IntegratorConfig(dt=4e-3)
 ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
 # Off the reference drive: a two-photon cutoff with an asymmetric drive, and
 # an overdamped cavity (kappa > 2 lambda_c^2/Delta).
@@ -33,17 +44,16 @@ N_MAX_2 = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.
 OVERDAMPED = SystemParams(delta=3.0, lambda_c=1.0, omega=1.0, kappa=1.5, gamma_a=0.05)
 
 
-def record_propagation(monkeypatch):
-    """The list every propagate_matrix output of master_equation_estimates
-    is appended to."""
-    outputs = []
+@functools.cache
+def rk4_block(params, dt):
+    """The emitted block of RK4 at step dt on the whole unit space, at the
+    operating time; each RK4 run takes seconds, so tests share it."""
+    return block_of(unit_outputs(params, params.operating_time, dt), params.n_max)
 
-    def recording(h, collapse, m0, t, cfg=None):
-        outputs.append(propagate_matrix(h, collapse, m0, t, cfg))
-        return outputs[-1]
 
-    monkeypatch.setattr(analysis, "propagate_matrix", recording)
-    return outputs
+def estimate_gap(got, expected):
+    """Largest difference over the four FidelityEstimates fields."""
+    return max(abs(getattr(got, f.name) - getattr(expected, f.name)) for f in fields(FidelityEstimates))
 
 
 class TestClosedFormCurve:
@@ -230,14 +240,15 @@ class TestRateScaling:
            delta=st.floats(min_value=1.0, max_value=50.0),
            lambda_c=st.floats(min_value=0.1, max_value=3.0),
            omega=st.floats(min_value=0.1, max_value=3.0),
-           kappa=st.floats(min_value=0.0, max_value=0.5))
+           kappa=st.floats(min_value=0.0, max_value=0.5),
+           gamma_a=st.floats(min_value=0.0, max_value=0.5))
     @settings(max_examples=60, deadline=None)
-    def test_outputs_invariant_under_rate_scaling(self, exponent, delta, lambda_c, omega, kappa):
+    def test_outputs_invariant_under_rate_scaling(self, exponent, delta, lambda_c, omega, kappa, gamma_a):
         s = 10.0**exponent
 
         def scaled(params):
             return SystemParams(delta=params.delta * s, lambda_c=params.lambda_c * s,
-                                omega=params.omega * s, kappa=params.kappa * s)
+                                omega=params.omega * s, kappa=params.kappa * s, gamma_a=params.gamma_a * s)
 
         def assert_close(got, expected):
             got, expected = np.asarray(got), np.asarray(expected)
@@ -258,6 +269,11 @@ class TestRateScaling:
         assert got.success_probability == pytest.approx(expected.success_probability, rel=1e-12)
         assert got.fidelity == pytest.approx(expected.fidelity, rel=1e-12)
 
+        noisy = replace(params, gamma_a=gamma_a)
+        expected, got = master_equation_estimates(noisy), master_equation_estimates(scaled(noisy))
+        for field in fields(FidelityEstimates):
+            assert getattr(got, field.name) == pytest.approx(getattr(expected, field.name), rel=1e-12, abs=0.0)
+
 
 class TestReferenceParams:
     def test_experimental_convention_pins_cavity(self):
@@ -272,8 +288,8 @@ class TestReferenceParams:
 
 class TestMasterEquationFidelity:
     def test_reported_noise_points(self):
-        f250 = master_equation_estimates(reference_noise_params(250.0), cfg=FAST).product_fidelity
-        f50 = master_equation_estimates(reference_noise_params(50.0), cfg=FAST).product_fidelity
+        f250 = master_equation_estimates(reference_noise_params(250.0)).product_fidelity
+        f50 = master_equation_estimates(reference_noise_params(50.0)).product_fidelity
         assert f250 == pytest.approx(0.9104, abs=0.02)
         assert f50 == pytest.approx(0.9009, abs=0.02)
         assert f250 > f50
@@ -282,7 +298,7 @@ class TestMasterEquationFidelity:
         values = []
         for scale in (1.0, 2.0, 4.0):
             params = SystemParams(delta=14.0 * scale, lambda_c=2.86, omega=2.9)
-            values.append(master_equation_estimates(params, cfg=IntegratorConfig(dt=4e-3 / scale)).product_fidelity)
+            values.append(master_equation_estimates(params).product_fidelity)
         # The residual dressing error is first order in the coupling over the
         # detuning, so quadrupling the detuning quarters the infidelity.
         assert values[0] < values[1] < values[2] < 1.0
@@ -292,41 +308,56 @@ class TestMasterEquationFidelity:
 
     @pytest.mark.parametrize("dt", [0.09, 0.2, 100.0])
     def test_step_beyond_rk4_stability_rejected(self, dt):
+        # The estimator runs no integrator; its RK4 oracle on the whole unit
+        # space still refuses a step past the stability limit at the
+        # reference drive rather than returning a non-physical state.
         params = reference_noise_params(250.0)
-        cfg = IntegratorConfig(dt=dt)
         with pytest.raises(ValueError, match="dt"):
-            master_equation_estimates(params, cfg=cfg)
+            unit_outputs(params, params.operating_time, dt)
+
+    @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf"), 1e300])
+    def test_bad_time_rejected(self, t):
+        with pytest.raises(ValueError, match="^t "):
+            master_equation_estimates(reference_noise_params(250.0), t=t)
 
     def test_subsystem_fidelity_bounds(self):
-        f = master_equation_estimates(reference_noise_params(250.0), cfg=FAST).subsystem_fidelity
+        f = master_equation_estimates(reference_noise_params(250.0)).subsystem_fidelity
         assert 0.0 <= f <= 1.0
-        assert master_equation_estimates(reference_noise_params(250.0), cfg=FAST).product_fidelity == f**3
+        assert master_equation_estimates(reference_noise_params(250.0)).product_fidelity == f**3
 
-    def test_one_stacked_propagation(self, monkeypatch):
-        # The three basis inputs share one integrator call.
-        shapes = []
+    def test_runs_no_integrator(self, monkeypatch, capsys):
+        calls = []
 
-        def counting(h, collapse, m0, t, cfg=None):
-            shapes.append(np.shape(m0))
-            return propagate_matrix(h, collapse, m0, t, cfg)
+        def spy(function):
+            def wrapper(*args, **kwargs):
+                calls.append(function.__name__)
+                return function(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(analysis, "propagate_matrix", counting)
-        master_equation_estimates(reference_noise_params(250.0), cfg=FAST)
-        assert shapes == [(3, 24, 24)]
+        for name in ("propagate_matrix", "_rk4_propagate"):
+            monkeypatch.setattr(dynamics, name, spy(getattr(dynamics, name)))
+        master_equation_estimates(reference_noise_params(250.0))
+        assert main(["fidelity-surface", "--grid-steps", "2"]) == 0
+        assert capsys.readouterr().out.count("\n") == 5
+        assert calls == []
 
-    def test_coherence_trace_drift_rejected(self, monkeypatch):
-        # The |gL><gR| input is traceless and must stay so.
-        def drifting(h, collapse, m0, t, cfg=None):
-            out = propagate_matrix(h, collapse, m0, t, cfg)
-            out[2, 0, 0] += 1e-7
+    def test_non_state_block_rejected(self, monkeypatch):
+        # A coherence larger than the populations allow is no state; the
+        # third exponential is the coherence block's.
+        exact, calls = dynamics._expm_minus_identity, []
+
+        def inflated(x):
+            calls.append(x)
+            out = exact(x)
+            out[8, 0] *= 1.01 if len(calls) == 3 else 1.0
             return out
 
-        monkeypatch.setattr(analysis, "propagate_matrix", drifting)
-        with pytest.raises(RuntimeError, match="gL-gR"):
-            master_equation_estimates(reference_noise_params(250.0), cfg=FAST)
+        monkeypatch.setattr(dynamics, "_expm_minus_identity", inflated)
+        with pytest.raises(RuntimeError, match="not a state"):
+            master_equation_estimates(reference_noise_params(250.0))
 
     def test_estimators_reported_together(self):
-        est = master_equation_estimates(reference_noise_params(250.0), cfg=FAST)
+        est = master_equation_estimates(reference_noise_params(250.0))
         assert isinstance(est, FidelityEstimates)
         assert est.product_fidelity == pytest.approx(est.subsystem_fidelity**3)
         # Post-selection filters photon loss, so the conditioned estimator
@@ -336,7 +367,7 @@ class TestMasterEquationFidelity:
 
     def test_network_estimator_ideal_limit(self):
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.9)
-        est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3))
+        est = master_equation_estimates(params)
         assert est.network_fidelity == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT])
@@ -344,7 +375,7 @@ class TestMasterEquationFidelity:
         # Noiseless and deep in the dispersive regime, estimator b must
         # reproduce the lossless protocol on whatever network it is given.
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.86)
-        est = master_equation_estimates(params, cfg=IntegratorConfig(dt=1e-3), layout=layout)
+        est = master_equation_estimates(params, layout=layout)
         assert est.network_fidelity == pytest.approx(run_protocol(params, layout).fidelity, abs=1e-3)
 
     @pytest.mark.parametrize("params, layout", [
@@ -353,18 +384,12 @@ class TestMasterEquationFidelity:
         (N_MAX_2, DEFAULT_LAYOUT),
         (OVERDAMPED, DEFAULT_LAYOUT),
     ], ids=["default", "aligned", "n_max-2", "overdamped"])
-    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout):
+    def test_network_estimator_matches_six_level_loop(self, params, layout):
         # Reference: each pattern's noisy state over all six levels of every
-        # atom, scored against the GHZ target of its class lifted into them.
-        outputs = []
-
-        def recording(h, collapse, m0, t, cfg=None):
-            outputs.append(propagate_matrix(h, collapse, m0, t, cfg))
-            return outputs[-1]
-
-        monkeypatch.setattr(analysis, "propagate_matrix", recording)
-        est = master_equation_estimates(params, cfg=FAST, layout=layout)
-        m_ll, m_rr, m_lr = outputs[0]
+        # atom, from the unit's outputs on its whole space, scored against
+        # the GHZ target of its class lifted into them.
+        est = master_equation_estimates(params, layout=layout)
+        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time)
         space, n = full_space(params.n_max), len(FULL_LEVELS)
         sel = [[space.basis_index(k, 1, 0) for k in range(n)], [space.basis_index(k, 0, 1) for k in range(n)]]
         channel = np.empty((2, 2, n, n), dtype=np.complex128)
@@ -391,48 +416,67 @@ class TestMasterEquationFidelity:
 
     @pytest.mark.parametrize("params", [reference_noise_params(250.0), N_MAX_2, OVERDAMPED],
                              ids=["reference", "n_max-2", "overdamped"])
-    def test_subsystem_fidelity_matches_projected_output(self, monkeypatch, params):
+    def test_subsystem_fidelity_matches_projected_output(self, params):
         # Oracle: <t|rho_+|t> on the whole unit space, rho_+ the output of the
         # (gL + gR)/sqrt2 input by linearity, t = (|eL,1,0> + |eR,0,1>)/sqrt2.
-        outputs = record_propagation(monkeypatch)
-        est = master_equation_estimates(params, cfg=FAST)
-        m_ll, m_rr, m_lr = outputs[0]
-        space = full_space(params.n_max)
+        est = master_equation_estimates(params)
+        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time)
+        _, _, e_l, e_r = unit_levels(params.n_max)
         rho_plus = 0.5 * (m_ll + m_rr + m_lr + m_lr.conj().T)
-        target = np.zeros(space.total_dim, dtype=np.complex128)
-        target[space.basis_index(FULL_LEVELS.index("eL"), 1, 0)] = 1.0 / np.sqrt(2.0)
-        target[space.basis_index(FULL_LEVELS.index("eR"), 0, 1)] = 1.0 / np.sqrt(2.0)
+        target = np.zeros(len(m_ll), dtype=np.complex128)
+        target[[e_l, e_r]] = 1.0 / np.sqrt(2.0)
         overlap = np.vdot(target, rho_plus @ target).real
         assert est.subsystem_fidelity == pytest.approx(np.sqrt(max(overlap, 0.0)), abs=1e-15)
 
+    @pytest.mark.parametrize("params", [reference_noise_params(250.0), reference_noise_params(50.0),
+                                        N_MAX_2, OVERDAMPED], ids=["250", "50", "n_max-2", "overdamped"])
+    def test_matches_rk4_oracle(self, monkeypatch, params):
+        # RK4 at dt = 1e-3 on the whole unit space, read by the same
+        # estimators: every field within 1e-8, on both layouts.
+        exact = [master_equation_estimates(params, layout=layout) for layout in (DEFAULT_LAYOUT, ALIGNED_LAYOUT)]
+        monkeypatch.setattr(analysis, "emitted_block", lambda params, t: rk4_block(params, 1e-3))
+        for layout, expected in zip((DEFAULT_LAYOUT, ALIGNED_LAYOUT), exact):
+            assert estimate_gap(master_equation_estimates(params, layout=layout), expected) <= 1e-8
+
+    @pytest.mark.parametrize("ratio", [250.0, 50.0])
+    def test_rk4_oracle_converges_at_fourth_order(self, monkeypatch, ratio):
+        # The gap is RK4's own error: halving dt shrinks it about 16-fold.
+        params = reference_noise_params(ratio)
+        exact = master_equation_estimates(params)
+        gaps = []
+        for dt in (2e-3, 1e-3):
+            monkeypatch.setattr(analysis, "emitted_block", lambda params, t: rk4_block(params, dt))
+            gaps.append(estimate_gap(master_equation_estimates(params), exact))
+        assert gaps[1] * 12.0 <= gaps[0]
+
     @pytest.mark.parametrize("n_max", [1, 2, 3])
-    def test_one_photon_sectors_hold_only_the_emitted_block(self, monkeypatch, n_max):
-        # The estimators read three numbers of the one-photon sectors: P_L,
-        # P_R and C.  Every other entry of the three 6x6 blocks the unit
-        # leaves there must be an exact zero, for an asymmetric drive with
-        # both decays on; a model change that couples the branches breaks it.
-        outputs = record_propagation(monkeypatch)
+    def test_branch_levels_are_invariant(self, n_max):
+        # The exact route rests on the hand-listed branch levels: the
+        # Hamiltonian has exactly no entry between them and any other level,
+        # and every collapse operator maps them into their branch or into a
+        # level reachable from them that nothing maps back into a branch.
         params = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=n_max)
-        master_equation_estimates(params, t=1.5, cfg=IntegratorConfig(dt=1e-2))
-        m_ll, m_rr, m_lr = outputs[0]
-        space, n = full_space(n_max), len(FULL_LEVELS)
-        left = [space.basis_index(k, 1, 0) for k in range(n)]
-        right = [space.basis_index(k, 0, 1) for k in range(n)]
-        e_l, e_r = FULL_LEVELS.index("eL"), FULL_LEVELS.index("eR")
-        for m, rows, cols, (i, j) in ((m_ll, left, left, (e_l, e_l)), (m_rr, right, right, (e_r, e_r)),
-                                      (m_lr, left, right, (e_l, e_r))):
-            block = m[np.ix_(rows, cols)].copy()
-            assert abs(block[i, j]) > 1e-3
-            block[i, j] = 0.0
-            assert np.count_nonzero(block) == 0
+        h = full_hamiltonian(params).elements
+        collapse = [op.elements for _, op in collapse_operators(params)]
+        branches = [np.isin(np.arange(len(h)), branch_levels(n_max, j)) for j in "LR"]
+        reached = branches[0] | branches[1]
+        for _ in range(len(h)):
+            for op in [h, *collapse]:
+                reached |= (op[:, reached] != 0).any(axis=1)
+        for branch in branches:
+            assert np.count_nonzero(h[np.ix_(branch, ~branch)]) == np.count_nonzero(h[np.ix_(~branch, branch)]) == 0
+            for c in collapse:
+                assert np.count_nonzero(c[np.ix_(branch, reached & ~branch)]) == 0
+        one = master_equation_estimates(replace(params, n_max=1))
+        assert master_equation_estimates(params) == one
 
     @pytest.mark.parametrize("ratio, fidelity, probability", [
-        (250.0, 0.999372830951915, 0.6363528423237638),
-        (50.0, 0.9969091484067786, 0.6273531013803825),
+        (250.0, 0.9993728312249477, 0.6363534148227254),
+        (50.0, 0.9969091496773957, 0.6273536340777546),
     ])
     def test_network_estimator_regression(self, ratio, fidelity, probability):
-        # Regression baseline for the default layout at dt = 4e-3.
-        est = master_equation_estimates(reference_noise_params(ratio), cfg=FAST)
+        # Regression baseline for the default layout.
+        est = master_equation_estimates(reference_noise_params(ratio))
         assert est.network_fidelity == pytest.approx(fidelity, abs=1e-12)
         assert est.accepted_probability == pytest.approx(probability, abs=1e-12)
 
@@ -441,7 +485,7 @@ class TestFidelitySurface:
     def grid_points(self):
         kappas = [0.0, 0.05]
         gammas = [0.0, 0.05]
-        return fidelity_surface(kappas, gammas, cfg=FAST)
+        return fidelity_surface(kappas, gammas)
 
     def test_monotone_in_both_noise_rates(self):
         points = {(p.kappa_over_gamma, p.gamma_a_over_gamma): p.estimator_a
@@ -457,7 +501,7 @@ class TestFidelitySurface:
         assert corner.estimator_a == pytest.approx(max(p.estimator_a for p in points))
 
     def test_coupling_ratio_axis(self):
-        points = fidelity_curve_vs_coupling_ratio([50.0, 250.0], cfg=FAST)
+        points = fidelity_curve_vs_coupling_ratio([50.0, 250.0])
         assert len(points) == 2
         assert points[0].gamma_a_over_gamma > points[1].gamma_a_over_gamma
         assert points[0].estimator_a < points[1].estimator_a

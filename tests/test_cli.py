@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from w2ghz import analysis, checks, cli, dynamics, hilbert
+from w2ghz import analysis, checks, cli, hilbert
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
@@ -159,7 +159,7 @@ class TestIdealRun:
     @pytest.mark.parametrize("doc, message", [
         ({"t": 1e308}, "t = 1e+308 puts the fast phase"),
         ({"kappa": 1e10, "t": 1e8}, "t = 100000000.0 puts the fast phase"),
-        ({"kappa": 1e20}, "t = 31.41592653589793 puts the fast phase"),
+        ({"kappa": 1e20}, "field 'kappa': kappa = 1e+20 puts the fast phase"),
     ], ids=["huge-time", "overdamped-time", "overdamped-operating-time"])
     def test_phase_past_resolution_is_config_error(self, tmp_path, capsys, monkeypatch, doc, message):
         ran = []
@@ -327,9 +327,7 @@ class TestSweepDecay:
 class TestFidelitySurface:
     def test_grid_output(self, tmp_path):
         out = tmp_path / "surface.csv"
-        cfg = write_json(tmp_path, "cfg.json", {"dt": 0.008})
-        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2",
-                     "--out", str(out)]) == EXIT_OK
+        assert main(["fidelity-surface", "--grid-steps", "2", "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"
         assert len(lines) == 5
@@ -338,11 +336,14 @@ class TestFidelitySurface:
         assert noiseless[2] == pytest.approx(max(r[2] for r in rows))
         assert all(0.0 <= r[2] <= 1.0 and 0.0 <= r[3] <= 1.0 for r in rows)
 
+    # The estimates run no integrator, so a step size is no key of the
+    # command: any "dt" exits 2 as an unread key, before any point is
+    # estimated.
     @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
     def test_non_finite_step_is_config_error(self, tmp_path, capsys, dt):
         cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
         assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
-        assert "'dt'" in capsys.readouterr().err
+        assert "does not read key(s) ['dt']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dt", [0.2, 100])
     @pytest.mark.parametrize("axis", ["a", "b"])
@@ -351,38 +352,29 @@ class TestFidelitySurface:
         assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2",
                      "--axis-convention", axis]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "dt" in captured.err and "stability" in captured.err
+        assert "does not read key(s) ['dt']" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("dt", [1e-300, 1e-9])
     def test_step_past_budget_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
-        steps = []
-        integrate = dynamics._rk4_propagate
-
-        def counting(rhs, y0, t, step):
-            def counted(y):
-                steps.append(t)
-                return rhs(y)
-            return integrate(counted, y0, t, step)
-
-        monkeypatch.setattr(dynamics, "_rk4_propagate", counting)
+        estimated = []
+        monkeypatch.setattr(analysis, "master_equation_estimates", lambda *args, **kwargs: estimated.append(args))
         cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
         assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "field 'dt'" in captured.err and "RK4 steps" in captured.err
-        assert captured.out == ""
-        assert steps == []
+        assert "does not read key(s) ['dt']" in captured.err
+        assert captured.out == "" and estimated == []
 
     @pytest.mark.parametrize("error", [ValueError, RuntimeError])
     @pytest.mark.parametrize("axis", ["a", "b"])
     def test_internal_error_without_step_is_not_config_error(self, monkeypatch, error, axis):
-        # Without a dt key no config field can be at fault, so a failure in
-        # the estimates surfaces as itself rather than as field 'dt'.
+        # No config value reaches the estimates, so a failure there surfaces
+        # as itself rather than as a config error.
         def failing(*args, **kwargs):
-            raise error("master-equation trace drift 1.000e-07 on the gL run")
+            raise error("the unit's emitted block is not a state")
 
         monkeypatch.setattr(analysis, "master_equation_estimates", failing)
-        with pytest.raises(error, match="trace drift"):
+        with pytest.raises(error, match="not a state"):
             main(["fidelity-surface", "--grid-steps", "2", "--axis-convention", axis])
 
     def test_zero_grid_steps_is_config_error(self, capsys):
@@ -402,9 +394,8 @@ class TestFidelitySurface:
 
     def test_coupling_ratio_axis(self, tmp_path):
         out = tmp_path / "surface.csv"
-        cfg = write_json(tmp_path, "cfg.json", {"dt": 0.008})
-        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2",
-                     "--axis-convention", "b", "--out", str(out)]) == EXIT_OK
+        assert main(["fidelity-surface", "--grid-steps", "2", "--axis-convention", "b",
+                     "--out", str(out)]) == EXIT_OK
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert len(rows) == 2
         reference = 2.86 / 250
@@ -484,6 +475,7 @@ class TestConfigKeys:
         (["fidelity-surface", "--grid-steps", "2"], {"eta_d": 0.5, "sweep": {}}),
         (["ideal-run"], {"dt": 0.5}),
         (["ideal-run"], {"sweep": {}}),
+        (["fidelity-surface", "--grid-steps", "2"], {"dt": 0.008}),
     ])
     def test_unread_key_is_config_error(self, tmp_path, capsys, argv, doc):
         cfg = write_json(tmp_path, "cfg.json", doc)
@@ -502,7 +494,7 @@ class TestConfigKeys:
         (["ideal-run"], {"delta": 10**400}, EXIT_CONFIG, "field 'delta'"),
         (["ideal-run"], {"t": 10**400}, EXIT_CONFIG, "field 't'"),
         (["sweep-decay"], {"sweep": {"max": 10**400}}, EXIT_CONFIG, "field 'sweep'"),
-        (["fidelity-surface"], {"dt": 10**400}, EXIT_CONFIG, "field 'dt'"),
+        (["ideal-run"], {"kappa": 10**400}, EXIT_CONFIG, "field 'kappa'"),
         (["validate"], {"delta": 10**400}, EXIT_VALIDATION, "FAIL params-invariants: field 'delta'"),
     ])
     def test_integer_beyond_float_range(self, tmp_path, capsys, argv, doc, code, message):

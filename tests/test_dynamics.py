@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from staged_reference import lossless_coefficients, symmetric_decay_coefficients
 from unit_reference import (
+    block_of,
     conditional_hamiltonian,
     effective_hamiltonian,
     effective_space,
@@ -11,6 +14,7 @@ from unit_reference import (
     propagator,
     schrodinger_evolve,
     tensor_space_deviation,
+    unit_outputs,
 )
 
 import w2ghz.dynamics as dynamics
@@ -27,6 +31,7 @@ from w2ghz.dynamics import (
     IntegratorConfig,
     compare_full_vs_effective,
     decay_coefficients,
+    emitted_block,
     propagate_matrix,
 )
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector
@@ -181,12 +186,27 @@ class TestDecayCoefficients:
             assert weight == pytest.approx(1.0, abs=1e-12)
 
     def test_uncoupled_ground_level_keeps_its_norm(self):
-        # lambda_c = 0 leaves |g_j, 0> a pure phase.  -kappa/2 + Re s cancels
-        # to a rounding error there, which once grew the norm by 1e-12 at
-        # kappa t = 5.5e3; the block is dissipative, so it must not.
+        # lambda_c = 0 leaves |g_j, 0> a pure phase.  -kappa/2 + Re s once
+        # cancelled to a rounding error there, which grew the norm by 1e-12
+        # at kappa t = 5.5e3; the block is dissipative, so it must not.
         params = SystemParams(delta=3.0, lambda_c=0.0, omega=2.0, kappa=9.69340421405007)
         for t in (564.0, np.linspace(0.0, 1e3, 101)):
             assert np.all(decay_coefficients(params, t).weight <= 1.0 + 1e-15)
+
+    @pytest.mark.parametrize("delta, lambda_c, omega, kappa, t, weight", [
+        (6.356, 1.19e-5, 2.098, 8.245, 584.0, 0.9999999978302874),
+        (2.23, 2.5e-3, 1.08e-3, 85.9, 1.83e6, 0.9999999375394641),
+        (3.0, 1e-4, 1.0, 50.0, 2.0e4, 0.9999991111523437),
+        (20.0, 1e-3, 0.5, 1.0, 5.0e5, 0.9993752947237832),
+    ])
+    def test_weight_where_the_decay_rate_cancels(self, delta, lambda_c, omega, kappa, t, weight):
+        # lambda_c Omega/Delta << kappa, where kappa/2 - Re s cancels if taken
+        # as a difference (it was off by up to 1e-8 relative here).  The
+        # references are a 50-digit exponential of the 2x2 block, made once
+        # with mpmath from these inputs.
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        for times in (t, np.array([0.0, t])):
+            assert np.ravel(decay_coefficients(params, times).weight)[-1] == pytest.approx(weight, rel=1e-14, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_drive_leaves_ground_state(self):
@@ -431,6 +451,59 @@ class TestIntegratorConfig:
     def test_positive_step_required(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dt=0.0)
+
+
+def block_is_state(m):
+    """Whether M is Hermitian PSD with populations at most 1, to 1e-12."""
+    return (abs(m[0, 1] - np.conj(m[1, 0])) == 0.0 and np.all(np.diag(m).imag == 0.0)
+            and np.linalg.eigvalsh(m).min() >= -1e-12 and np.diag(m).real.max() <= 1.0 + 1e-12)
+
+
+NOISY_UNIT = dict(delta=st.floats(1.0, 300.0), lambda_c=st.floats(0.1, 5.0), omega=st.floats(0.1, 5.0),
+                  kappa=st.floats(0.0, 10.0), gamma_a=st.floats(0.0, 10.0), fraction=st.floats(0.0, 3.0))
+
+
+class TestEmittedBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(**NOISY_UNIT)
+    def test_is_a_state(self, delta, lambda_c, omega, kappa, gamma_a, fraction):
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa, gamma_a=gamma_a)
+        assert block_is_state(emitted_block(params, fraction * params.operating_time))
+
+    @settings(max_examples=8, deadline=None)
+    @given(**NOISY_UNIT)
+    def test_matches_full_space_exponential(self, delta, lambda_c, omega, kappa, gamma_a, fraction):
+        # scipy's expm of the whole unit's 576x576 Liouvillian.  Its scaling
+        # and squaring rounds the slow modes by up to 2^-52 per radian of
+        # delta t (2.0e-10 at delta = 300, lambda_c = omega = 0.1 and three
+        # operating times, where the route is within 2.2e-15 of a 40-digit
+        # reference), so the bound grows past 1e-10 with it.
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa, gamma_a=gamma_a)
+        t = fraction * params.operating_time
+        oracle = block_of(unit_outputs(params, t), params.n_max)
+        assert np.max(np.abs(emitted_block(params, t) - oracle)) <= max(1e-10, 2.0**-52 * delta * t)
+
+    @pytest.mark.parametrize("params, population, coherence", [
+        (SystemParams(delta=300.0, lambda_c=0.1, omega=0.1, gamma_a=10.0), 0.8924050441737653, 0.8599516849651274),
+        (SystemParams(delta=300.0, lambda_c=0.1, omega=0.1), 0.9999999999989034, 0.9999999999989034),
+    ], ids=["spontaneous", "lossless"])
+    def test_matches_high_precision_reference_at_long_times(self, params, population, coherence):
+        # Three operating times at the far corner of the range above, where
+        # delta t is 4e7 rad.  The references are a 40-digit exponential of
+        # the 9x9 branch generators (mpmath), made once.
+        m = emitted_block(params, 3.0 * params.operating_time)
+        assert np.max(np.abs(m - [[population, coherence], [coherence, population]])) <= 1e-14
+
+    @pytest.mark.parametrize("params, t", [
+        (SystemParams(delta=1e200, lambda_c=1.0, omega=1.0), None),
+        (SystemParams(delta=14.0, lambda_c=2.86, omega=2.9), 1.7e308),
+    ], ids=["delta-t", "fast-phase"])
+    def test_generator_past_float_range_rejected(self, params, t):
+        # At the first operating time the fast phase is pi, but delta t is
+        # past the float range; at the second the phase itself is.
+        t = params.operating_time if t is None else t
+        with pytest.raises(ValueError, match=re.escape(f"t = {t!r} puts the unit's generator")):
+            emitted_block(params, t)
 
 
 class TestCompareFullVsEffective:

@@ -4,8 +4,11 @@ fixed-step RK4 wavefunction and master-equation integrators, the dense
 propagator and the trace distance.  ``tensor_space_deviation`` is the
 comparison of the six-level and the eliminated model in that space, by
 diagonalising both Hamiltonians, which ``compare_full_vs_effective`` (a view
-of the branch blocks) is checked against.  The package runs none of this;
-each piece is an oracle for a route it does run."""
+of the branch blocks) is checked against.  ``unit_outputs`` propagates the
+noisy unit on its whole space, by RK4 or by scipy's exponential of the
+Liouvillian, for ``emitted_block`` (the exact route on the branch blocks) to
+be checked against.  The package runs none of this; each piece is an oracle
+for a route it does run."""
 
 import numpy as np
 
@@ -17,7 +20,9 @@ from w2ghz.atom_cavity import (
     _annihilator,
     _atom_op,
     _embed,
+    collapse_operators,
     full_hamiltonian,
+    full_space,
 )
 from w2ghz.dynamics import (
     DeviationPoint,
@@ -192,3 +197,51 @@ def tensor_space_deviation(params: SystemParams, t_grid) -> DeviationReport:
                                      distance=trace_distance(rho_eff, rho_proj),
                                      leakage=leak))
     return DeviationReport(tuple(points))
+
+
+def unit_levels(n_max: int) -> list[int]:
+    """Indices of |gL,0,0>, |gR,0,0>, |eL,1,0> and |eR,0,1> in the unit space."""
+    space = full_space(n_max)
+    return [space.basis_index(FULL_LEVELS.index(level), n_l, n_r)
+            for level, n_l, n_r in (("gL", 0, 0), ("gR", 0, 0), ("eL", 1, 0), ("eR", 0, 1))]
+
+
+def liouvillian(h: Operator, collapse: list[tuple[float, Operator]]) -> np.ndarray:
+    """The master-equation generator on row-major vec(rho) of the whole
+    space: kron(A, I) + kron(I, conj A) + sum rate kron(c, conj c), with
+    A = -i H - (1/2) sum rate c^dag c."""
+    eye = np.eye(h.space.total_dim)
+    drift = -1j * h.elements - 0.5 * sum(rate * (c.elements.conj().T @ c.elements) for rate, c in collapse)
+    return (np.kron(drift, eye) + np.kron(eye, drift.conj())
+            + sum(rate * np.kron(c.elements, c.elements.conj()) for rate, c in collapse))
+
+
+def unit_outputs(params: SystemParams, t: float, dt: float | None = None) -> np.ndarray:
+    """The outputs of |gL><gL|, |gR><gR| and |gL><gR| tensor vacuum at time
+    t on the whole unit space, stacked: by ``propagate_matrix`` at RK4 step
+    dt, or without one by scipy's exponential of ``liouvillian``.  That is
+    the dense ``expm`` at n_max = 1 (576 entries a side), and above it
+    ``expm_multiply`` on the three inputs, whose cost grows with the
+    generator's norm times t."""
+    from scipy.linalg import expm
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import expm_multiply
+
+    g_l, g_r, _, _ = unit_levels(params.n_max)
+    n = full_space(params.n_max).total_dim
+    inputs = np.zeros((3, n, n), dtype=np.complex128)
+    for k, (i, j) in enumerate(((g_l, g_l), (g_r, g_r), (g_l, g_r))):
+        inputs[k, i, j] = 1.0
+    h, collapse = full_hamiltonian(params), collapse_operators(params)
+    if dt is not None:
+        return propagate_matrix(h, collapse, inputs, t, IntegratorConfig(dt=dt))
+    generator, columns = liouvillian(h, collapse) * t, inputs.reshape(3, n * n).T
+    out = expm(generator) @ columns if params.n_max == 1 else expm_multiply(csr_matrix(generator), columns)
+    return out.T.reshape(3, n, n)
+
+
+def block_of(outputs: np.ndarray, n_max: int) -> np.ndarray:
+    """M = [[P_L, C], [conj(C), P_R]] read off ``unit_outputs``."""
+    _, _, e_l, e_r = unit_levels(n_max)
+    m_ll, m_rr, m_lr = outputs
+    return np.array([[m_ll[e_l, e_l], m_lr[e_l, e_r]], [np.conj(m_lr[e_l, e_r]), m_rr[e_r, e_r]]])
