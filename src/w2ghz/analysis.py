@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,8 +86,7 @@ class SweepSpec:
         return np.linspace(self.minimum, self.maximum, self.steps)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One sweep sample: closed form, numeric route and their difference."""
 
     abscissa: float
@@ -190,8 +190,8 @@ def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
     if not (np.isfinite(closed).all() and np.isfinite(numeric).all()):
         raise ValueError(f"P_d leaves the float range on this grid (eta = {spec.fixed.eta!r}, "
                          f"kappa = {spec.fixed.kappa!r}, kappa*t up to {spec.maximum!r})")
-    return [CurvePoint(*row) for row in zip(kappa_t.tolist(), closed.tolist(), numeric.tolist(),
-                                            np.abs(closed - numeric).tolist())]
+    return list(map(CurvePoint._make, zip(kappa_t.tolist(), closed.tolist(), numeric.tolist(),
+                                          np.abs(closed - numeric).tolist())))
 
 
 def params_for_eta_over_kappa(ratio: float) -> SystemParams:
@@ -252,8 +252,7 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     )
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     kappa_over_gamma: float
     gamma_a_over_gamma: float
     estimator_a: float

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -65,11 +66,6 @@ _COMMAND_KEYS = {
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(value: float) -> str:
-    """Fixed 12-significant-digit numeric formatting for CSV cells."""
-    return f"{value:.12g}"
 
 
 def _load_config(path: str | None, command: str) -> dict:
@@ -174,7 +170,7 @@ def cmd_sweep_decay(args) -> int:
     if not rows:
         raise ConfigError("config error: --eta-over-kappa needs at least one ratio")
 
-    lines = ["eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff"]
+    tables = ["eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff\n"]
     for ratio, params in rows:
         try:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
@@ -184,11 +180,9 @@ def cmd_sweep_decay(args) -> int:
             points = pd_sweep(spec)
         except ValueError as exc:
             raise ConfigError(f"config error: --eta-over-kappa {ratio!r} with field 'sweep': {exc}") from exc
-        ratio_cell = _fmt(ratio)
-        for point in points:
-            lines.append(",".join((ratio_cell, _fmt(point.abscissa), _fmt(point.closed_form),
-                                   _fmt(point.numeric), _fmt(point.abs_difference))))
-    _write_output("\n".join(lines) + "\n", args.out, data)
+        row = f"{ratio:.12g},%.12g,%.12g,%.12g,%.12g\n"
+        tables.append((row * len(points)) % tuple(itertools.chain.from_iterable(points)))
+    _write_output("".join(tables), args.out, data)
     return EXIT_OK
 
 
@@ -210,11 +204,9 @@ def cmd_fidelity_surface(args) -> int:
         ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
         points = fidelity_curve_vs_coupling_ratio(ratios)
 
-    lines = ["kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"]
-    for p in points:
-        lines.append(",".join((_fmt(p.kappa_over_gamma), _fmt(p.gamma_a_over_gamma),
-                               _fmt(p.estimator_a), _fmt(p.estimator_b))))
-    _write_output("\n".join(lines) + "\n", args.out, data)
+    rows = ("%.12g,%.12g,%.12g,%.12g\n" * len(points)) % tuple(itertools.chain.from_iterable(points))
+    _write_output("kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b\n" + rows,
+                  args.out, data)
     return EXIT_OK
 
 

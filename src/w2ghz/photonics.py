@@ -279,16 +279,3 @@ def reference_output_state() -> JointAtomPhotonState:
             entries.append((config, dict(zip(DETECTOR_SLOTS, counts)), coeff * scale * amp))
     return JointAtomPhotonState.from_terms(ATOMS, entries)
 
-
-def max_amplitude_deviation(state: JointAtomPhotonState, other: JointAtomPhotonState) -> float:
-    """Largest per-term amplitude difference after removing the global phase
-    fixed on the largest-amplitude term of the reference ``other``."""
-    if not other.terms:
-        return math.sqrt(state.norm_sq())
-    anchor = max(other.terms, key=lambda k: abs(other.terms[k]))
-    if anchor not in state.terms:
-        return float("inf")
-    phase = other.terms[anchor] / state.terms[anchor]
-    phase /= abs(phase)
-    keys = set(state.terms) | set(other.terms)
-    return max(abs(state.terms.get(k, 0.0) * phase - other.terms.get(k, 0.0)) for k in keys)

@@ -40,7 +40,6 @@ from .photonics import (
     AMPLITUDE_PRUNE_TOL,
     ATOMS,
     DEFAULT_LAYOUT,
-    DETECTOR_SLOTS,
     EMISSIONS,
     SOURCE_MODES,
     JointAtomPhotonState,
@@ -187,13 +186,6 @@ def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayo
     psi = amps[:, None] * network.matrix.T[_CONFIG_SLOT]
     psi[np.abs(psi) <= AMPLITUDE_PRUNE_TOL] = 0.0
     return psi, network.counts
-
-
-def network_state(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> JointAtomPhotonState:
-    """The compiled route's post-network state, term by term."""
-    psi, counts = _network_amplitudes(coefficients, layout)
-    return JointAtomPhotonState.from_terms(ATOMS, (
-        (_CONFIG_LEVELS[c], dict(zip(DETECTOR_SLOTS, counts[o])), psi[c, o]) for c, o in zip(*np.nonzero(psi))))
 
 
 def heralded_states(coefficients: EvolutionCoefficients, layout: NetworkLayout,

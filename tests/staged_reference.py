@@ -20,7 +20,6 @@ from w2ghz.photonics import (
     OUTPUT_MODES,
     JointAtomPhotonState,
     NetworkLayout,
-    max_amplitude_deviation,
     reference_output_state,
 )
 from w2ghz.protocol import (
@@ -202,6 +201,20 @@ def require_photon_number(state: JointAtomPhotonState, n: int) -> None:
     counts = photon_numbers(state)
     if counts != {n}:
         raise ValueError(f"expected exactly {n} photons in every term, found counts {sorted(counts)}")
+
+
+def max_amplitude_deviation(state: JointAtomPhotonState, other: JointAtomPhotonState) -> float:
+    """Largest per-term amplitude difference after removing the global phase
+    fixed on the largest-amplitude term of the reference ``other``."""
+    if not other.terms:
+        return math.sqrt(state.norm_sq())
+    anchor = max(other.terms, key=lambda k: abs(other.terms[k]))
+    if anchor not in state.terms:
+        return float("inf")
+    phase = other.terms[anchor] / state.terms[anchor]
+    phase /= abs(phase)
+    keys = set(state.terms) | set(other.terms)
+    return max(abs(state.terms.get(k, 0.0) * phase - other.terms.get(k, 0.0)) for k in keys)
 
 
 def states_equal_up_to_phase(state: JointAtomPhotonState, other: JointAtomPhotonState,

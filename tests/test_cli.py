@@ -1,15 +1,24 @@
 import importlib.util
 import json
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+from staged_reference import (
+    all_layouts,
+    max_amplitude_deviation,
+    reference_coefficients,
+    staged_cavity_interaction,
+    staged_network,
+)
 from w2ghz import analysis, checks, cli, hilbert
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
-from w2ghz.photonics import NetworkLayout
+from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout, reference_output_state
+from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state
 
 CORRUPTED_LAYOUT = {"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}}
 ALIGNED_LAYOUT = {"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}
@@ -403,12 +412,63 @@ class TestFidelitySurface:
         assert float(rows[1][0]) == pytest.approx(reference)
 
 
+def per_cell_csv(header, rows):
+    """A CSV table with each cell formatted on its own, as f"{v:.12g}": the
+    oracle for the tables the commands format in one pass."""
+    return "\n".join([header] + [",".join(f"{v:.12g}" for v in row) for row in rows]) + "\n"
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("ratio, sweep", [
+        (0.1, {}), (0.45, {}), (0.5 * (1 + 1e-10), {}), (0.5 * (1 - 1e-10), {}), (10.9898, {}), (107.3, {}),
+        (0.1, {"max": 2000}),
+        (0.1, {"max": 12000}),  # the tail is subnormal, then zero
+    ])
+    def test_sweep_decay(self, tmp_path, ratio, sweep):
+        out = tmp_path / "curve.csv"
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": sweep})
+        argv = ["sweep-decay", "--eta-over-kappa", repr(ratio), "--grid-steps", "1000", "--config", cfg]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        spec = analysis.SweepSpec("kappa_t", 1e-3, sweep.get("max", 3.0), 1000,
+                                  analysis.params_for_eta_over_kappa(ratio))
+        points = analysis.pd_sweep(spec)
+        if sweep.get("max") == 12000:
+            tail = [p.closed_form for p in points if p.closed_form < sys.float_info.min]
+            assert 0.0 in tail and len(tail) > 1
+        assert out.read_text() == per_cell_csv("eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff",
+                                               [(ratio, *point) for point in points])
+
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_fidelity_surface(self, tmp_path, axis):
+        out = tmp_path / "surface.csv"
+        argv = ["fidelity-surface", "--grid-steps", "2", "--axis-convention", axis, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        if axis == "a":
+            grid = [0.0, 2.0 * analysis.REFERENCE_LAMBDA_C / 50.0]
+            points = analysis.fidelity_surface(grid, grid)
+        else:
+            points = analysis.fidelity_curve_vs_coupling_ratio([50.0, 250.0])
+        header = "kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"
+        assert out.read_text() == per_cell_csv(header, points)
+
+
 class TestValidate:
     def test_stock_build_passes(self, capsys):
         assert main(["validate"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("ok  ") == 5
         assert "FAIL" not in out
+
+    def test_default_output_pinned(self, capsys):
+        assert main(["validate"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "ok   transfer-norm: max ||alpha|^2 + |beta|^2 - 1| at kappa = 0: 4.441e-16; "
+            "with kappa > 0, max excess over 1: 0.000e+00, max rise in t: 0.000e+00\n"
+            "ok   povm-completeness: pattern weights in [0, 1]: True; max |sum over patterns - 1| = 1.221e-15\n"
+            "ok   network-reference-state: max per-term amplitude deviation = 2.776e-17\n"
+            "ok   decay-probability-identity: max relative difference = 2.867e-15\n"
+            "ok   params-invariants: no params supplied; defaults valid by construction\n"
+        )
 
     def test_corrupted_layout_fails_named_check(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", {"layout": CORRUPTED_LAYOUT})
@@ -444,6 +504,16 @@ class TestChecksApi:
         result = check_network_reference_state(layout=NetworkLayout.from_dict(CORRUPTED_LAYOUT))
         assert not result.passed
         assert result.name == "network-reference-state"
+
+    @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout.routing))
+    def test_network_check_matches_staged_pipeline(self, layout):
+        # The array comparison against the term-by-term one on the
+        # element-by-element pipeline: the same deviation to the last bit.
+        pulsed = apply_hadamard_pulses(prepare_w_state())
+        joint = staged_cavity_interaction(pulsed, reference_coefficients(checks.DEFAULT_CHECK_PARAMS))
+        expected = max_amplitude_deviation(staged_network(joint, layout), reference_output_state())
+        assert checks.network_reference_deviation(layout) == expected
+        assert check_network_reference_state(layout).passed == (layout == DEFAULT_LAYOUT)
 
     @pytest.mark.parametrize("corruption", ["beta-scaled", "decay-reversed"])
     def test_corrupted_transfer_norm_detected(self, monkeypatch, corruption):

@@ -9,6 +9,7 @@ from staged_reference import (
     apply_hwp,
     apply_pbs_routing,
     emit_and_qwp,
+    max_amplitude_deviation,
     photon_numbers,
     require_photon_number,
     search_routing_layouts,
@@ -25,7 +26,6 @@ from w2ghz.photonics import (
     JointAtomPhotonState,
     NetworkLayout,
     full_network,
-    max_amplitude_deviation,
     network_map,
     reference_output_state,
 )
