@@ -16,9 +16,8 @@ units of 1/gamma.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -105,15 +104,7 @@ class SystemParams:
         return self.light_shifts[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "lambda_c": self.lambda_c,
-            "omega": self.omega,
-            "kappa": self.kappa,
-            "gamma_a": self.gamma_a,
-            "eta_d": self.eta_d,
-            "n_max": self.n_max,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemParams":
@@ -137,10 +128,6 @@ class SystemParams:
                 except OverflowError:
                     raise ValueError(f"field {name!r}: integer too large for a float") from None
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SystemParams":
-        return cls.from_json_dict(json.loads(text))
 
 
 def full_space(n_max: int = 1) -> HilbertSpace:

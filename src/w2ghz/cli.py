@@ -40,7 +40,7 @@ from .analysis import (
     pd_sweep,
 )
 from .atom_cavity import SystemParams
-from .checks import run_all_checks
+from .checks import DEFAULT_CHECK_PARAMS, run_all_checks
 from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import require_modelled, run_protocol
 
@@ -52,7 +52,7 @@ EXIT_CONFIG = 2
 # point is estimated.
 _MAX_SURFACE_STEPS = 1000
 
-_DEFAULT_PARAMS_DOC = {"delta": 20.0, "lambda_c": 1.0, "omega": 1.0}
+_DEFAULT_PARAMS_DOC = {name: getattr(DEFAULT_CHECK_PARAMS, name) for name in ("delta", "lambda_c", "omega")}
 _PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
 # The config keys each command reads.  ``validate`` hands every other key,
 # unparsed, to its params-invariants check; the other commands reject them.

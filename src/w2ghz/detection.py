@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS
-from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelity
+from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack
 from .photonics import ATOMS, DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
 
 DETECTORS = tuple(f"D{mode}{pol}" for mode, pol in DETECTOR_SLOTS)
@@ -58,9 +58,6 @@ class ClickPattern:
     @property
     def v_count(self) -> int:
         return sum(1 for name in self.fired if name.endswith("V"))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(self.sorted_names) + "}"
 
 
 def all_patterns() -> list[ClickPattern]:
@@ -221,21 +218,6 @@ class DetectionReport:
 
     def probability(self, pattern: ClickPattern) -> float:
         return self.pattern_probabilities.get(pattern, 0.0)
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for pattern in sorted(self.pattern_probabilities, key=lambda p: p.sorted_names):
-            cls = classify_pattern(pattern)
-            entry = {
-                "probability": self.pattern_probabilities[pattern],
-                "class": cls.value,
-            }
-            state = self.conditional_states.get(pattern)
-            if state is not None:
-                target = ghz_pair_states(state.space)[0 if cls is OutcomeClass.GHZ_PLUS else 1]
-                entry["fidelity"] = fidelity(state, target)
-            out["+".join(pattern.sorted_names) if pattern.fired else "none"] = entry
-        return out
 
 
 def _report(probabilities: list, conditionals: dict) -> DetectionReport:

@@ -44,10 +44,6 @@ class HilbertSpace:
         return cls(tuple((str(label), int(dim)) for label, dim in subsystems))
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         return tuple(dim for _, dim in self.subsystems)
 
@@ -140,9 +136,6 @@ class DensityMatrix:
                 raise ValueError(f"density matrix must be {d}x{d}, got {arr.shape}")
         object.__setattr__(self, "elements", _as_complex_array(self.elements, check))
         validate_density_stack(self.elements[None], self.normalized)
-
-    def trace(self) -> float:
-        return float(np.trace(self.elements).real)
 
 
 def density_stack(space: HilbertSpace, elements) -> tuple[DensityMatrix, ...]:

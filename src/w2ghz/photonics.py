@@ -120,12 +120,6 @@ class NetworkLayout:
     def route(self, atom: str, pol: str) -> int:
         return dict(self.routing)[(atom, pol)]
 
-    def to_json_dict(self) -> dict:
-        out: dict = {atom: {} for atom in ATOMS}
-        for (atom, pol), mode in self.routing:
-            out[atom][pol] = mode
-        return out
-
 
 # H photons from each cavity join the V output of the cyclically preceding
 # cavity; of the 36 valid layouts this is the only one whose network output

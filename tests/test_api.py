@@ -1,7 +1,11 @@
-"""The public names other code relies on must keep resolving.
+"""The public names other code relies on must keep resolving, each from one
+import path.
 
-The benchmark under ``perfbench/`` imports the package directly, so a
-deletion that breaks it fails here rather than only as failed benchmark ops.
+Every name is imported from the module that defines it, as
+``from w2ghz.protocol import run_protocol``; the package root binds none of
+them, and no module of the package imports through the root.  The benchmark
+under ``perfbench/`` imports the package directly, so a deletion that breaks
+it fails here rather than only as failed benchmark ops.
 """
 
 import ast
@@ -74,9 +78,29 @@ def package_calls(path: Path):
         yield node.lineno, ast.unparse(node.func), callee, positional, keywords
 
 
-@pytest.mark.parametrize("name", w2ghz.__all__)
-def test_all_names_resolve(name):
-    assert getattr(w2ghz, name) is not None
+# The simulator's public names, each under the module that defines it.
+PUBLIC_NAMES = {
+    "w2ghz.analysis": ("CurvePoint", "FidelityEstimates", "SweepSpec", "fidelity_surface",
+                       "master_equation_estimates", "pd_closed_form", "pd_sweep", "reference_noise_params"),
+    "w2ghz.atom_cavity": ("SystemParams", "collapse_operators", "full_hamiltonian"),
+    "w2ghz.detection": ("ClickPattern", "DetectionReport", "OutcomeClass", "classify_pattern",
+                        "enumerate_outcomes", "measure", "success_probability_ideal"),
+    "w2ghz.dynamics": ("EvolutionCoefficients", "compare_full_vs_effective", "decay_coefficients"),
+    "w2ghz.hilbert": ("DensityMatrix", "HilbertSpace", "Operator", "StateVector", "fidelity"),
+    "w2ghz.photonics": ("DEFAULT_LAYOUT", "JointAtomPhotonState", "NetworkLayout", "full_network"),
+    "w2ghz.protocol": ("ProtocolResult", "ProtocolRun", "apply_hadamard_pulses", "cavity_interaction",
+                       "ghz_target", "prepare_w_state", "raman_mapping", "run_protocol", "sign_correction"),
+}
+
+
+@pytest.mark.parametrize("module_name, name", [pytest.param(module_name, name, id=name)
+                                               for module_name, names in PUBLIC_NAMES.items() for name in names])
+def test_each_name_has_one_import_path(module_name, name):
+    value = resolve(module_name, name)
+    assert value is not None, f"{module_name}.{name} is gone"
+    if inspect.isclass(value) or inspect.isfunction(value):
+        assert value.__module__ == module_name
+    assert not hasattr(w2ghz, name), f"w2ghz.{name} is a second import path"
 
 
 def test_import_leaves_scipy_out():
@@ -95,6 +119,29 @@ def test_import_leaves_scipy_out():
             else:
                 continue
             assert not any(m.split(".")[0] == "scipy" for m in modules), f"{path.name}:{node.lineno}"
+
+
+def test_import_leaves_submodules_out():
+    # The root binds only its version: importing it loads no submodule and
+    # not numpy.
+    code = ("import sys, w2ghz; "
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('w2ghz.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(Path(w2ghz.__file__).parents[1])})
+    assert out.stdout.strip() == "[]"
+
+
+def test_modules_do_not_import_through_the_root():
+    package = Path(w2ghz.__file__).parent
+    submodules = {path.stem for path in package.glob("*.py")}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            through_root = (node.level == 1 and node.module is None) or (node.level == 0 and node.module == "w2ghz")
+            if through_root:
+                names = {alias.name for alias in node.names}
+                assert names <= submodules, f"{path.name}:{node.lineno} imports {sorted(names - submodules)}"
 
 
 def test_tolerances_are_unscaled():

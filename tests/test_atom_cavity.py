@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -81,7 +80,6 @@ class TestSystemParams:
     def test_json_roundtrip(self):
         doc = PARAMS.to_json_dict()
         assert SystemParams.from_json_dict(doc) == PARAMS
-        assert SystemParams.from_json(json.dumps(doc)) == PARAMS
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

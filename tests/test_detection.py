@@ -232,16 +232,6 @@ class TestEnumerateOutcomes:
             report = enumerate_outcomes(state, eta)
             assert abs(report.total_success_probability - success_probability_ideal(eta)) < 1e-12
 
-    def test_json_report_shape(self):
-        report = enumerate_outcomes(network_state(), 1.0)
-        doc = report.to_json_dict()
-        assert len(doc) == 64
-        key = "D7H+D8H+D9V"
-        assert doc[key]["class"] == "GHZ_PLUS"
-        assert doc[key]["probability"] == pytest.approx(3 / 32)
-        assert doc[key]["fidelity"] == pytest.approx(1.0)
-        assert doc["none"]["class"] == "REJECT"
-
 
 class TestOnePassOracle:
     """The one-pass kernel must reproduce the per-pattern loop bit for bit."""
@@ -331,5 +321,5 @@ def test_all_patterns_is_complete_algebra():
 
 def test_atomic_space_shape():
     space = atomic_space(("a", "b", "c"))
-    assert space.labels == ("a", "b", "c")
+    assert space.subsystems == (("a", 2), ("b", 2), ("c", 2))
     assert space.total_dim == 8

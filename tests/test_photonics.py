@@ -68,10 +68,6 @@ class TestLayout:
         for (atom, pol), mode in expected.items():
             assert DEFAULT_LAYOUT.route(atom, pol) == mode
 
-    def test_json_roundtrip(self):
-        doc = DEFAULT_LAYOUT.to_json_dict()
-        assert NetworkLayout.from_dict(doc) == DEFAULT_LAYOUT
-
     def test_each_output_gets_one_route_per_polarization(self):
         with pytest.raises(ValueError, match="once"):
             NetworkLayout.from_dict({"a": {"V": 7, "H": 9},

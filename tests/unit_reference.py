@@ -153,8 +153,9 @@ def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: D
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {rho0.space.subsystems}")
     out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
     result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
-    if rho0.normalized and abs(result.trace() - 1.0) > tol(1e-8):
-        raise RuntimeError(f"integrator trace drift {result.trace() - 1.0:.3e}; reduce dt")
+    drift = float(np.trace(out).real) - 1.0
+    if rho0.normalized and abs(drift) > tol(1e-8):
+        raise RuntimeError(f"integrator trace drift {drift:.3e}; reduce dt")
     return result
 
 
