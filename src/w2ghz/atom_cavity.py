@@ -17,7 +17,7 @@ units of 1/gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ EFFECTIVE_LEVELS = ("gL", "gR", "eL", "eR")
 GROUND_LEVELS = ("gL", "gR")
 EMITTED_LEVELS = ("eL", "eR")
 
+# The fields of a params document, in SystemParams order; n_max is none.
+DOCUMENT_FIELDS = ("delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d")
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -38,10 +41,16 @@ class SystemParams:
 
     Fields are in units of a reference rate gamma: ``delta`` is the detuning,
     ``lambda_c`` the atom-cavity coupling, ``omega`` the classical Rabi
-    frequency, ``kappa`` the decay rate of either cavity polarization mode,
+    frequency, ``kappa`` the cavity decay rate of either polarization mode,
     ``gamma_a`` the total spontaneous rate out of each upper level (split
     equally over its four decay branches), ``eta_d`` the detector quantum
-    efficiency and ``n_max`` the Fock cutoff per polarization mode.
+    efficiency and ``n_max`` the Fock cutoff per mode, no document field.
+
+    Two routes read ``kappa`` apart (ROADMAP.md, "One cavity-decay rate"):
+    ``dynamics.decay_coefficients`` (so ``run_protocol`` and P_d) takes it
+    as the paper's field decay rate, the photon population decaying at
+    2 kappa; ``collapse_operators`` (so ``emitted_block`` and the fidelity
+    estimators) decays the population at kappa.
     """
 
     delta: float
@@ -53,7 +62,7 @@ class SystemParams:
     n_max: int = 1
 
     def __post_init__(self):
-        for name in ("delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d"):
+        for name in DOCUMENT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta <= 0:
@@ -104,29 +113,23 @@ class SystemParams:
         return self.light_shifts[0]
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in DOCUMENT_FIELDS}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SystemParams":
         if not isinstance(data, dict):
             raise ValueError(f"params document must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(DOCUMENT_FIELDS)
         if unknown:
             raise ValueError(f"unknown params field(s): {sorted(unknown)}")
         kwargs = {}
         for name, value in data.items():
-            if name == "n_max":
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"field 'n_max': expected an integer, got {value!r}")
-                kwargs[name] = value
-            else:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValueError(f"field {name!r}: expected a number, got {value!r}")
-                try:
-                    kwargs[name] = float(value)
-                except OverflowError:
-                    raise ValueError(f"field {name!r}: integer too large for a float") from None
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"field {name!r}: expected a number, got {value!r}")
+            try:
+                kwargs[name] = float(value)
+            except OverflowError:
+                raise ValueError(f"field {name!r}: integer too large for a float") from None
         return cls(**kwargs)
 
 

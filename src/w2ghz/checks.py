@@ -82,14 +82,13 @@ def check_povm_completeness() -> CheckResult:
                        f"pattern weights in [0, 1]: {in_range}; max |sum over patterns - 1| = {worst:.3e}")
 
 
-def network_reference_deviation(layout: NetworkLayout = DEFAULT_LAYOUT,
-                                params: SystemParams = DEFAULT_CHECK_PARAMS) -> float:
+def network_reference_deviation(layout: NetworkLayout = DEFAULT_LAYOUT) -> float:
     """Largest amplitude difference between the compiled network's output
-    and the analytic post-network state over every (configuration,
-    occupation) term, once the phase is fixed on the reference's anchor
-    term; a reference term the layout's network cannot reach counts at its
-    full magnitude, and an anchor it leaves empty gives inf."""
-    psi, counts = _network_amplitudes(transfer_coefficients(params), layout)
+    at the ideal operating point and the analytic post-network state over
+    every (configuration, occupation) term, with the phase fixed on the
+    reference's anchor term; a reference term the layout cannot reach counts
+    at its full magnitude, and an anchor it leaves empty gives inf."""
+    psi, counts = _network_amplitudes(transfer_coefficients(DEFAULT_CHECK_PARAMS), layout)
     match = (counts[:, None, :] == _REFERENCE_COUNTS).all(axis=2)  # occupation x reference term
     reached, column = match.any(axis=0), match.argmax(axis=0)
     anchor = complex(psi[_REFERENCE_CONFIG[_REFERENCE_ANCHOR], column[_REFERENCE_ANCHOR]])
@@ -103,11 +102,10 @@ def network_reference_deviation(layout: NetworkLayout = DEFAULT_LAYOUT,
                float(np.abs(_REFERENCE_AMPS[~reached]).max(initial=0.0)))
 
 
-def check_network_reference_state(layout: NetworkLayout = DEFAULT_LAYOUT,
-                                  params: SystemParams = DEFAULT_CHECK_PARAMS) -> CheckResult:
+def check_network_reference_state(layout: NetworkLayout = DEFAULT_LAYOUT) -> CheckResult:
     """The compiled network that ``run_protocol`` runs must reproduce the
     analytic post-network state term by term (up to one global phase)."""
-    deviation = network_reference_deviation(layout, params)
+    deviation = network_reference_deviation(layout)
     return CheckResult("network-reference-state", deviation < tol(1e-12),
                        f"max per-term amplitude deviation = {deviation:.3e}")
 

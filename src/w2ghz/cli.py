@@ -7,13 +7,13 @@ Subcommands::
     fidelity-surface  master-equation fidelity estimators as CSV
     validate          run the invariant battery, exit non-zero on failure
 
-Configs are JSON objects (rates in multiples of the reference rate gamma,
-times in 1/gamma) holding only keys their command reads:
+Configs (``--config``) are JSON objects (rates in multiples of the
+reference rate gamma, times in 1/gamma) holding only keys their command
+reads; fidelity-surface takes none:
 
-    ideal-run         the SystemParams fields but "n_max", "t" (default: the
-                      operating time), "layout" (routing map), "out"
-    sweep-decay       "sweep" ({"min", "max", "steps"} over kappa*t), "out"
-    fidelity-surface  "out"
+    ideal-run         "delta", "lambda_c", "omega", "kappa", "gamma_a",
+                      "eta_d", "t" (default: the operating time), "layout"
+    sweep-decay       "sweep" ({"min", "max"} over kappa*t)
     validate          "layout"; other keys go to the params-invariants check
 
 Exit codes: 0 success, 1 validation failure, 2 config error.  All commands
@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -39,7 +38,7 @@ from .analysis import (
     params_for_eta_over_kappa,
     pd_sweep,
 )
-from .atom_cavity import SystemParams
+from .atom_cavity import DOCUMENT_FIELDS, SystemParams
 from .checks import DEFAULT_CHECK_PARAMS, run_all_checks
 from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import require_modelled, run_protocol
@@ -53,13 +52,11 @@ EXIT_CONFIG = 2
 _MAX_SURFACE_STEPS = 1000
 
 _DEFAULT_PARAMS_DOC = {name: getattr(DEFAULT_CHECK_PARAMS, name) for name in ("delta", "lambda_c", "omega")}
-_PARAMS_KEYS = frozenset(f.name for f in fields(SystemParams))
 # The config keys each command reads.  ``validate`` hands every other key,
 # unparsed, to its params-invariants check; the other commands reject them.
 _COMMAND_KEYS = {
-    "ideal-run": (_PARAMS_KEYS - {"n_max"}) | {"t", "layout", "out"},
-    "sweep-decay": frozenset({"sweep", "out"}),
-    "fidelity-surface": frozenset({"out"}),
+    "ideal-run": frozenset(DOCUMENT_FIELDS) | {"t", "layout"},
+    "sweep-decay": frozenset({"sweep"}),
     "validate": frozenset({"layout"}),
 }
 
@@ -110,12 +107,8 @@ def _parse_layout(data: dict) -> NetworkLayout:
         raise ConfigError(f"config error: field 'layout': {exc}") from exc
 
 
-def _write_output(text: str, out_arg: str | None, data: dict) -> None:
-    """Write to ``--out``, else to the config's "out", else to stdout."""
-    out_path = data.get("out")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigError(f"config error: field 'out': expected a path string, got {out_path!r}")
-    out_path = out_arg or out_path
+def _write_output(text: str, out_path: str | None) -> None:
+    """Write to ``--out``, else to stdout."""
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -129,7 +122,7 @@ def cmd_ideal_run(args) -> int:
     data = _load_config(args.config, args.command)
     try:
         params = SystemParams.from_json_dict(
-            {**_DEFAULT_PARAMS_DOC, **{k: v for k, v in data.items() if k in _PARAMS_KEYS}})
+            {**_DEFAULT_PARAMS_DOC, **{k: v for k, v in data.items() if k in DOCUMENT_FIELDS}})
         t = _number(data["t"], "field 't'") if "t" in data else None
         require_modelled(params, t)
     except ValueError as exc:
@@ -137,31 +130,26 @@ def cmd_ideal_run(args) -> int:
     layout = _parse_layout(data)
     run = run_protocol(params, layout=layout, t=t)
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    _write_output(report, args.out, data)
+    _write_output(report, args.out)
     return EXIT_OK
 
 
-def _sweep_grid(sweep) -> tuple[float, float, int]:
-    """The (min, max, steps) of a sweep object over kappa*t, with defaults
-    (1e-3, 3.0, 1000)."""
+def _sweep_range(sweep) -> tuple[float, float]:
+    """The (min, max) of a sweep object over kappa*t, default (1e-3, 3.0)."""
     if not isinstance(sweep, dict):
         raise ConfigError("config error: field 'sweep': expected an object")
-    unknown = set(sweep) - {"min", "max", "steps"}
+    unknown = set(sweep) - {"min", "max"}
     if unknown:
         raise ConfigError(f"config error: field 'sweep': unknown key(s) {sorted(unknown)}")
     lo, hi = (_number(sweep.get(key, default), f"field 'sweep': {key!r}")
               for key, default in (("min", 1e-3), ("max", 3.0)))
-    steps = sweep.get("steps", 1000)
-    if not isinstance(steps, int) or isinstance(steps, bool):
-        raise ConfigError(f"config error: field 'sweep': 'steps' must be an integer, got {steps!r}")
-    return lo, hi, steps
+    return lo, hi
 
 
 def cmd_sweep_decay(args) -> int:
     data = _load_config(args.config, args.command)
-    lo, hi, steps = _sweep_grid(data.get("sweep", {}))
-    if args.grid_steps is not None:
-        steps = args.grid_steps
+    lo, hi = _sweep_range(data.get("sweep", {}))
+    steps = 1000 if args.grid_steps is None else args.grid_steps
     try:
         rows = [(ratio, params_for_eta_over_kappa(ratio))
                 for ratio in (float(r) for r in args.eta_over_kappa.split(",") if r.strip())]
@@ -175,19 +163,18 @@ def cmd_sweep_decay(args) -> int:
         try:
             spec = SweepSpec("kappa_t", lo, hi, steps, params)
         except ValueError as exc:
-            raise ConfigError(f"config error: field 'sweep': {exc}") from exc
+            raise ConfigError(f"config error: field 'sweep' and --grid-steps: {exc}") from exc
         try:
             points = pd_sweep(spec)
         except ValueError as exc:
             raise ConfigError(f"config error: --eta-over-kappa {ratio!r} with field 'sweep': {exc}") from exc
         row = f"{ratio:.12g},%.12g,%.12g,%.12g,%.12g\n"
         tables.append((row * len(points)) % tuple(itertools.chain.from_iterable(points)))
-    _write_output("".join(tables), args.out, data)
+    _write_output("".join(tables), args.out)
     return EXIT_OK
 
 
 def cmd_fidelity_surface(args) -> int:
-    data = _load_config(args.config, args.command)
     steps = 3 if args.grid_steps is None else args.grid_steps
     if steps < 2:
         raise ConfigError("config error: --grid-steps must be at least 2")
@@ -205,8 +192,7 @@ def cmd_fidelity_surface(args) -> int:
         points = fidelity_curve_vs_coupling_ratio(ratios)
 
     rows = ("%.12g,%.12g,%.12g,%.12g\n" * len(points)) % tuple(itertools.chain.from_iterable(points))
-    _write_output("kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b\n" + rows,
-                  args.out, data)
+    _write_output("kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b\n" + rows, args.out)
     return EXIT_OK
 
 
@@ -244,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface = sub.add_parser("fidelity-surface", help="master-equation fidelity estimators as CSV")
     p_validate = sub.add_parser("validate", help="run the invariant battery")
 
-    for p in (p_run, p_sweep, p_surface, p_validate):
+    for p in (p_run, p_sweep, p_validate):
         p.add_argument("--config", help="JSON config path")
     for p in (p_run, p_sweep, p_surface):
         p.add_argument("--out", help="output path (default: stdout)")

@@ -6,8 +6,9 @@ any drive and any cavity decay, at one time or a whole array of times at
 once.  It is the one place the adiabatically eliminated model is written;
 ``compare_full_vs_effective`` measures its error against the six-level atom
 on the branch block the dynamics never leave.  ``emitted_block`` solves the
-six-level master equation exactly on the branch blocks; a fixed-step RK4
-integrator on the whole unit space (at most 1e5 steps) is its oracle.
+six-level master equation exactly on the branch blocks, which the tests hold
+to exact whole-space exponentials.  Fixed-step RK4, ``propagate_matrix``,
+has no caller here; perfbench imports it, and it is tested as itself.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import pytest
 from unit_reference import conditional_hamiltonian, effective_embedding, effective_hamiltonian, effective_space
 
 from w2ghz.atom_cavity import (
+    DOCUMENT_FIELDS,
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
     SystemParams,
@@ -79,6 +80,7 @@ class TestSystemParams:
 
     def test_json_roundtrip(self):
         doc = PARAMS.to_json_dict()
+        assert tuple(doc) == DOCUMENT_FIELDS
         assert SystemParams.from_json_dict(doc) == PARAMS
 
     def test_unknown_field_rejected(self):
@@ -94,8 +96,11 @@ class TestSystemParams:
             SystemParams.from_json_dict({"delta": 10**400, "lambda_c": 1.0, "omega": 1.0})
 
     def test_fractional_n_max_rejected(self):
-        with pytest.raises(ValueError, match="n_max"):
-            SystemParams.from_json_dict({"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, "n_max": 1.5})
+        # The Fock cutoff is a constructor field only: a document holding
+        # n_max is refused as an unknown field, whatever its value.
+        for n_max in (1.5, 1, 2, "1", None):
+            with pytest.raises(ValueError, match=r"unknown params field\(s\): \['n_max'\]"):
+                SystemParams.from_json_dict({"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, "n_max": n_max})
 
 
 class TestFullHamiltonian:

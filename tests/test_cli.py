@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -14,6 +15,7 @@ from staged_reference import (
     staged_network,
 )
 from w2ghz import analysis, checks, cli, hilbert
+from w2ghz.atom_cavity import DOCUMENT_FIELDS
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
@@ -23,6 +25,7 @@ from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state
 CORRUPTED_LAYOUT = {"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}}
 ALIGNED_LAYOUT = {"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_json(tmp_path, name, payload):
@@ -187,13 +190,14 @@ class TestIdealRun:
 
     def test_fock_cutoff_is_not_read(self, tmp_path, capsys):
         # run_protocol never reads n_max, so ideal-run refuses it like any
-        # other unread key; the report still echoes the default cutoff.
+        # other unread key, and the report's params hold the document
+        # fields alone.
         cfg = write_json(tmp_path, "cfg.json", {"n_max": 7})
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and "['n_max']" in captured.err
         assert main(["ideal-run"]) == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["params"]["n_max"] == 1
+        assert set(json.loads(capsys.readouterr().out)["params"]) == set(DOCUMENT_FIELDS)
 
     def test_internal_error_is_not_config_error(self, monkeypatch):
         # Only params outside the model are config errors; a failed check on
@@ -217,9 +221,15 @@ class TestIdealRun:
 
     @pytest.mark.parametrize("out", [5, ["a"]])
     def test_non_string_out_is_config_error(self, tmp_path, capsys, out):
-        cfg = write_json(tmp_path, "cfg.json", {"out": out})
-        assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
-        assert "field 'out'" in capsys.readouterr().err
+        # The output path comes from --out alone: "out" in a config, a path
+        # string or not, is an unread key, and nothing is written.
+        target = tmp_path / "report.json"
+        for value in (out, str(target)):
+            cfg = write_json(tmp_path, "cfg.json", {"out": value})
+            assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and "does not read key(s) ['out']" in captured.err
+        assert not target.exists()
 
     def test_unwritable_out_is_config_error(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"
@@ -237,8 +247,8 @@ class TestIdealRun:
 class TestSweepDecay:
     def test_header_and_reference_row(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        cfg = write_json(tmp_path, "cfg.json", {"sweep": {"min": 0.0156582, "max": 1.0, "steps": 3}})
-        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "100",
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": {"min": 0.0156582, "max": 1.0}})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "100", "--grid-steps", "3",
                      "--out", str(out)]) == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "eta_over_kappa,kappa_t,p_d_closed,p_d_numeric,abs_diff"
@@ -294,10 +304,15 @@ class TestSweepDecay:
         ([], {"steps": 1000001}),
     ])
     def test_grid_past_cap_is_config_error(self, tmp_path, capsys, argv, sweep):
+        # The grid size comes from --grid-steps alone; a "steps" in the
+        # sweep object is an unknown key, refused before any grid is built.
         cfg = write_json(tmp_path, "cfg.json", {"sweep": sweep})
         assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "10", *argv]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "steps must be at most 1000000" in captured.err
+        if argv:
+            assert "steps must be at most 1000000" in captured.err
+        else:
+            assert "field 'sweep': unknown key(s) ['steps']" in captured.err
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -345,34 +360,19 @@ class TestFidelitySurface:
         assert noiseless[2] == pytest.approx(max(r[2] for r in rows))
         assert all(0.0 <= r[2] <= 1.0 and 0.0 <= r[3] <= 1.0 for r in rows)
 
-    # The estimates run no integrator, so a step size is no key of the
-    # command: any "dt" exits 2 as an unread key, before any point is
-    # estimated.
-    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
-    def test_non_finite_step_is_config_error(self, tmp_path, capsys, dt):
-        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
-        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
-        assert "does not read key(s) ['dt']" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("dt", [0.2, 100])
     @pytest.mark.parametrize("axis", ["a", "b"])
-    def test_unstable_step_is_config_error(self, tmp_path, capsys, dt, axis):
-        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
-        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2",
-                     "--axis-convention", axis]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert "does not read key(s) ['dt']" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("dt", [1e-300, 1e-9])
-    def test_step_past_budget_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
+    def test_config_is_refused(self, tmp_path, capsys, monkeypatch, axis):
+        # No config value reaches the surface (its grid comes from the flags),
+        # so the command takes no --config: one exits 2 before any estimate.
         estimated = []
         monkeypatch.setattr(analysis, "master_equation_estimates", lambda *args, **kwargs: estimated.append(args))
-        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
-        assert main(["fidelity-surface", "--config", cfg, "--grid-steps", "2"]) == EXIT_CONFIG
+        cfg = write_json(tmp_path, "cfg.json", {})
+        with pytest.raises(SystemExit) as exited:
+            main(["fidelity-surface", "--config", cfg, "--grid-steps", "2", "--axis-convention", axis])
+        assert exited.value.code == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "does not read key(s) ['dt']" in captured.err
-        assert captured.out == "" and estimated == []
+        assert captured.out == "" and "unrecognized arguments: --config" in captured.err
+        assert estimated == []
 
     @pytest.mark.parametrize("error", [ValueError, RuntimeError])
     @pytest.mark.parametrize("axis", ["a", "b"])
@@ -541,19 +541,42 @@ class TestConfigKeys:
         (["sweep-decay"], {"eta_d": 0.3}),
         (["sweep-decay"], {"kappa": 1}),
         (["sweep-decay"], {"dt": 0.5, "layout": ALIGNED_LAYOUT}),
-        (["fidelity-surface", "--grid-steps", "2"], {"kappa": 0.5, "t": 3, "layout": ALIGNED_LAYOUT}),
-        (["fidelity-surface", "--grid-steps", "2"], {"eta_d": 0.5, "sweep": {}}),
+        (["ideal-run"], {"out": "report.json"}),
+        (["sweep-decay"], {"out": "curve.csv"}),
         (["ideal-run"], {"dt": 0.5}),
         (["ideal-run"], {"sweep": {}}),
-        (["fidelity-surface", "--grid-steps", "2"], {"dt": 0.008}),
+        (["ideal-run"], {"n_max": 1, "out": "report.json"}),
     ])
-    def test_unread_key_is_config_error(self, tmp_path, capsys, argv, doc):
+    def test_unread_key_is_config_error(self, tmp_path, capsys, monkeypatch, argv, doc):
+        monkeypatch.chdir(tmp_path)
         cfg = write_json(tmp_path, "cfg.json", doc)
         assert main([*argv, "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == "" and str(sorted(doc)) in captured.err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
-    @pytest.mark.parametrize("doc", [{"t": 3}, {"dt": 0.5}, {"sweep": {}}, {"out": 5}])
+    def test_documented_keys_are_the_read_keys(self):
+        # The module docstring and README's config table list, per command,
+        # the keys before any ';', asides in parentheses left out; both
+        # must name exactly the commands that take a config and their keys.
+        def keys(text, quote):
+            text = text.split(";")[0]
+            while re.search(r"\([^()]*\)", text):
+                text = re.sub(r"\([^()]*\)", "", text)
+            return set(re.findall(f"{quote}(\\w+){quote}", text))
+
+        docstring = cli.__doc__[cli.__doc__.index("Configs"):cli.__doc__.index("Exit codes")]
+        rows = re.findall(r"^    (\S+) +(.*(?:\n {5,}.*)*)", docstring, flags=re.MULTILINE)
+        documented = {command: keys(text, '"') for command, text in rows}
+        assert documented == {command: set(read) for command, read in cli._COMMAND_KEYS.items()}
+
+        readme = README.read_text()
+        table = readme[readme.index("| command | keys |"):readme.index("Any other key")]
+        rows = [line.strip("|").split("|") for line in table.splitlines() if line.startswith("| `")]
+        documented = {command.strip(" `"): keys(text, "`") for command, text in rows}
+        assert documented == {command: set(read) for command, read in cli._COMMAND_KEYS.items()}
+
+    @pytest.mark.parametrize("doc", [{"t": 3}, {"dt": 0.5}, {"sweep": {}}, {"out": 5}, {"n_max": 1}])
     def test_unread_key_fails_validate_params_check(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path, "cfg.json", doc)
         assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
