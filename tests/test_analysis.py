@@ -388,7 +388,7 @@ class TestMasterEquationFidelity:
         (N_MAX_2, ALIGNED_LAYOUT),
         (OVERDAMPED, ALIGNED_LAYOUT),
     ], ids=["default", "aligned", "n_max-2", "overdamped",
-            "250-default", "250-aligned", "n_max-2-aligned", "overdamped-aligned"])
+            "250-default", "250-aligned", "n2-al", "od-al"])
     def test_network_estimator_matches_six_level_loop(self, params, layout):
         # Reference: each pattern's noisy state over all six levels of every
         # atom, from the unit's outputs on its whole space, scored against

@@ -360,19 +360,34 @@ class TestFidelitySurface:
         assert noiseless[2] == pytest.approx(max(r[2] for r in rows))
         assert all(0.0 <= r[2] <= 1.0 and 0.0 <= r[3] <= 1.0 for r in rows)
 
-    @pytest.mark.parametrize("axis", ["a", "b"])
-    def test_config_is_refused(self, tmp_path, capsys, monkeypatch, axis):
-        # No config value reaches the surface (its grid comes from the flags),
-        # so the command takes no --config: one exits 2 before any estimate.
+    # The estimates run no integrator and the surface reads no config, so a
+    # step size has no way in: a config "dt" (the command takes no --config)
+    # and a --dt flag both exit 2 at the parser, before any point is estimated.
+    @staticmethod
+    def assert_step_refused(tmp_path, capsys, monkeypatch, dt, *argv):
         estimated = []
         monkeypatch.setattr(analysis, "master_equation_estimates", lambda *args, **kwargs: estimated.append(args))
-        cfg = write_json(tmp_path, "cfg.json", {})
-        with pytest.raises(SystemExit) as exited:
-            main(["fidelity-surface", "--config", cfg, "--grid-steps", "2", "--axis-convention", axis])
-        assert exited.value.code == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == "" and "unrecognized arguments: --config" in captured.err
+        cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
+        for way_in in (["--config", cfg], ["--dt", str(dt)]):
+            with pytest.raises(SystemExit) as exited:
+                main(["fidelity-surface", *way_in, "--grid-steps", "2", *argv])
+            assert exited.value.code == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {' '.join(way_in)}" in captured.err
         assert estimated == []
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_step_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
+        self.assert_step_refused(tmp_path, capsys, monkeypatch, dt)
+
+    @pytest.mark.parametrize("dt", [0.2, 100])
+    @pytest.mark.parametrize("axis", ["a", "b"])
+    def test_unstable_step_is_config_error(self, tmp_path, capsys, monkeypatch, dt, axis):
+        self.assert_step_refused(tmp_path, capsys, monkeypatch, dt, "--axis-convention", axis)
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-9])
+    def test_step_past_budget_is_config_error(self, tmp_path, capsys, monkeypatch, dt):
+        self.assert_step_refused(tmp_path, capsys, monkeypatch, dt)
 
     @pytest.mark.parametrize("error", [ValueError, RuntimeError])
     @pytest.mark.parametrize("axis", ["a", "b"])
