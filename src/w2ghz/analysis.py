@@ -24,9 +24,8 @@ documented estimators are reported, both fields of
   sqrt(sum(M)/4) cubed.  This counts photon loss and spontaneous decay
   against the fidelity, and is the estimator matching the headline values.
 * ``network_fidelity`` (estimator b): the protocol's own per-pattern
-  conditional states (the lossless network of the given layout with perfect
-  detectors) multiplied element-wise by M x M x M, averaged over accepted
-  patterns.  It follows the layout like ``run_protocol`` does.
+  conditional states (the lossless network with perfect detectors)
+  multiplied element-wise by M x M x M, averaged over accepted patterns.
   Post-selection filters loss, so this estimator is systematically higher.
 """
 
@@ -49,7 +48,6 @@ from .dynamics import (
     decay_coefficients,
     emitted_block,
 )
-from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import _corrected_fidelities, heralded_states
 
 # Fixed drive parameters of the reference noise analysis, in units of gamma.
@@ -66,7 +64,9 @@ _MAX_SWEEP_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid for a one-parameter sweep at otherwise fixed params."""
+    """Grid for a one-parameter sweep at otherwise fixed params.  ``parameter``
+    accepts only "kappa_t"; it stays because the benchmark passes it
+    positionally (ROADMAP item 1(d))."""
 
     parameter: str
     minimum: float
@@ -221,8 +221,7 @@ class FidelityEstimates:
     accepted_probability: float
 
 
-def master_equation_estimates(params: SystemParams, t: float | None = None,
-                              layout: NetworkLayout = DEFAULT_LAYOUT) -> FidelityEstimates:
+def master_equation_estimates(params: SystemParams, t: float | None = None) -> FidelityEstimates:
     """Both fidelity estimators at time t (default: the operating time),
     which read the noisy unit as its emitted block M = [[P_L, C], [conj(C), P_R]]
     over (eL, eR), from ``emitted_block``.
@@ -232,12 +231,12 @@ def master_equation_estimates(params: SystemParams, t: float | None = None,
     estimator b each atom's |e_p><e_q| becomes M[p, q] |e_p><e_q|, so the
     noisy state of accepted pattern k is the Schur product p_k rho_k * M^(x3)
     with the lossless protocol's conditional state rho_k, as
-    ``heralded_states`` gives it on ``layout`` with perfect detectors.
+    ``heralded_states`` gives it with perfect detectors.
     """
     block = emitted_block(params, params.operating_time if t is None else t)
     f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
-    report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
+    report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
     patterns = list(report.conditional_states)
     weights = np.array([report.probability(pattern) for pattern in patterns])
     noisy = weights[:, None, None] * conditional * np.kron(np.kron(block, block), block)

@@ -1,8 +1,8 @@
 """Named self-validation checks runnable from the command line.
 
 Each check returns a :class:`CheckResult`; the ``validate`` CLI command runs
-the whole battery and reports the first failure by name.  The checks accept
-injected params or layouts so corrupted configurations can be exercised.
+the whole battery and reports the first failure by name.  Every check but
+params-invariants, which reads the params document, runs on fixed inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .atom_cavity import SystemParams
 from .detection import _PATTERN_SETS, DETECTORS, _pattern_weights
 from .dynamics import decay_coefficients
 from .hilbert import tol
-from .photonics import DEFAULT_LAYOUT, DETECTOR_SLOTS, NetworkLayout, reference_output_state
+from .photonics import DETECTOR_SLOTS, reference_output_state
 from .protocol import _CONFIG_LEVELS, _network_amplitudes, transfer_coefficients
 
 DEFAULT_CHECK_PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
@@ -82,13 +82,13 @@ def check_povm_completeness() -> CheckResult:
                        f"pattern weights in [0, 1]: {in_range}; max |sum over patterns - 1| = {worst:.3e}")
 
 
-def network_reference_deviation(layout: NetworkLayout = DEFAULT_LAYOUT) -> float:
+def network_reference_deviation() -> float:
     """Largest amplitude difference between the compiled network's output
     at the ideal operating point and the analytic post-network state over
     every (configuration, occupation) term, with the phase fixed on the
-    reference's anchor term; a reference term the layout cannot reach counts
-    at its full magnitude, and an anchor it leaves empty gives inf."""
-    psi, counts = _network_amplitudes(transfer_coefficients(DEFAULT_CHECK_PARAMS), layout)
+    reference's anchor term; a reference term the network cannot reach
+    counts at its full magnitude, and an anchor it leaves empty gives inf."""
+    psi, counts = _network_amplitudes(transfer_coefficients(DEFAULT_CHECK_PARAMS))
     match = (counts[:, None, :] == _REFERENCE_COUNTS).all(axis=2)  # occupation x reference term
     reached, column = match.any(axis=0), match.argmax(axis=0)
     anchor = complex(psi[_REFERENCE_CONFIG[_REFERENCE_ANCHOR], column[_REFERENCE_ANCHOR]])
@@ -102,10 +102,10 @@ def network_reference_deviation(layout: NetworkLayout = DEFAULT_LAYOUT) -> float
                float(np.abs(_REFERENCE_AMPS[~reached]).max(initial=0.0)))
 
 
-def check_network_reference_state(layout: NetworkLayout = DEFAULT_LAYOUT) -> CheckResult:
+def check_network_reference_state() -> CheckResult:
     """The compiled network that ``run_protocol`` runs must reproduce the
     analytic post-network state term by term (up to one global phase)."""
-    deviation = network_reference_deviation(layout)
+    deviation = network_reference_deviation()
     return CheckResult("network-reference-state", deviation < tol(1e-12),
                        f"max per-term amplitude deviation = {deviation:.3e}")
 
@@ -134,14 +134,13 @@ def check_params_document(document: dict | None) -> CheckResult:
     return CheckResult("params-invariants", True, "params valid")
 
 
-def run_all_checks(params_document: dict | None = None,
-                   layout: NetworkLayout = DEFAULT_LAYOUT) -> list[CheckResult]:
+def run_all_checks(params_document: dict | None = None) -> list[CheckResult]:
     """The full invariant battery; the network check always runs at the ideal
     operating point regardless of the supplied params document."""
     return [
         check_transfer_norm(),
         check_povm_completeness(),
-        check_network_reference_state(layout=layout),
+        check_network_reference_state(),
         check_decay_probability_identity(),
         check_params_document(params_document),
     ]

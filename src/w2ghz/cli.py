@@ -12,9 +12,9 @@ reference rate gamma, times in 1/gamma) holding only keys their command
 reads; fidelity-surface takes none:
 
     ideal-run         "delta", "lambda_c", "omega", "kappa", "gamma_a",
-                      "eta_d", "t" (default: the operating time), "layout"
+                      "eta_d", "t" (default: the operating time)
     sweep-decay       "sweep" ({"min", "max"} over kappa*t)
-    validate          "layout"; other keys go to the params-invariants check
+    validate          none; every key goes to the params-invariants check
 
 Exit codes: 0 success, 1 validation failure, 2 config error.  All commands
 are deterministic: identical configs produce byte-identical output.
@@ -40,7 +40,6 @@ from .analysis import (
 )
 from .atom_cavity import DOCUMENT_FIELDS, SystemParams
 from .checks import DEFAULT_CHECK_PARAMS, run_all_checks
-from .photonics import DEFAULT_LAYOUT, NetworkLayout
 from .protocol import require_modelled, run_protocol
 
 EXIT_OK = 0
@@ -52,12 +51,12 @@ EXIT_CONFIG = 2
 _MAX_SURFACE_STEPS = 1000
 
 _DEFAULT_PARAMS_DOC = {name: getattr(DEFAULT_CHECK_PARAMS, name) for name in ("delta", "lambda_c", "omega")}
-# The config keys each command reads.  ``validate`` hands every other key,
-# unparsed, to its params-invariants check; the other commands reject them.
+# The config keys each command reads.  ``validate`` reads none: every key
+# goes, unparsed, to its params-invariants check; the others reject them.
 _COMMAND_KEYS = {
-    "ideal-run": frozenset(DOCUMENT_FIELDS) | {"t", "layout"},
+    "ideal-run": frozenset(DOCUMENT_FIELDS) | {"t"},
     "sweep-decay": frozenset({"sweep"}),
-    "validate": frozenset({"layout"}),
+    "validate": frozenset(),
 }
 
 
@@ -98,15 +97,6 @@ def _number(value, name: str) -> float:
     return number
 
 
-def _parse_layout(data: dict) -> NetworkLayout:
-    if "layout" not in data:
-        return DEFAULT_LAYOUT
-    try:
-        return NetworkLayout.from_dict(data["layout"])
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"config error: field 'layout': {exc}") from exc
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     """Write to ``--out``, else to stdout."""
     if out_path is None:
@@ -127,8 +117,7 @@ def cmd_ideal_run(args) -> int:
         require_modelled(params, t)
     except ValueError as exc:
         raise ConfigError(f"config error: {exc}") from exc
-    layout = _parse_layout(data)
-    run = run_protocol(params, layout=layout, t=t)
+    run = run_protocol(params, t)
     report = json.dumps(run.to_json_dict(), indent=2, sort_keys=True) + "\n"
     _write_output(report, args.out)
     return EXIT_OK
@@ -198,12 +187,10 @@ def cmd_fidelity_surface(args) -> int:
 
 def cmd_validate(args) -> int:
     # Bad params are a validation failure here (exit 1), not a config error,
-    # so every key but the layout goes to the check battery unparsed.
+    # so every key goes to the check battery unparsed.
     data = _load_config(args.config, args.command)
-    layout = _parse_layout(data)
-    params_doc = {k: v for k, v in data.items() if k not in _COMMAND_KEYS["validate"]}
-    document = {**_DEFAULT_PARAMS_DOC, **params_doc} if params_doc else None
-    results = run_all_checks(params_document=document, layout=layout)
+    document = {**_DEFAULT_PARAMS_DOC, **data} if data else None
+    results = run_all_checks(params_document=document)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "ok  " if r.passed else "FAIL"
@@ -249,8 +236,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or an argument error argparse has reported
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

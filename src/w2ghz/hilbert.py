@@ -21,7 +21,8 @@ from numpy.typing import NDArray
 
 
 def tol(base: float) -> float:
-    """The fixed validation tolerance ``base``, unscaled."""
+    """The fixed validation tolerance ``base``, unscaled: an identity kept only
+    for the benchmark worker's unscaled-tolerance guard (ROADMAP item 1(d))."""
     return base
 
 

@@ -10,9 +10,10 @@ class fired, and finally map the emitted levels back onto ground levels.
 coefficients give the amplitude of each of the 64 configurations of three
 four-level atoms (the Hadamard-W amplitude times alpha^(3-k) beta^k with k
 atoms emitted), each configuration leaves one of the 27 emission slots, and
-one product with the layout's compiled ``network_map`` gives the amplitudes
-over detector occupations.  Detection, the sign flip, the relabeling and the
-fidelities then act on stacks of 8 x 8 conditional states.
+one product with ``network_map(DEFAULT_LAYOUT)``, the paper's network
+compiled, gives the amplitudes over detector occupations.  Detection, the
+sign flip, the relabeling and the fidelities then act on stacks of 8 x 8
+conditional states.
 ``cavity_interaction`` is the term-by-term view of the same configuration
 table; the branch loop it is checked against is ``tests/staged_reference.py``.
 """
@@ -43,7 +44,6 @@ from .photonics import (
     EMISSIONS,
     SOURCE_MODES,
     JointAtomPhotonState,
-    NetworkLayout,
     network_map,
 )
 
@@ -170,11 +170,11 @@ def _corrected_fidelities(stack: np.ndarray, outcomes) -> tuple[np.ndarray, np.n
     return final, fidelities(final, _GHZ)
 
 
-def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayout) -> tuple[np.ndarray, np.ndarray]:
+def _network_amplitudes(coefficients: EvolutionCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """psi[c, o], the amplitude of configuration c of the three four-level
     atoms with detector occupation o once the pulsed W state has met the
     cavities with the given transfer amplitudes and passed the network of
-    ``layout``, and the photon counts of each occupation.
+    ``DEFAULT_LAYOUT``, and the photon counts of each occupation.
 
     Terms of magnitude at most AMPLITUDE_PRUNE_TOL are exact zeros, as in the
     term-by-term views; no network entry exceeds 1 in magnitude, so the prune
@@ -182,18 +182,17 @@ def _network_amplitudes(coefficients: EvolutionCoefficients, layout: NetworkLayo
     drops nothing more.
     """
     amps = _configuration_amplitudes(_PULSED_W, coefficients)
-    network = network_map(layout)
+    network = network_map(DEFAULT_LAYOUT)
     psi = amps[:, None] * network.matrix.T[_CONFIG_SLOT]
     psi[np.abs(psi) <= AMPLITUDE_PRUNE_TOL] = 0.0
     return psi, network.counts
 
 
-def heralded_states(coefficients: EvolutionCoefficients, layout: NetworkLayout,
-                    eta_d: float) -> tuple[DetectionReport, np.ndarray]:
+def heralded_states(coefficients: EvolutionCoefficients, eta_d: float) -> tuple[DetectionReport, np.ndarray]:
     """Detection report of the pulsed W state after the cavity interaction
-    with the given transfer amplitudes and the network of ``layout``, and the
-    (k, 8, 8) stack of its conditional states over the emitted levels."""
-    psi, counts = _network_amplitudes(coefficients, layout)
+    with the given transfer amplitudes and the network, and the (k, 8, 8)
+    stack of its conditional states over the emitted levels."""
+    psi, counts = _network_amplitudes(coefficients)
     return detect_amplitudes(psi, counts, eta_d)
 
 
@@ -275,8 +274,7 @@ def require_modelled(params: SystemParams, t: float | None = None) -> None:
     _require_resolved(rate, t)
 
 
-def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
-                 t: float | None = None) -> ProtocolRun:
+def run_protocol(params: SystemParams, t: float | None = None) -> ProtocolRun:
     """Run the complete pipeline and post-process every accepted pattern.
 
     The returned aggregate fidelity is the probability-weighted mean over
@@ -290,7 +288,7 @@ def run_protocol(params: SystemParams, layout: NetworkLayout = DEFAULT_LAYOUT,
         t = params.operating_time
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
-    report, conditional = heralded_states(transfer_coefficients(params, t), layout, params.eta_d)
+    report, conditional = heralded_states(transfer_coefficients(params, t), params.eta_d)
     patterns = list(report.conditional_states)
     outcomes = [classify_pattern(pattern) for pattern in patterns]
     final, fids = _corrected_fidelities(conditional, outcomes)

@@ -223,10 +223,22 @@ def states_equal_up_to_phase(state: JointAtomPhotonState, other: JointAtomPhoton
     return max_amplitude_deviation(state, other) <= atol
 
 
+def layout_of(routes: dict) -> NetworkLayout:
+    """The layout of an {atom: {polarization: output mode}} table."""
+    return NetworkLayout(tuple(((atom, pol), mode) for atom, pols in routes.items() for pol, mode in pols.items()))
+
+
+# Two valid routings whose output is not the paper's post-network state:
+# each atom's photons kept on its own output mode, and the paper's network
+# with the V routes of atoms a and b swapped.
+ALIGNED_LAYOUT = layout_of({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
+CORRUPTED_LAYOUT = layout_of({"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}})
+
+
 def all_layouts() -> list[NetworkLayout]:
     """Every valid routing table: V and H routes each a bijection onto the
     output modes (36 in all)."""
-    return [NetworkLayout.from_dict({atom: {"V": v_perm[i], "H": h_perm[i]} for i, atom in enumerate(ATOMS)})
+    return [layout_of({atom: {"V": v_perm[i], "H": h_perm[i]} for i, atom in enumerate(ATOMS)})
             for v_perm in itertools.permutations(OUTPUT_MODES)
             for h_perm in itertools.permutations(OUTPUT_MODES)]
 

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from staged_reference import ALIGNED_LAYOUT
 from unit_reference import block_of, unit_levels, unit_outputs
 
 import w2ghz.analysis as analysis
-from w2ghz import dynamics
+from w2ghz import dynamics, protocol
 from w2ghz.analysis import (
     CurvePoint,
     FidelityEstimates,
@@ -34,10 +35,9 @@ from w2ghz.atom_cavity import (
 from w2ghz.cli import main
 from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
 from w2ghz.dynamics import EvolutionCoefficients, decay_coefficients
-from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT, NetworkLayout
+from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT
 from w2ghz.protocol import heralded_states, run_protocol
 
-ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
 # Off the reference drive: a two-photon cutoff with an asymmetric drive, and
 # an overdamped cavity (kappa > 2 lambda_c^2/Delta).
 N_MAX_2 = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=2)
@@ -371,12 +371,17 @@ class TestMasterEquationFidelity:
         assert est.network_fidelity == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT])
-    def test_network_estimator_follows_layout(self, layout):
+    def test_network_estimator_follows_layout(self, monkeypatch, layout):
         # Noiseless and deep in the dispersive regime, estimator b must
-        # reproduce the lossless protocol on whatever network it is given.
+        # reproduce the lossless protocol on whatever network is put in
+        # place of the paper's.
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.86)
-        est = master_equation_estimates(params, layout=layout)
-        assert est.network_fidelity == pytest.approx(run_protocol(params, layout).fidelity, abs=1e-3)
+        est = master_equation_estimates(params)
+        assert est.network_fidelity == pytest.approx(run_protocol(params).fidelity, abs=1e-3)
+        # Only the paper's network gives GHZ states, so the substitution
+        # reached both.
+        assert (est.network_fidelity > 0.99) == (layout == DEFAULT_LAYOUT)
 
     @pytest.mark.parametrize("params, layout", [
         (reference_noise_params(50.0), DEFAULT_LAYOUT),
@@ -389,11 +394,12 @@ class TestMasterEquationFidelity:
         (OVERDAMPED, ALIGNED_LAYOUT),
     ], ids=["default", "aligned", "n_max-2", "overdamped",
             "250-default", "250-aligned", "n2-al", "od-al"])
-    def test_network_estimator_matches_six_level_loop(self, params, layout):
+    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout):
         # Reference: each pattern's noisy state over all six levels of every
         # atom, from the unit's outputs on its whole space, scored against
         # the GHZ target of its class lifted into them.
-        est = master_equation_estimates(params, layout=layout)
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
+        est = master_equation_estimates(params)
         m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time)
         space, n = full_space(params.n_max), len(FULL_LEVELS)
         sel = [[space.basis_index(k, 1, 0) for k in range(n)], [space.basis_index(k, 0, 1) for k in range(n)]]
@@ -408,7 +414,7 @@ class TestMasterEquationFidelity:
         lift = np.kron(np.kron(embed, embed), embed)
         plus, minus = ghz_pair_states(atomic_space(ATOMS))
 
-        report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), layout, 1.0)
+        report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
         fidelity_acc = probability_acc = 0.0
         for pattern, state in zip(report.conditional_states, conditional):
             ideal = (report.probability(pattern) * state).reshape((2,) * 6)

@@ -144,6 +144,15 @@ def test_modules_do_not_import_through_the_root():
                 assert names <= submodules, f"{path.name}:{node.lineno} imports {sorted(names - submodules)}"
 
 
+def test_only_photonics_names_routings():
+    # The pipeline runs the paper's one network: routings belong to the
+    # compile layer in photonics, and no other module of the package names
+    # their type, so no option to pick one can reach the pipeline.
+    package = Path(w2ghz.__file__).parent
+    naming = [path.name for path in sorted(package.glob("*.py")) if "NetworkLayout" in path.read_text()]
+    assert naming == ["photonics.py"]
+
+
 def test_tolerances_are_unscaled():
     assert hilbert.tol(1.0) == 1.0
 

@@ -8,22 +8,23 @@ from pathlib import Path
 import pytest
 
 from staged_reference import (
+    CORRUPTED_LAYOUT,
     all_layouts,
     max_amplitude_deviation,
     reference_coefficients,
     staged_cavity_interaction,
     staged_network,
 )
-from w2ghz import analysis, checks, cli, hilbert
+from w2ghz import analysis, checks, cli, hilbert, protocol
 from w2ghz.atom_cavity import DOCUMENT_FIELDS
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
-from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout, reference_output_state
+from w2ghz.photonics import DEFAULT_LAYOUT, reference_output_state
 from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state
 
-CORRUPTED_LAYOUT = {"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}}
-ALIGNED_LAYOUT = {"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}
+# A valid routing table as a JSON object, under a "layout" key no command reads.
+ALIGNED_ROUTES = {"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}}
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,14 +211,16 @@ class TestIdealRun:
             main(["ideal-run"])
 
     def test_malformed_layout_is_config_error(self, tmp_path, capsys):
-        # A fractional mode, a string mode or an extra atom must not be
-        # coerced or ignored into some other layout.
-        for layout in ({"a": {"V": 7.9, "H": 9}, "b": {"V": 8, "H": "7"}, "c": {"V": 9, "H": 8}},
-                       {**CORRUPTED_LAYOUT, "d": {}}):
+        # ideal-run runs the paper's network alone: a "layout", a valid
+        # routing or not, is a key it does not read, and nothing is written.
+        out = tmp_path / "report.json"
+        for layout in (ALIGNED_ROUTES, {"a": {"V": 7.9, "H": 9}, "b": {"V": 8, "H": "7"}, "c": {"V": 9, "H": 8}},
+                       {**ALIGNED_ROUTES, "d": {}}):
             cfg = write_json(tmp_path, "cfg.json", {"layout": layout})
-            assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
+            assert main(["ideal-run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
             captured = capsys.readouterr()
-            assert captured.out == "" and "field 'layout'" in captured.err
+            assert captured.out == "" and "does not read key(s) ['layout']" in captured.err
+            assert not out.exists()
 
     @pytest.mark.parametrize("out", [5, ["a"]])
     def test_non_string_out_is_config_error(self, tmp_path, capsys, out):
@@ -369,9 +372,7 @@ class TestFidelitySurface:
         monkeypatch.setattr(analysis, "master_equation_estimates", lambda *args, **kwargs: estimated.append(args))
         cfg = write_json(tmp_path, "cfg.json", {"dt": dt})
         for way_in in (["--config", cfg], ["--dt", str(dt)]):
-            with pytest.raises(SystemExit) as exited:
-                main(["fidelity-surface", *way_in, "--grid-steps", "2", *argv])
-            assert exited.value.code == EXIT_CONFIG
+            assert main(["fidelity-surface", *way_in, "--grid-steps", "2", *argv]) == EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.out == "" and f"unrecognized arguments: {' '.join(way_in)}" in captured.err
         assert estimated == []
@@ -485,12 +486,20 @@ class TestValidate:
             "ok   params-invariants: no params supplied; defaults valid by construction\n"
         )
 
-    def test_corrupted_layout_fails_named_check(self, tmp_path, capsys):
-        cfg = write_json(tmp_path, "cfg.json", {"layout": CORRUPTED_LAYOUT})
+    def test_corrupted_layout_fails_named_check(self, tmp_path, capsys, monkeypatch):
+        # A "layout" key is no setting of validate: like any key, it goes to
+        # the params document, which has no such field.
+        cfg = write_json(tmp_path, "cfg.json", {"layout": ALIGNED_ROUTES})
         assert main(["validate", "--config", cfg]) == EXIT_VALIDATION
         captured = capsys.readouterr()
+        assert "FAIL params-invariants: unknown params field(s): ['layout']" in captured.out
+        assert "ok   network-reference-state" in captured.out
+        # A corrupted network put in place of the paper's fails its check.
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", CORRUPTED_LAYOUT)
+        assert main(["validate"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
         assert "FAIL network-reference-state" in captured.out
-        assert "network-reference-state" in captured.err
+        assert "first failing check: network-reference-state" in captured.err
 
     def test_invalid_params_fail_named_check(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", {"eta_d": 1.5})
@@ -515,20 +524,23 @@ class TestChecksApi:
             "params-invariants",
         ]
 
-    def test_injected_corruption_detected(self):
-        result = check_network_reference_state(layout=NetworkLayout.from_dict(CORRUPTED_LAYOUT))
+    def test_injected_corruption_detected(self, monkeypatch):
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", CORRUPTED_LAYOUT)
+        result = check_network_reference_state()
         assert not result.passed
         assert result.name == "network-reference-state"
 
     @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout.routing))
-    def test_network_check_matches_staged_pipeline(self, layout):
+    def test_network_check_matches_staged_pipeline(self, monkeypatch, layout):
         # The array comparison against the term-by-term one on the
-        # element-by-element pipeline: the same deviation to the last bit.
+        # element-by-element pipeline, each routing put in place of the
+        # paper's network: the same deviation to the last bit.
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
         pulsed = apply_hadamard_pulses(prepare_w_state())
         joint = staged_cavity_interaction(pulsed, reference_coefficients(checks.DEFAULT_CHECK_PARAMS))
         expected = max_amplitude_deviation(staged_network(joint, layout), reference_output_state())
-        assert checks.network_reference_deviation(layout) == expected
-        assert check_network_reference_state(layout).passed == (layout == DEFAULT_LAYOUT)
+        assert checks.network_reference_deviation() == expected
+        assert check_network_reference_state().passed == (layout == DEFAULT_LAYOUT)
 
     @pytest.mark.parametrize("corruption", ["beta-scaled", "decay-reversed"])
     def test_corrupted_transfer_norm_detected(self, monkeypatch, corruption):
@@ -555,7 +567,7 @@ class TestConfigKeys:
         (["sweep-decay"], {"delta": 5, "t": 3}),
         (["sweep-decay"], {"eta_d": 0.3}),
         (["sweep-decay"], {"kappa": 1}),
-        (["sweep-decay"], {"dt": 0.5, "layout": ALIGNED_LAYOUT}),
+        (["sweep-decay"], {"dt": 0.5, "layout": ALIGNED_ROUTES}),
         (["ideal-run"], {"out": "report.json"}),
         (["sweep-decay"], {"out": "curve.csv"}),
         (["ideal-run"], {"dt": 0.5}),
@@ -627,3 +639,22 @@ class TestConfigKeys:
                 argv = [cmd["command"], "--config", write_json(tmp_path, "cfg.json", cmd["config"])]
             assert main(argv) == EXIT_OK, argv
             assert capsys.readouterr().err == ""
+
+
+class TestArgumentErrors:
+    """An argument the parser refuses is a config error that ``main``
+    returns, as a bad config is, rather than an exception it raises."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-decay", "--grid-steps", "x"], "invalid int value: 'x'"),
+        (["fidelity-surface", "--grid-steps", "2.5"], "invalid int value: '2.5'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ], ids=["sweep-grid-steps", "surface-grid-steps", "unknown-command"])
+    def test_refused_argument_is_config_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_help_returns_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: w2ghz")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from staged_reference import ALIGNED_LAYOUT
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
@@ -23,7 +24,7 @@ from w2ghz.detection import (
     success_probability_ideal,
 )
 from w2ghz.hilbert import DensityMatrix, fidelity
-from w2ghz.photonics import ATOMS, JointAtomPhotonState, NetworkLayout, full_network
+from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
@@ -92,8 +93,6 @@ def reference_measure(state, pattern, eta_d):
 
 
 DECAYING = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.004)
-ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8},
-                                          "c": {"V": 9, "H": 9}})
 ORACLE_STATES = {
     "lossless": network_state,
     "decaying": lambda: decaying_network_state(DECAYING, fraction=0.8),

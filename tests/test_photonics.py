@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from staged_reference import (
+    CORRUPTED_LAYOUT,
     all_layouts,
     apply_hwp,
     apply_pbs_routing,
     emit_and_qwp,
+    layout_of,
     max_amplitude_deviation,
     photon_numbers,
     require_photon_number,
@@ -70,23 +72,25 @@ class TestLayout:
 
     def test_each_output_gets_one_route_per_polarization(self):
         with pytest.raises(ValueError, match="once"):
-            NetworkLayout.from_dict({"a": {"V": 7, "H": 9},
-                                     "b": {"V": 7, "H": 8},
-                                     "c": {"V": 9, "H": 7}})
+            layout_of({"a": {"V": 7, "H": 9}, "b": {"V": 7, "H": 8}, "c": {"V": 9, "H": 7}})
 
     def test_missing_entries_rejected(self):
         with pytest.raises(ValueError, match="cover"):
-            NetworkLayout.from_dict({"a": {"V": 7, "H": 9}})
+            layout_of({"a": {"V": 7, "H": 9}})
 
-    @pytest.mark.parametrize("doc, message", [
-        ({"a": {"V": 7.9, "H": 9}, "b": {"V": 8, "H": 7}, "c": {"V": 9, "H": 8}}, "integer"),
-        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": "7"}, "c": {"V": 9, "H": 8}}, "integer"),
-        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": True}, "c": {"V": 9, "H": 8}}, "integer"),
-        ({"a": {"V": 7, "H": 9}, "b": {"V": 8, "H": 7}, "c": {"V": 9, "H": 8}, "d": {}}, "atoms"),
-    ], ids=["float", "string", "bool", "extra-atom"])
-    def test_malformed_layout_rejected(self, doc, message):
-        with pytest.raises(ValueError, match=message):
-            NetworkLayout.from_dict(doc)
+    def test_routing_order_is_canonical(self):
+        # The same routes in another order are the same layout, and compile
+        # to the same cached network.
+        reordered = NetworkLayout(tuple(reversed(DEFAULT_LAYOUT.routing)))
+        assert reordered == DEFAULT_LAYOUT and hash(reordered) == hash(DEFAULT_LAYOUT)
+        assert reordered.routing == tuple(sorted(DEFAULT_LAYOUT.routing))
+        assert network_map(reordered) is network_map(DEFAULT_LAYOUT)
+
+    def test_repeated_route_rejected(self):
+        # A seventh entry repeating ("a", "V") with its own mode would
+        # otherwise collapse into a valid table.
+        with pytest.raises(ValueError, match="repeats"):
+            NetworkLayout(DEFAULT_LAYOUT.routing + ((("a", "V"), DEFAULT_LAYOUT.route("a", "V")),))
 
 
 class TestEmitAndQwp:
@@ -207,10 +211,7 @@ class TestFullNetwork:
                 assert w == pytest.approx(scale, abs=1e-13)
 
     def test_corrupted_layout_breaks_reference(self):
-        swapped = NetworkLayout.from_dict({"a": {"V": 8, "H": 9},
-                                           "b": {"V": 7, "H": 7},
-                                           "c": {"V": 9, "H": 8}})
-        produced = full_network(pipeline_state(), swapped)
+        produced = full_network(pipeline_state(), CORRUPTED_LAYOUT)
         assert max_amplitude_deviation(produced, reference_output_state()) > 0.1
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from staged_reference import (
+    ALIGNED_LAYOUT,
     lossless_coefficients,
     photon_numbers,
     require_photon_number,
@@ -13,9 +14,9 @@ from staged_reference import (
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import OutcomeClass, atomic_space, ghz_pair_states
 from w2ghz.dynamics import decay_coefficients
-from w2ghz import hilbert
+from w2ghz import hilbert, protocol
 from w2ghz.hilbert import DensityMatrix, StateVector, fidelity
-from w2ghz.photonics import DEFAULT_LAYOUT, NetworkLayout
+from w2ghz.photonics import DEFAULT_LAYOUT
 from w2ghz.protocol import (
     apply_hadamard_pulses,
     cavity_interaction,
@@ -245,13 +246,10 @@ class TestRunProtocol:
         assert all(set(p) == {"detectors", "class", "probability", "fidelity"} for p in doc["patterns"])
 
 
-ALIGNED_LAYOUT = NetworkLayout.from_dict({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8},
-                                          "c": {"V": 9, "H": 9}})
-
-
 class TestCompiledRouteOracle:
     """run_protocol runs on the compiled network map; the staged term-by-term
-    pipeline must give every field to 1e-14."""
+    pipeline must give every field to 1e-14, on the paper's network and, put
+    in its place, on another routing."""
 
     @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT], ids=["default", "aligned"])
     @pytest.mark.parametrize("kappa", [0.0, 0.004])
@@ -259,10 +257,11 @@ class TestCompiledRouteOracle:
     # 1e-14 prune, so no accepted pattern may keep a state.
     @pytest.mark.parametrize("fraction", [1e-5, 0.6, 1.0, 1.7])
     @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
-    def test_matches_staged_pipeline(self, eta, fraction, kappa, layout):
+    def test_matches_staged_pipeline(self, monkeypatch, eta, fraction, kappa, layout):
+        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
         params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=kappa, eta_d=eta)
         t = fraction * params.operating_time
-        run = run_protocol(params, layout, t)
+        run = run_protocol(params, t)
         report, results, success, mean_fidelity = staged_run(params, layout, t)
         assert run.time == t
         assert abs(run.success_probability - success) <= 1e-14
