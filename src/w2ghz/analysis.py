@@ -12,12 +12,12 @@ checked point by point.  Both routes take an array of times, so a sweep
 evaluates each once on its whole grid; a scalar time still gives a float.
 
 Fidelity under the full noise model comes from the master equation of a
-single atom-cavity unit, solved exactly by ``dynamics.emitted_block`` for the
-one block both estimators read, M = [[P_L, C], [conj(C), P_R]]: the
-populations left in |eL,1,0> and |eR,0,1> and their coherence.  The
-three-subsystem figure is under-specified by a single number, so two
-documented estimators are reported, both fields of
-``master_equation_estimates``:
+single atom-cavity unit, solved exactly by ``dynamics.emitted_block`` at the
+operating time for the one block both estimators read,
+M = [[P_L, C], [conj(C), P_R]]: the populations left in |eL,1,0> and
+|eR,0,1> and their coherence.  The three-subsystem figure is under-specified
+by a single number, so two documented estimators are reported, both fields
+of ``master_equation_estimates``:
 
 * ``product_fidelity`` (estimator a): the Uhlmann fidelity of the three-fold
   product of subsystem outputs against the product of ideal targets, i.e.
@@ -221,10 +221,10 @@ class FidelityEstimates:
     accepted_probability: float
 
 
-def master_equation_estimates(params: SystemParams, t: float | None = None) -> FidelityEstimates:
-    """Both fidelity estimators at time t (default: the operating time),
-    which read the noisy unit as its emitted block M = [[P_L, C], [conj(C), P_R]]
-    over (eL, eR), from ``emitted_block``.
+def master_equation_estimates(params: SystemParams) -> FidelityEstimates:
+    """Both fidelity estimators at the operating time, which read the noisy
+    unit as its emitted block M = [[P_L, C], [conj(C), P_R]] over (eL, eR),
+    from ``emitted_block``.
 
     Estimator a is sqrt(sum(M)/4), sum(M)/4 being the overlap of the
     (gL + gR)/sqrt2 input's output with (|eL,1,0> + |eR,0,1>)/sqrt2.  For
@@ -233,7 +233,7 @@ def master_equation_estimates(params: SystemParams, t: float | None = None) -> F
     with the lossless protocol's conditional state rho_k, as
     ``heralded_states`` gives it with perfect detectors.
     """
-    block = emitted_block(params, params.operating_time if t is None else t)
+    block = emitted_block(params, params.operating_time)
     f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
     report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)

@@ -14,14 +14,13 @@ else (double clicks, silent modes) is rejected.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS
-from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack
+from .hilbert import DensityMatrix, HilbertSpace, density_stack
 from .photonics import ATOMS, DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
 
 DETECTORS = tuple(f"D{mode}{pol}" for mode, pol in DETECTOR_SLOTS)
@@ -78,10 +77,6 @@ def classify_pattern(pattern: ClickPattern) -> OutcomeClass:
         if len(fired_here) != 1:
             return OutcomeClass.REJECT
     return OutcomeClass.GHZ_PLUS if pattern.v_count % 2 == 1 else OutcomeClass.GHZ_MINUS
-
-
-def accepted_patterns() -> list[ClickPattern]:
-    return [p for p in all_patterns() if classify_pattern(p) is not OutcomeClass.REJECT]
 
 
 _PATTERNS = tuple(all_patterns())
@@ -195,14 +190,6 @@ def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float):
     return probability, states.get(0)
 
 
-def success_probability_ideal(eta_d: float) -> float:
-    """Total accepted-pattern probability of the lossless protocol:
-    3 * eta_d^3 / 4."""
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
-    return 3.0 * eta_d**3 / 4.0
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     """Full outcome distribution over the 2^6 click patterns.
@@ -267,19 +254,3 @@ def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float) -> tupl
     states = density_stack(_EMITTED_SPACE, stack)
     report = _report(probabilities.tolist(), dict(zip((_PATTERNS[i] for i in kept), states)))
     return report, stack
-
-
-def ghz_pair_states(space: HilbertSpace) -> tuple[StateVector, StateVector]:
-    """The two maximally entangled all-atoms-alike states over the emitted
-    basis: (|eL eL eL> + |eR eR eR>)/sqrt2 and (-|eL eL eL> + |eR eR eR>)/sqrt2."""
-    if any(dim != 2 for dim in space.dims):
-        raise ValueError(f"expected two-level atoms, got dims {space.dims}")
-    n = len(space.dims)
-    plus = np.zeros(space.total_dim, dtype=np.complex128)
-    minus = np.zeros(space.total_dim, dtype=np.complex128)
-    lo = space.basis_index(*([0] * n))
-    hi = space.basis_index(*([1] * n))
-    plus[lo] = plus[hi] = 1.0 / math.sqrt(2.0)
-    minus[lo] = -1.0 / math.sqrt(2.0)
-    minus[hi] = 1.0 / math.sqrt(2.0)
-    return StateVector(space, plus), StateVector(space, minus)

@@ -4,11 +4,11 @@ One closed form, the exact exponential of the no-jump ground/emitted block,
 describes how each ground level turns into an emitted-photon component for
 any drive and any cavity decay, at one time or a whole array of times at
 once.  It is the one place the adiabatically eliminated model is written;
-``compare_full_vs_effective`` measures its error against the six-level atom
-on the branch block the dynamics never leave.  ``emitted_block`` solves the
-six-level master equation exactly on the branch blocks, which the tests hold
-to exact whole-space exponentials.  Fixed-step RK4, ``propagate_matrix``,
-has no caller here; perfbench imports it, and it is tested as itself.
+its error against the six-level atom is measured test-side.
+``emitted_block`` solves the six-level master equation exactly on the branch
+blocks, which the tests hold to exact whole-space exponentials.  Fixed-step
+RK4, ``propagate_matrix``, has no caller here; only the benchmark runs it,
+always at an explicit step, and it is tested as itself.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,12 +60,6 @@ def _matrix_rate_scale(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.max(np.sum(np.abs(m), axis=1)))
-
-
-def default_config(h: Operator, rates: tuple[float, ...] = ()) -> IntegratorConfig:
-    """Step size 1e-3 / (largest rate in the generator), the package default."""
-    scale = max(_matrix_rate_scale(h.elements), *rates, 0.0)
-    return IntegratorConfig(dt=1e-3 / scale if scale > 0 else 1.0)
 
 
 def _binade(x: float) -> float:
@@ -191,8 +185,11 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     s = root * (m / 2.0)
     # Re(mu + s) = Re s - kappa/2 cancels where g << kappa; it is taken as
     # -2 a^2 g^2 / ((a^2 + b^2 + g^2 + |s|^2)(a + Re s)), a + ib = d, all in units of m/2.
+    # The denominator is 0 without decay, and underflows to 0 only where a,
+    # and with it the rate, is subnormal.
     a, b = u.real, u.imag
-    decay = -2.0 * a * a * v * v / ((a * a + b * b + v * v + abs(root) ** 2) * (a + root.real)) if a else 0.0
+    denominator = (a * a + b * b + v * v + abs(root) ** 2) * (a + root.real)
+    decay = -2.0 * a * a * v * v / denominator if denominator else 0.0
     rate = complex(decay * (m / 2.0), (stark_e + stark_g) / 2.0 + s.imag)
     if isinstance(ts, float):
         exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
@@ -289,7 +286,7 @@ def _rk4_propagate(rhs, y0: np.ndarray, t: float, dt: float) -> np.ndarray:
 
 
 def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np.ndarray,
-                     t: float, cfg: IntegratorConfig | None = None) -> np.ndarray:
+                     t: float, cfg: IntegratorConfig) -> np.ndarray:
     """Propagate an arbitrary matrix under the master-equation generator.
 
     The generator is linear, so it can evolve non-Hermitian matrices such as
@@ -302,15 +299,11 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
     imaginary axis.  Past it the output is not a physical state, and a trace
     check alone does not catch it, so such a step is refused.
     """
-    rates = []
     for rate, op in collapse:
         if rate < 0:
             raise ValueError(f"collapse rates must be non-negative, got {rate}")
         if op.space != h.space:
             raise ValueError("collapse operator space differs from the Hamiltonian space")
-        rates.append(rate)
-    if cfg is None:
-        cfg = default_config(h, tuple(rates))
 
     # Fold the anticommutator part into one non-Hermitian drift generator.
     h_nh = h.elements.astype(np.complex128).copy()
@@ -338,68 +331,3 @@ def propagate_matrix(h: Operator, collapse: list[tuple[float, Operator]], m0: np
         return out
 
     return _rk4_propagate(rhs, np.array(m0, dtype=np.complex128), t, cfg.dt)
-
-
-@dataclass(frozen=True)
-class DeviationPoint:
-    """Per-time comparison entry: trace distance on the shared manifold and
-    population leaked into the eliminated upper levels."""
-
-    time: float
-    distance: float
-    leakage: float
-
-
-@dataclass(frozen=True)
-class DeviationReport:
-    points: tuple[DeviationPoint, ...]
-
-    @property
-    def max_distance(self) -> float:
-        return max(p.distance for p in self.points)
-
-    @property
-    def max_leakage(self) -> float:
-        return max(p.leakage for p in self.points)
-
-
-def compare_full_vs_effective(params: SystemParams, t_grid) -> DeviationReport:
-    """Evolve |g_L, vacuum> under the six-level and the eliminated model and
-    report, per grid time, the trace distance between the eliminated state
-    and the (unnormalized) projection of the six-level state onto the levels
-    they share, and the population leaked into the upper level f_L.
-
-    Neither model leaves the L branch from there.  The six-level state stays
-    in {|gL,0,0>, |fL,0,0>, |eL,1,0>}, whose 3x3 block of ``full_hamiltonian``
-    is diagonalised once for the whole grid; the eliminated state is the
-    (alpha, beta) of ``decay_coefficients`` at kappa = 0.  Both are exact
-    exponentials, so the report isolates the model difference rather than
-    integration error.  For the eliminated pair a and the projected pair b,
-
-        D = sqrt((|a|^2 - |b|^2)^2 + 4 |a_0 b_1 - a_1 b_0|^2) / 2
-
-    is the trace distance of |a><a| and |b><b|, free of any global phase; the
-    Lagrange identity |a|^2 |b|^2 - |<a|b>|^2 = |a_0 b_1 - a_1 b_0|^2 gives it
-    without cancellation.  The leakage |<fL,0,0|psi>|^2 equals 1 - |b|^2, and
-    is read off directly so it is never negative.
-
-    ``t_grid`` is a non-empty one-dimensional grid of finite, non-negative
-    times; anything else raises ValueError.
-    """
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError(f"t_grid must be a non-empty one-dimensional grid of times, got shape {times.shape}")
-    times = _times(times)
-    branch = branch_levels(params.n_max, "L")
-    energies, vectors = np.linalg.eigh(full_hamiltonian(params).elements[np.ix_(branch, branch)])
-    b0, upper, b1 = ((np.exp(-1j * np.outer(times, energies)) * vectors[0].conj()) @ vectors.T).T
-    eliminated = decay_coefficients(replace(params, kappa=0.0), times)
-    a0, a1 = eliminated.alpha, eliminated.beta
-
-    def population(z):
-        return z.real * z.real + z.imag * z.imag
-
-    gap = population(a0) + population(a1) - population(b0) - population(b1)
-    distance = 0.5 * np.hypot(gap, 2.0 * np.abs(a0 * b1 - a1 * b0))
-    return DeviationReport(tuple(DeviationPoint(*point) for point in
-                                 zip(times.tolist(), distance.tolist(), population(upper).tolist())))

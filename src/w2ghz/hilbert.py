@@ -85,18 +85,8 @@ class StateVector:
         if self.normalized and abs(self.norm() - 1.0) > tol(1e-10):
             raise ValueError(f"state flagged normalized has norm {self.norm()!r}")
 
-    @classmethod
-    def basis_state(cls, space: HilbertSpace, *indices: int) -> "StateVector":
-        amps = np.zeros(space.total_dim, dtype=np.complex128)
-        amps[space.basis_index(*indices)] = 1.0
-        return cls(space, amps)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()),
-                             normalized=self.normalized)
 
 
 def validate_density_stack(elements: NDArray[np.complex128], normalized: bool = True) -> None:

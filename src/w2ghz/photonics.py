@@ -77,9 +77,6 @@ class JointAtomPhotonState:
         pruned = {k: v for k, v in merged.items() if abs(v) > AMPLITUDE_PRUNE_TOL}
         return cls(tuple(atoms), pruned)
 
-    def norm_sq(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.terms.values()))
-
 
 @dataclass(frozen=True)
 class NetworkLayout:

@@ -3,7 +3,8 @@ forms they were first derived in, and the cavity interaction and the photon
 network written stage by stage and term by term, independently of the
 compiled route in ``w2ghz`` (this module reaches neither ``network_map``,
 ``decay_coefficients`` nor the views built on them), with the helpers that
-check that route against it."""
+check that route against it: the accepted patterns, the lossless success
+probability 3 eta_d^3/4 and the two GHZ-class target states."""
 
 import itertools
 import math
@@ -11,9 +12,9 @@ import math
 import numpy as np
 
 from w2ghz.atom_cavity import EMITTED_LEVELS, GROUND_LEVELS, SystemParams
-from w2ghz.detection import classify_pattern, enumerate_outcomes
+from w2ghz.detection import ClickPattern, OutcomeClass, all_patterns, classify_pattern, enumerate_outcomes
 from w2ghz.dynamics import EvolutionCoefficients, _split, _times
-from w2ghz.hilbert import fidelity
+from w2ghz.hilbert import HilbertSpace, StateVector, fidelity
 from w2ghz.photonics import (
     ATOMS,
     DEFAULT_LAYOUT,
@@ -192,6 +193,11 @@ def staged_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_
     return apply_hwp(apply_pbs_routing(emit_and_qwp(state), layout))
 
 
+def norm_sq(state: JointAtomPhotonState) -> float:
+    """Squared norm of a joint state: the sum of its squared amplitudes."""
+    return float(sum(abs(a) ** 2 for a in state.terms.values()))
+
+
 def photon_numbers(state: JointAtomPhotonState) -> set[int]:
     """Distinct total photon counts across terms."""
     return {sum(count for _, count in occ) for _, occ in state.terms} or {0}
@@ -207,7 +213,7 @@ def max_amplitude_deviation(state: JointAtomPhotonState, other: JointAtomPhotonS
     """Largest per-term amplitude difference after removing the global phase
     fixed on the largest-amplitude term of the reference ``other``."""
     if not other.terms:
-        return math.sqrt(state.norm_sq())
+        return math.sqrt(norm_sq(state))
     anchor = max(other.terms, key=lambda k: abs(other.terms[k]))
     if anchor not in state.terms:
         return float("inf")
@@ -270,3 +276,28 @@ def staged_run(params, layout, t=None):
         success += probability
         fidelity_acc += probability * f
     return report, results, success, fidelity_acc / success if success > 0 else 0.0
+
+
+def accepted_patterns() -> list[ClickPattern]:
+    """The click patterns detection accepts, in ``all_patterns`` order."""
+    return [p for p in all_patterns() if classify_pattern(p) is not OutcomeClass.REJECT]
+
+
+def success_probability_ideal(eta_d: float) -> float:
+    """Total accepted-pattern probability of the lossless protocol:
+    3 eta_d^3 / 4, each of the three photons seen with probability eta_d."""
+    return 3.0 * eta_d**3 / 4.0
+
+
+def ghz_pair_states(space: HilbertSpace) -> tuple[StateVector, StateVector]:
+    """The two maximally entangled all-atoms-alike states over the emitted
+    basis: (|eL eL eL> + |eR eR eR>)/sqrt2 and (-|eL eL eL> + |eR eR eR>)/sqrt2."""
+    n = len(space.dims)
+    plus = np.zeros(space.total_dim, dtype=np.complex128)
+    minus = np.zeros(space.total_dim, dtype=np.complex128)
+    lo = space.basis_index(*([0] * n))
+    hi = space.basis_index(*([1] * n))
+    plus[lo] = plus[hi] = 1.0 / math.sqrt(2.0)
+    minus[lo] = -1.0 / math.sqrt(2.0)
+    minus[hi] = 1.0 / math.sqrt(2.0)
+    return StateVector(space, plus), StateVector(space, minus)

@@ -8,8 +8,10 @@ import math
 import time
 
 import numpy as np
-from staged_reference import lossless_coefficients
+from elimination_view import compare_full_vs_effective
+from staged_reference import lossless_coefficients, success_probability_ideal
 from unit_reference import (
+    basis_state,
     conditional_hamiltonian,
     effective_hamiltonian,
     effective_space,
@@ -27,9 +29,9 @@ from w2ghz.analysis import (
     reference_noise_params,
 )
 from w2ghz.atom_cavity import EFFECTIVE_LEVELS, SystemParams
-from w2ghz.detection import enumerate_outcomes, success_probability_ideal
-from w2ghz.dynamics import IntegratorConfig, compare_full_vs_effective, decay_coefficients
-from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector
+from w2ghz.detection import enumerate_outcomes
+from w2ghz.dynamics import IntegratorConfig, decay_coefficients
+from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator
 from w2ghz.photonics import full_network
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, run_protocol
 
@@ -95,7 +97,7 @@ def test_criterion_4_coefficient_consistency():
         worst_pair = max(worst_pair, abs(ci.alpha - cd.alpha), abs(ci.beta - cd.beta))
 
     space = effective_space(1)
-    psi0 = StateVector.basis_state(space, 0, 0, 0)
+    psi0 = basis_state(space, 0, 0, 0)
     i_g = space.basis_index(EFFECTIVE_LEVELS.index("gL"), 0, 0)
     i_e = space.basis_index(EFFECTIVE_LEVELS.index("eL"), 1, 0)
     cfg = IntegratorConfig(dt=1e-3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from staged_reference import ALIGNED_LAYOUT
+from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, staged_cavity_interaction, staged_network
 from unit_reference import block_of, unit_levels, unit_outputs
 
 import w2ghz.analysis as analysis
@@ -33,10 +33,10 @@ from w2ghz.atom_cavity import (
     full_space,
 )
 from w2ghz.cli import main
-from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, ghz_pair_states
-from w2ghz.dynamics import EvolutionCoefficients, decay_coefficients
+from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, enumerate_outcomes
+from w2ghz.dynamics import EvolutionCoefficients, decay_coefficients, emitted_block
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT
-from w2ghz.protocol import heralded_states, run_protocol
+from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state, run_protocol
 
 # Off the reference drive: a two-photon cutoff with an asymmetric drive, and
 # an overdamped cavity (kappa > 2 lambda_c^2/Delta).
@@ -317,8 +317,11 @@ class TestMasterEquationFidelity:
 
     @pytest.mark.parametrize("t", [float("nan"), -1.0, float("inf"), 1e300])
     def test_bad_time_rejected(self, t):
+        # The estimators run at the operating time; the block they read
+        # refuses a time that is not finite and non-negative, or past double
+        # resolution.
         with pytest.raises(ValueError, match="^t "):
-            master_equation_estimates(reference_noise_params(250.0), t=t)
+            emitted_block(reference_noise_params(250.0), t)
 
     def test_subsystem_fidelity_bounds(self):
         f = master_equation_estimates(reference_noise_params(250.0)).subsystem_fidelity
@@ -414,10 +417,13 @@ class TestMasterEquationFidelity:
         lift = np.kron(np.kron(embed, embed), embed)
         plus, minus = ghz_pair_states(atomic_space(ATOMS))
 
-        report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
+        # The lossless conditional states come from the staged pipeline on
+        # the same routing, which shares no network code with estimator b.
+        joint = staged_cavity_interaction(apply_hadamard_pulses(prepare_w_state()), EvolutionCoefficients(0.0, 1.0))
+        report = enumerate_outcomes(staged_network(joint, layout), 1.0)
         fidelity_acc = probability_acc = 0.0
-        for pattern, state in zip(report.conditional_states, conditional):
-            ideal = (report.probability(pattern) * state).reshape((2,) * 6)
+        for pattern, state in report.conditional_states.items():
+            ideal = (report.probability(pattern) * state.elements).reshape((2,) * 6)
             rho = np.einsum("ABCabc,AaIi,BbJj,CcKk->IJKijk", ideal, channel, channel, channel).reshape(n**3, n**3)
             ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
             fidelity_acc += np.vdot(ghz, rho @ ghz).real

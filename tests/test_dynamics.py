@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from elimination_view import compare_full_vs_effective
 from staged_reference import lossless_coefficients, symmetric_decay_coefficients
 from unit_reference import (
+    basis_state,
     block_of,
     conditional_hamiltonian,
     effective_hamiltonian,
@@ -14,6 +16,7 @@ from unit_reference import (
     propagator,
     schrodinger_evolve,
     tensor_space_deviation,
+    to_density_matrix,
     unit_outputs,
 )
 
@@ -29,7 +32,6 @@ from w2ghz.atom_cavity import (
 )
 from w2ghz.dynamics import (
     IntegratorConfig,
-    compare_full_vs_effective,
     decay_coefficients,
     emitted_block,
     propagate_matrix,
@@ -41,7 +43,7 @@ ASYMMETRIC = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9)
 
 
 def ground_vacuum(space):
-    return StateVector.basis_state(space, 0, 0, 0)
+    return basis_state(space, 0, 0, 0)
 
 
 def coefficient_indices(n_max=1):
@@ -86,7 +88,7 @@ class TestIdealCoefficients:
         # the cutoff must not move the amplitudes.
         wide = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, n_max=2)
         h = effective_hamiltonian(wide)
-        psi0 = StateVector.basis_state(h.space, 0, 0, 0)
+        psi0 = basis_state(h.space, 0, 0, 0)
         t = 0.6 * wide.operating_time
         out = schrodinger_evolve(h, psi0, t, IntegratorConfig(dt=2e-3))
         space = effective_space(2)
@@ -177,6 +179,8 @@ class TestDecayCoefficients:
     @settings(max_examples=200, deadline=None)
     @given(delta=st.floats(0.5, 50.0), lambda_c=st.floats(0.0, 5.0), omega=st.floats(0.0, 5.0),
            kappa=st.one_of(st.just(0.0), st.floats(0.0, 10.0)), t=st.floats(0.0, 1e3))
+    # A subnormal kappa once divided by a denominator that underflowed to 0.
+    @example(delta=0.5, lambda_c=0.0, omega=0.5, kappa=5e-324, t=0.0)
     def test_weight_bounded_for_any_drive(self, delta, lambda_c, omega, kappa, t):
         # The no-jump evolution never gains norm, and loses none without decay.
         params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
@@ -306,7 +310,7 @@ class TestLindbladEvolve:
     def test_closed_system_matches_unitary(self):
         params = ASYMMETRIC
         h = full_hamiltonian(params)
-        rho0 = ground_vacuum(h.space).to_density_matrix()
+        rho0 = to_density_matrix(ground_vacuum(h.space))
         out = lindblad_evolve(h, collapse_operators(params), rho0, 2.0, IntegratorConfig(dt=1e-3))
         u = propagator(h, 2.0).elements
         expected = u @ rho0.elements @ u.conj().T
@@ -319,7 +323,7 @@ class TestLindbladEvolve:
         space = HilbertSpace.of(("mode", 2))
         h = Operator(space, np.zeros((2, 2)), hermitian=True)
         a = Operator(space, np.array([[0, 1], [0, 0]], dtype=complex))
-        rho0 = StateVector(space, [0, 1]).to_density_matrix()
+        rho0 = to_density_matrix(StateVector(space, [0, 1]))
         out = lindblad_evolve(h, [(kappa, a)], rho0, t, IntegratorConfig(dt=1e-3))
         assert out.elements[1, 1].real == pytest.approx(np.exp(-kappa * t), abs=1e-8)
 
@@ -330,7 +334,7 @@ class TestLindbladEvolve:
         space = full_space(1)
         h = Operator(space, np.zeros((space.total_dim,) * 2), hermitian=True)
         i_f = space.basis_index(FULL_LEVELS.index("fL"), 0, 0)
-        rho0 = StateVector.basis_state(space, FULL_LEVELS.index("fL"), 0, 0).to_density_matrix()
+        rho0 = to_density_matrix(basis_state(space, FULL_LEVELS.index("fL"), 0, 0))
         t = 2.4
         out = lindblad_evolve(h, collapse_operators(params), rho0, t, IntegratorConfig(dt=1e-3))
         assert out.elements[i_f, i_f].real == pytest.approx(np.exp(-params.gamma_a * t), abs=1e-8)
@@ -338,7 +342,7 @@ class TestLindbladEvolve:
     def test_preserves_density_properties(self):
         params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
         h = full_hamiltonian(params)
-        rho0 = ground_vacuum(h.space).to_density_matrix()
+        rho0 = to_density_matrix(ground_vacuum(h.space))
         out = lindblad_evolve(h, collapse_operators(params), rho0, 1.0, IntegratorConfig(dt=1e-3))
         m = out.elements
         assert abs(np.trace(m).real - 1.0) < 1e-8
@@ -365,7 +369,7 @@ class TestLindbladEvolve:
         # stable only up to dt ~ 0.0709.
         params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
         h = full_hamiltonian(params)
-        rho0 = ground_vacuum(h.space).to_density_matrix()
+        rho0 = to_density_matrix(ground_vacuum(h.space))
         with pytest.raises(ValueError, match="dt.*stability"):
             lindblad_evolve(h, collapse_operators(params), rho0, 1.0, IntegratorConfig(dt=dt))
 
@@ -386,7 +390,7 @@ class TestStepBudget:
         monkeypatch.setattr(dynamics, "_rk4_propagate", counting)
         params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, kappa=0.1, gamma_a=0.1)
         h = full_hamiltonian(params)
-        rho0 = ground_vacuum(h.space).to_density_matrix()
+        rho0 = to_density_matrix(ground_vacuum(h.space))
         with pytest.raises(ValueError, match="dt = .* RK4 steps"):
             propagate_matrix(h, collapse_operators(params), rho0.elements, 3.0, IntegratorConfig(dt=dt))
         with pytest.raises(ValueError, match="dt = .* RK4 steps"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from unit_reference import propagator, trace_distance
+from unit_reference import propagator, to_density_matrix, trace_distance
 
 from w2ghz.hilbert import (
     DensityMatrix,
@@ -55,11 +55,11 @@ class TestFidelity:
     def test_pure_state_self_fidelity(self):
         rng = np.random.default_rng(17)
         psi = random_state(HilbertSpace.of(("s", 5)), rng)
-        assert fidelity(psi.to_density_matrix(), psi) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(to_density_matrix(psi), psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_target(self):
         space = qubit()
-        rho = StateVector(space, [1, 0]).to_density_matrix()
+        rho = to_density_matrix(StateVector(space, [1, 0]))
         assert fidelity(rho, StateVector(space, [0, 1])) == pytest.approx(0.0, abs=1e-14)
 
     def test_maximally_mixed_qubit(self):
@@ -69,7 +69,7 @@ class TestFidelity:
         assert fidelity(mixed, random_state(space, rng)) == pytest.approx(0.5, abs=1e-12)
 
     def test_space_mismatch_rejected(self):
-        rho = StateVector(qubit("a"), [1, 0]).to_density_matrix()
+        rho = to_density_matrix(StateVector(qubit("a"), [1, 0]))
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(rho, StateVector(qubit("b"), [1, 0]))
 
@@ -199,8 +199,8 @@ class TestDensityStack:
 
 def test_trace_distance_extremes():
     space = qubit()
-    zero = StateVector(space, [1, 0]).to_density_matrix()
-    one = StateVector(space, [0, 1]).to_density_matrix()
+    zero = to_density_matrix(StateVector(space, [1, 0]))
+    one = to_density_matrix(StateVector(space, [0, 1]))
     assert trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
     assert trace_distance(zero, zero) == pytest.approx(0.0, abs=1e-14)
 

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from staged_reference import (
     ALIGNED_LAYOUT,
+    ghz_pair_states,
     lossless_coefficients,
+    norm_sq,
     photon_numbers,
     require_photon_number,
     staged_cavity_interaction,
     staged_run,
 )
+from unit_reference import to_density_matrix
 
 from w2ghz.atom_cavity import SystemParams
-from w2ghz.detection import OutcomeClass, atomic_space, ghz_pair_states
+from w2ghz.detection import OutcomeClass, atomic_space
 from w2ghz.dynamics import decay_coefficients
 from w2ghz import hilbert, protocol
 from w2ghz.hilbert import DensityMatrix, StateVector, fidelity
@@ -93,7 +96,7 @@ class TestCavityInteraction:
         for t in (0.7, 1.9):
             coeffs = decay_coefficients(DECAYING, t)
             joint = cavity_interaction(state, DECAYING, t=t)
-            assert joint.norm_sq() == pytest.approx(coeffs.weight ** 3, abs=1e-12)
+            assert norm_sq(joint) == pytest.approx(coeffs.weight ** 3, abs=1e-12)
 
     def test_transfer_coefficients_dispatch(self):
         # One route for every kappa; only the default time is added.
@@ -138,13 +141,13 @@ class TestSignCorrection:
     def test_minus_class_maps_to_plus(self):
         space = atomic_space(("a", "b", "c"))
         plus, minus = ghz_pair_states(space)
-        corrected = sign_correction(minus.to_density_matrix(), OutcomeClass.GHZ_MINUS)
+        corrected = sign_correction(to_density_matrix(minus), OutcomeClass.GHZ_MINUS)
         assert fidelity(corrected, plus) == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_class_untouched(self):
         space = atomic_space(("a", "b", "c"))
         plus, _ = ghz_pair_states(space)
-        rho = plus.to_density_matrix()
+        rho = to_density_matrix(plus)
         assert sign_correction(rho, OutcomeClass.GHZ_PLUS) is rho
 
     def test_flip_is_involution(self):
@@ -160,14 +163,14 @@ class TestSignCorrection:
         space = atomic_space(("a", "b", "c"))
         plus, _ = ghz_pair_states(space)
         with pytest.raises(ValueError, match="accepted"):
-            sign_correction(plus.to_density_matrix(), OutcomeClass.REJECT)
+            sign_correction(to_density_matrix(plus), OutcomeClass.REJECT)
 
 
 class TestRamanMapping:
     def test_plus_state_maps_to_ghz(self):
         space = atomic_space(("a", "b", "c"))
         plus, _ = ghz_pair_states(space)
-        mapped = raman_mapping(plus.to_density_matrix())
+        mapped = raman_mapping(to_density_matrix(plus))
         assert mapped.space == ground_state_space()
         assert fidelity(mapped, ghz_target()) == pytest.approx(1.0, abs=1e-12)
 
@@ -186,7 +189,7 @@ class TestRamanMapping:
         amps[space.basis_index(2, 2, 2)] = 1 / math.sqrt(2)
         amps[space.basis_index(3, 3, 3)] = 1 / math.sqrt(2)
         with pytest.raises(ValueError, match="two-level"):
-            raman_mapping(StateVector(space, amps).to_density_matrix())
+            raman_mapping(to_density_matrix(StateVector(space, amps)))
 
 
 class TestRunProtocol:

@@ -1,14 +1,17 @@
 """Test-only reference for one atom-cavity unit: the eliminated four-level
 model written out in the tensor space of the atom and both cavity modes, the
-fixed-step RK4 wavefunction and master-equation integrators, the dense
-propagator and the trace distance.  ``tensor_space_deviation`` is the
-comparison of the six-level and the eliminated model in that space, by
-diagonalising both Hamiltonians, which ``compare_full_vs_effective`` (a view
-of the branch blocks) is checked against.  ``unit_outputs`` propagates the
-noisy unit on its whole space, by RK4 or by scipy's exponential of the
-Liouvillian, for ``emitted_block`` (the exact route on the branch blocks) to
-be checked against.  The package runs none of this; each piece is an oracle
-for a route it does run."""
+fixed-step RK4 wavefunction and master-equation integrators with their
+default step, the dense propagator and the trace distance, and pure-state
+helpers.  ``tensor_space_deviation`` is the comparison of the six-level and
+the eliminated model in that space, by diagonalising both Hamiltonians,
+which ``elimination_view.compare_full_vs_effective`` (a view of the branch
+blocks) is checked against; both give a ``DeviationReport``.
+``unit_outputs`` propagates the noisy unit on its whole space, by RK4 or by
+scipy's exponential of the Liouvillian, for ``emitted_block`` (the exact
+route on the branch blocks) to be checked against.  The package runs none of
+this; each piece is an oracle for a route it does run."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +27,50 @@ from w2ghz.atom_cavity import (
     full_hamiltonian,
     full_space,
 )
-from w2ghz.dynamics import (
-    DeviationPoint,
-    DeviationReport,
-    IntegratorConfig,
-    default_config,
-    propagate_matrix,
-)
+from w2ghz.dynamics import IntegratorConfig, propagate_matrix
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, _require_same_space, tol
+
+
+def basis_state(space: HilbertSpace, *indices: int) -> StateVector:
+    """The product-basis state with one index per subsystem."""
+    amps = np.zeros(space.total_dim, dtype=np.complex128)
+    amps[space.basis_index(*indices)] = 1.0
+    return StateVector(space, amps)
+
+
+def to_density_matrix(psi: StateVector) -> DensityMatrix:
+    """|psi><psi|, normalized as ``psi`` is."""
+    return DensityMatrix(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()), normalized=psi.normalized)
+
+
+def default_config(h: Operator, rates: tuple[float, ...] = ()) -> IntegratorConfig:
+    """RK4 step 1e-3 / (largest rate in the generator), the integrators'
+    default: the infinity norm of H bounds its spectral radius."""
+    scale = max(float(np.max(np.sum(np.abs(h.elements), axis=1), initial=0.0)), *rates, 0.0)
+    return IntegratorConfig(dt=1e-3 / scale if scale > 0 else 1.0)
+
+
+@dataclass(frozen=True)
+class DeviationPoint:
+    """Per-time comparison entry: trace distance on the shared manifold and
+    population leaked into the eliminated upper levels."""
+
+    time: float
+    distance: float
+    leakage: float
+
+
+@dataclass(frozen=True)
+class DeviationReport:
+    points: tuple[DeviationPoint, ...]
+
+    @property
+    def max_distance(self) -> float:
+        return max(p.distance for p in self.points)
+
+    @property
+    def max_leakage(self) -> float:
+        return max(p.leakage for p in self.points)
 
 
 def effective_space(n_max: int = 1) -> HilbertSpace:
@@ -151,6 +190,8 @@ def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: D
     with fixed-step RK4, returning a validated density matrix."""
     if rho0.space != h.space:
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {rho0.space.subsystems}")
+    if cfg is None:
+        cfg = default_config(h, tuple(rate for rate, _ in collapse))
     out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
     result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
     drift = float(np.trace(out).real) - 1.0
