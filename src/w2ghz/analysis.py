@@ -170,9 +170,10 @@ def pd_numeric(params: SystemParams, t):
     return float(value) if isinstance(beta, complex) else value
 
 
-def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
-    """Sample the decay success probability over a kappa*t grid, emitting the
-    closed form and the coefficient route side by side.  Each route is
+def pd_sweep_table(spec: SweepSpec) -> np.ndarray:
+    """Sample the decay success probability over a kappa*t grid as a
+    (steps, 4) float array with the columns of ``CurvePoint``: the grid, the
+    closed form, the coefficient route and their difference.  Each route is
     evaluated once, on the whole grid; a grid on which either leaves the
     float range (eta*t past it, say) raises ValueError."""
     if spec.parameter != "kappa_t":
@@ -190,8 +191,12 @@ def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
     if not (np.isfinite(closed).all() and np.isfinite(numeric).all()):
         raise ValueError(f"P_d leaves the float range on this grid (eta = {spec.fixed.eta!r}, "
                          f"kappa = {spec.fixed.kappa!r}, kappa*t up to {spec.maximum!r})")
-    return list(map(CurvePoint._make, zip(kappa_t.tolist(), closed.tolist(), numeric.tolist(),
-                                          np.abs(closed - numeric).tolist())))
+    return np.column_stack((kappa_t, closed, numeric, np.abs(closed - numeric)))
+
+
+def pd_sweep(spec: SweepSpec) -> list[CurvePoint]:
+    """The rows of ``pd_sweep_table`` as CurvePoints."""
+    return list(map(CurvePoint._make, pd_sweep_table(spec).tolist()))
 
 
 def params_for_eta_over_kappa(ratio: float) -> SystemParams:

@@ -36,7 +36,7 @@ from .analysis import (
     fidelity_curve_vs_coupling_ratio,
     fidelity_surface,
     params_for_eta_over_kappa,
-    pd_sweep,
+    pd_sweep_table,
 )
 from .atom_cavity import DOCUMENT_FIELDS, SystemParams
 from .checks import DEFAULT_CHECK_PARAMS, run_all_checks
@@ -154,11 +154,11 @@ def cmd_sweep_decay(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"config error: field 'sweep' and --grid-steps: {exc}") from exc
         try:
-            points = pd_sweep(spec)
+            table = pd_sweep_table(spec)
         except ValueError as exc:
             raise ConfigError(f"config error: --eta-over-kappa {ratio!r} with field 'sweep': {exc}") from exc
         row = f"{ratio:.12g},%.12g,%.12g,%.12g,%.12g\n"
-        tables.append((row * len(points)) % tuple(itertools.chain.from_iterable(points)))
+        tables.append((row * len(table)) % tuple(table.ravel().tolist()))
     _write_output("".join(tables), args.out)
     return EXIT_OK
 

@@ -97,31 +97,40 @@ def atomic_space(atoms, basis=EMITTED_LEVELS) -> HilbertSpace:
 
 
 def _firing_sets(patterns) -> np.ndarray:
-    """Each pattern's fired detectors as the bits of an integer, the first
-    detector of DETECTORS most significant."""
-    return np.array([sum(1 << (len(DETECTORS) - 1 - d) for d, name in enumerate(DETECTORS) if name in pattern.fired)
+    """Each pattern's fired detectors as the bits of an integer, detector d
+    of DETECTORS at bit d: its row of ``_weight_table``."""
+    return np.array([sum(1 << d for d, name in enumerate(DETECTORS) if name in pattern.fired)
                      for pattern in patterns], dtype=np.intp)
 
 
-def _pattern_weights(counts: np.ndarray, eta_d: float, firing_sets: np.ndarray) -> np.ndarray:
-    """weights[p, o]: the probability that occupation o, with counts[o]
+def _weight_table(counts: np.ndarray, eta_d: float) -> np.ndarray:
+    """table[s, o]: the probability that occupation o, with counts[o]
     photons per detector in DETECTORS order, fires exactly the detectors in
-    ``firing_sets[p]`` (see ``_firing_sets``).
+    firing set s (see ``_firing_sets``), for all 2^6 sets.
 
     The POVM elements are diagonal in the occupation basis, so the weight is
     the product of the six detector factors, (1 - eta_d)^k for a silent slot
     with k photons and its complement for a fired one, multiplied one at a
     time in DETECTORS order so every entry rounds exactly as a scalar
-    product would.  The products for all 2^6 firing sets are grown one
-    detector at a time, and the requested ones are picked out.
+    product would.  The table grows in place in one buffer: once the first
+    d detectors fill its first 2^d rows, detector d's fired factor writes
+    rows 2^d to 2^(d+1) and its silent factor scales the first 2^d.
     """
     off_power = np.array([1.0] + [(1.0 - eta_d) ** k for k in range(1, int(counts.max(initial=0)) + 1)])
-    off = np.ascontiguousarray(off_power[counts].T)
-    factors = np.stack((off, 1.0 - off), axis=1)
-    table = factors[0]
+    off = off_power[counts.T]
+    fired = 1.0 - off
+    table = np.empty((2 ** len(DETECTORS), len(counts)))
+    table[0], table[1] = off[0], fired[0]
     for d in range(1, len(DETECTORS)):
-        table = (table[:, None, :] * factors[d, None, :, :]).reshape(2 ** (d + 1), len(counts))
-    return table[firing_sets]
+        rows = 1 << d
+        np.multiply(table[:rows], fired[d], out=table[rows:2 * rows])
+        table[:rows] *= off[d]
+    return table
+
+
+def _pattern_weights(counts: np.ndarray, eta_d: float, firing_sets: np.ndarray) -> np.ndarray:
+    """weights[p, o]: the rows of ``_weight_table`` for ``firing_sets[p]``."""
+    return _weight_table(counts, eta_d)[firing_sets]
 
 
 _PATTERN_SETS = _firing_sets(_PATTERNS)

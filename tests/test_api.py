@@ -31,7 +31,8 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # A name leaves this list once the benchmark stops using it, and its code
 # leaves the package with it.
 BENCHMARK_ONLY = frozenset({"cavity_interaction", "full_network", "enumerate_outcomes", "measure",
-                            "sign_correction", "raman_mapping", "propagate_matrix", "IntegratorConfig"})
+                            "sign_correction", "raman_mapping", "propagate_matrix", "IntegratorConfig",
+                            "fidelity", "pd_sweep"})
 
 
 def resolve(module_name: str, name: str):
@@ -89,9 +90,10 @@ def package_calls(path: Path):
 
 
 def read_names(nodes) -> set:
-    """The identifiers ``nodes`` read as a Name or an Attribute; a store is
-    no read.  Annotations are left out: every module of the package defers
-    them, so they never run."""
+    """The identifiers ``nodes`` read, each as (ast.Name, identifier) or
+    (ast.Attribute, identifier) by how it is read; a store is no read.
+    Annotations are left out: every module of the package defers them, so
+    they never run."""
     skipped = set()
     for node in nodes:
         for sub in ast.walk(node):
@@ -110,9 +112,9 @@ def read_names(nodes) -> set:
             if not isinstance(getattr(sub, "ctx", None), ast.Load) or id(sub) in skipped:
                 continue
             if isinstance(sub, ast.Name):
-                names.add(sub.id)
+                names.add((ast.Name, sub.id))
             elif isinstance(sub, ast.Attribute):
-                names.add(sub.attr)
+                names.add((ast.Attribute, sub.attr))
     return names
 
 
@@ -123,22 +125,25 @@ def runs_at_definition(function) -> list:
 
 def package_definitions():
     """Each top-level function and class of the package, and each method but
-    a dunder, as {qualified name: (name, the nodes that run once it is
-    reached)}, and the identifiers read on import.
+    a dunder, as {qualified name: (how it is read, the nodes that run once
+    it is reached)}, and the identifiers read on import.
 
-    A class's dunder methods run with the class.  Module-level statements,
-    decorators, defaults, base classes and class bodies run on import."""
+    Modules of the package import names, not modules, so a top-level
+    definition is read as (ast.Name, its name) and a method as
+    (ast.Attribute, its name).  A class's dunder methods run with the class.
+    Module-level statements, decorators, defaults, base classes and class
+    bodies run on import."""
     definitions, on_import = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, FUNCTIONS):
-                definitions[f"{path.stem}.{node.name}"] = (node.name, node.body)
+                definitions[f"{path.stem}.{node.name}"] = ((ast.Name, node.name), node.body)
                 on_import |= read_names(runs_at_definition(node))
             elif isinstance(node, ast.ClassDef):
                 methods = [m for m in node.body if isinstance(m, FUNCTIONS)]
                 dunder = [m for m in methods if m.name.startswith("__") and m.name.endswith("__")]
-                definitions[f"{path.stem}.{node.name}"] = (node.name, dunder)
-                definitions.update({f"{path.stem}.{node.name}.{m.name}": (m.name, m.body)
+                definitions[f"{path.stem}.{node.name}"] = ((ast.Name, node.name), dunder)
+                definitions.update({f"{path.stem}.{node.name}.{m.name}": ((ast.Attribute, m.name), m.body)
                                     for m in methods if m not in dunder})
                 on_import |= read_names([*node.decorator_list, *node.bases, *node.keywords,
                                          *(stmt for stmt in node.body if not isinstance(stmt, FUNCTIONS)),
@@ -150,12 +155,14 @@ def package_definitions():
 
 def reached(definitions, roots) -> set:
     """The qualified names of the definitions reached from the identifiers
-    ``roots``: a definition is reached when its name is read by a root or by
-    a reached definition.  Matching by name over-approximates, so a
-    definition that is reached is never reported as not reached."""
+    ``roots`` (as ``read_names`` gives them): a definition is reached when
+    it is read, as a Name if it is top-level and as an Attribute if it is a
+    method, by a root or by a reached definition.  Matching by identifier
+    over-approximates, so a definition that is reached is never reported as
+    not reached."""
     names, done = set(roots), set()
     while True:
-        new = {qualified for qualified, (name, _) in definitions.items() if name in names} - done
+        new = {qualified for qualified, (read, _) in definitions.items() if read in names} - done
         if not new:
             return done
         done |= new
@@ -168,26 +175,28 @@ def test_every_definition_is_reached():
     # w2ghz.cli:main; the benchmark-only names add what only perfbench runs.
     assert 'w2ghz = "w2ghz.cli:main"' in (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     definitions, on_import = package_definitions()
-    cli_roots = on_import | {"main"}
-    unreached = set(definitions) - reached(definitions, cli_roots | BENCHMARK_ONLY)
+    cli_roots = on_import | {(ast.Name, "main")}
+    benchmark_roots = {(ast.Name, name) for name in BENCHMARK_ONLY}
+    unreached = set(definitions) - reached(definitions, cli_roots | benchmark_roots)
     assert not unreached, f"no CLI command and no benchmark name reaches {sorted(unreached)}"
     from_cli = {definitions[qualified][0] for qualified in reached(definitions, cli_roots)}
-    assert not BENCHMARK_ONLY & from_cli, f"a CLI command reaches {sorted(BENCHMARK_ONLY & from_cli)}"
-    assert BENCHMARK_ONLY <= {name for name, _ in definitions.values()}
+    assert not benchmark_roots & from_cli, f"a CLI command reaches {sorted(benchmark_roots & from_cli)}"
+    assert benchmark_roots <= {read for read, _ in definitions.values()}
 
 
 def test_benchmark_only_names_are_used_by_the_benchmark():
     paths = sorted(PERFBENCH.glob("*.py"))
     if not paths:
         pytest.skip("no perfbench/ in this checkout")
-    used = read_names([ast.parse(path.read_text(), filename=str(path)) for path in paths])
+    used = {name for _, name in read_names([ast.parse(path.read_text(), filename=str(path)) for path in paths])}
     assert BENCHMARK_ONLY <= used, f"perfbench/ does not use {sorted(BENCHMARK_ONLY - used)}"
 
 
 # The simulator's public names, each under the module that defines it.
 PUBLIC_NAMES = {
     "w2ghz.analysis": ("CurvePoint", "FidelityEstimates", "SweepSpec", "fidelity_surface",
-                       "master_equation_estimates", "pd_closed_form", "pd_sweep", "reference_noise_params"),
+                       "master_equation_estimates", "pd_closed_form", "pd_sweep", "pd_sweep_table",
+                       "reference_noise_params"),
     "w2ghz.atom_cavity": ("SystemParams", "collapse_operators", "full_hamiltonian"),
     "w2ghz.detection": ("ClickPattern", "DetectionReport", "OutcomeClass", "classify_pattern",
                         "enumerate_outcomes", "measure"),

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import re
@@ -466,6 +467,88 @@ class TestCsvCells:
             points = analysis.fidelity_curve_vs_coupling_ratio([50.0, 250.0])
         header = "kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"
         assert out.read_text() == per_cell_csv(header, points)
+
+
+# The twelve distinct invocations of the cli_batch benchmark at seed 1: four
+# params documents each for ideal-run and validate, and four eta/kappa
+# ratios for sweep-decay at 1000 grid steps.
+BENCHMARK_RUN_DOCS = [
+    {"delta": 27.503860086564856, "lambda_c": 0.7931685112801423, "omega": 0.7931685112801423,
+     "eta_d": 0.5296763300533576},
+    {"delta": 40.71708312344724, "lambda_c": 1.1297716199302683, "omega": 1.1297716199302683,
+     "eta_d": 0.8057876362140969},
+    {"delta": 29.826489201611327, "lambda_c": 1.1609807487025159, "omega": 1.1609807487025159,
+     "eta_d": 0.6175993240380107},
+    {"delta": 25.073924512590313, "lambda_c": 1.4936616551589732, "omega": 1.4936616551589732,
+     "eta_d": 0.8795467398435635},
+]
+BENCHMARK_VALIDATE_DOCS = [
+    {"delta": 18.01391786539889, "lambda_c": 1.4858487054402008, "omega": 1.4858487054402008,
+     "eta_d": 0.6363148325314997},
+    {"delta": 36.707529309411065, "lambda_c": 1.1664730451845648, "omega": 1.1664730451845648,
+     "eta_d": 0.7446339016346439},
+    {"delta": 21.26235853564257, "lambda_c": 0.5698341904920148, "omega": 0.5698341904920148,
+     "eta_d": 0.757571665644272},
+    {"delta": 13.515330795183909, "lambda_c": 0.7041985262583357, "omega": 0.7041985262583357,
+     "eta_d": 0.884362344292988},
+]
+VALIDATE_DOC_DIGEST = "14204a6b7957eafa1c94c9ca0df2d0302db6e94343349726366070c2f260e6f7"
+
+# (argv, config document or None, whether output goes to --out, exit code,
+# sha256 of the output).  Any change to these bytes is a change of the
+# CLI's output, not of its speed.
+GOLDEN = [
+    pytest.param(["ideal-run"], None, False, EXIT_OK,
+                 "f1a6ca69ea4102adb8ca49fb5869b8394218e53ed5661074babc9a4ad45dada7", id="ideal-run-default"),
+    pytest.param(["sweep-decay"], None, False, EXIT_OK,
+                 "34b1e5f44865aceaeceaa3b0113b6daeeeae68b6608abb76fb853963f867a937", id="sweep-decay-default"),
+    pytest.param(["fidelity-surface"], None, False, EXIT_OK,
+                 "adfacecfdac14c3dfe1a4391861ddb341cca8103a71a7ae389212d90d2a07f50", id="fidelity-surface-default"),
+    pytest.param(["validate"], None, False, EXIT_OK,
+                 "a520b2e9a6b10109ace07e5bc63a4da3ad30db4ef99d035ce17cf936c65a3235", id="validate-default"),
+    *(pytest.param(["ideal-run"], doc, True, EXIT_OK, digest, id=f"ideal-run-benchmark-{i}")
+      for i, (doc, digest) in enumerate(zip(BENCHMARK_RUN_DOCS, [
+          "0f27f7f870657202b39978bf2e868e9b95e1440d3b5e2e293eebcae0001b8183",
+          "27c3017ded47230cb9e75c35bdd5172a812a3cf1536ae95b21fdb85a5b2205df",
+          "67626f12e0aa093ad56e21d22f11734dc129ee21933c8cc9f9119eda96f7bad3",
+          "90944272f72c1b69044a632e976f494c0aa3f0afbba67b20a2b2463f969d37ef",
+      ]))),
+    *(pytest.param(["sweep-decay", "--eta-over-kappa", ratio, "--grid-steps", "1000"], None, True, EXIT_OK,
+                   digest, id=f"sweep-decay-benchmark-{ratio}")
+      for ratio, digest in [
+          ("30.9107", "34b28a3b659fc2a64d2e1938873d283ff447525027357ebe1485952ec5c8a781"),
+          ("107.3", "9ab1852d02b331451d4f406971c5d30d55f1b69518a5093ce391d19605778257"),
+          ("10.9898", "f661637cd9cb89dd6e91986e5f907dfe647439d7fb4b8942ffcd25ab6fdedb2e"),
+          ("160.678", "b48a86155cc4c3c114c4aa5eb1d5e4601d02cc0b5b0cb9a870b0fd56d9ef0472"),
+      ]),
+    *(pytest.param(["validate"], doc, False, EXIT_OK, VALIDATE_DOC_DIGEST, id=f"validate-benchmark-{i}")
+      for i, doc in enumerate(BENCHMARK_VALIDATE_DOCS)),
+]
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("argv, doc, to_file, code, digest", GOLDEN)
+    def test_output_digest(self, tmp_path, capsys, argv, doc, to_file, code, digest):
+        out = tmp_path / "out.txt"
+        config = [] if doc is None else ["--config", write_json(tmp_path, "cfg.json", doc)]
+        assert main(argv + config + (["--out", str(out)] if to_file else [])) == code
+        text = out.read_text() if to_file else capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_benchmark_invocations_listed(self):
+        # The documents and ratios above are those the cli_batch workload
+        # sends at seed 1.
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        sent = {}
+        for block in workloads.generate("cli_batch", 1):
+            for cmd in block["commands"]:
+                sent[cmd["command"], cmd["config_index"]] = cmd.get("config", cmd.get("eta_over_kappa"))
+        ratios = [param.values[0][2] for param in GOLDEN if param.id.startswith("sweep-decay-benchmark")]
+        assert [sent["ideal-run", i] for i in range(4)] == BENCHMARK_RUN_DOCS
+        assert [sent["validate", i] for i in range(4)] == BENCHMARK_VALIDATE_DOCS
+        assert [sent["sweep-decay", i] for i in range(4)] == ratios
 
 
 class TestValidate:

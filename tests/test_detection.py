@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -112,10 +113,27 @@ class TestPovm:
             assert np.all((weights >= 0.0) & (weights <= 1.0))
             assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= tolerance
 
+    @pytest.mark.parametrize("occupations, eta", [
+        (1, 0.0), (1, 1.0), (1, None), (37, 0.0), (37, 1.0), (37, None), (800, 0.0), (800, 1.0), (800, None),
+    ])
+    def test_weights_are_scalar_products(self, occupations, eta):
+        # Each entry equals, bit for bit, the product of the six detector
+        # factors multiplied one at a time in DETECTORS order, with the rows
+        # in pattern order.
+        rng = np.random.default_rng(occupations)
+        eta = float(rng.random()) if eta is None else eta
+        counts = rng.integers(0, 4, size=(occupations, len(DETECTORS)))
+        off = [[(1.0 - eta) ** k for k in row] for row in counts.tolist()]
+        expected = [[math.prod(1.0 - f if name in pattern.fired else f for name, f in zip(DETECTORS, row))
+                     for row in off] for pattern in all_patterns()]
+        weights = _pattern_weights(counts, eta, _PATTERN_SETS)
+        assert weights.shape == (len(expected), occupations)
+        assert (weights == np.array(expected)).all()
+
     def test_perfect_detector_limit(self):
         # Each occupation fires exactly the detectors holding photons.
         weights = _pattern_weights(OCCUPATIONS, 1.0, _PATTERN_SETS)
-        fired = (OCCUPATIONS > 0) @ (1 << np.arange(len(DETECTORS) - 1, -1, -1))
+        fired = (OCCUPATIONS > 0) @ (1 << np.arange(len(DETECTORS)))
         assert np.array_equal(weights, (_PATTERN_SETS[:, None] == fired[None, :]).astype(float))
 
     def test_click_weights(self):

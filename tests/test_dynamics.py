@@ -292,7 +292,7 @@ class TestSchrodingerEvolve:
         h = Operator(HilbertSpace.of(("s", 3)), np.zeros((3, 3)), hermitian=True)
         psi = StateVector(HilbertSpace.of(("t", 2)), [1, 0])
         with pytest.raises(ValueError, match="mismatch"):
-            schrodinger_evolve(h, psi, 1.0)
+            schrodinger_evolve(h, psi, 1.0, IntegratorConfig(dt=1e-3))
 
     def test_conditional_norm_monotone(self):
         params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.2)
@@ -353,7 +353,7 @@ class TestLindbladEvolve:
         h = Operator(HilbertSpace.of(("s", 2)), np.zeros((2, 2)), hermitian=True)
         rho = DensityMatrix(HilbertSpace.of(("t", 2)), np.eye(2) / 2)
         with pytest.raises(ValueError, match="mismatch"):
-            lindblad_evolve(h, [], rho, 1.0)
+            lindblad_evolve(h, [], rho, 1.0, IntegratorConfig(dt=1e-3))
 
     def test_rejects_negative_rate(self):
         space = HilbertSpace.of(("s", 2))
@@ -361,7 +361,7 @@ class TestLindbladEvolve:
         a = Operator(space, np.array([[0, 1], [0, 0]], dtype=complex))
         rho = DensityMatrix(space, np.eye(2) / 2)
         with pytest.raises(ValueError, match="non-negative"):
-            lindblad_evolve(h, [(-0.1, a)], rho, 1.0)
+            lindblad_evolve(h, [(-0.1, a)], rho, 1.0, IntegratorConfig(dt=1e-3))
 
     @pytest.mark.parametrize("dt", [0.09, 1.0])
     def test_rejects_step_beyond_rk4_stability(self, dt):

@@ -1,7 +1,6 @@
 """Test-only reference for one atom-cavity unit: the eliminated four-level
 model written out in the tensor space of the atom and both cavity modes, the
-fixed-step RK4 wavefunction and master-equation integrators with their
-default step, the dense propagator and the trace distance, and pure-state
+fixed-step RK4 wavefunction and master-equation integrators, the dense propagator and the trace distance, and pure-state
 helpers.  ``tensor_space_deviation`` is the comparison of the six-level and
 the eliminated model in that space, by diagonalising both Hamiltonians,
 which ``elimination_view.compare_full_vs_effective`` (a view of the branch
@@ -41,13 +40,6 @@ def basis_state(space: HilbertSpace, *indices: int) -> StateVector:
 def to_density_matrix(psi: StateVector) -> DensityMatrix:
     """|psi><psi|, normalized as ``psi`` is."""
     return DensityMatrix(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()), normalized=psi.normalized)
-
-
-def default_config(h: Operator, rates: tuple[float, ...] = ()) -> IntegratorConfig:
-    """RK4 step 1e-3 / (largest rate in the generator), the integrators'
-    default: the infinity norm of H bounds its spectral radius."""
-    scale = max(float(np.max(np.sum(np.abs(h.elements), axis=1), initial=0.0)), *rates, 0.0)
-    return IntegratorConfig(dt=1e-3 / scale if scale > 0 else 1.0)
 
 
 @dataclass(frozen=True)
@@ -156,8 +148,7 @@ def propagator(h: Operator, t: float) -> Operator:
     return Operator(h.space, u, hermitian=False)
 
 
-def schrodinger_evolve(h: Operator, psi0: StateVector, t: float,
-                       cfg: IntegratorConfig | None = None) -> StateVector:
+def schrodinger_evolve(h: Operator, psi0: StateVector, t: float, cfg: IntegratorConfig) -> StateVector:
     """Integrate d psi/dt = -i H psi with fixed-step RK4.
 
     Norm is preserved (within 1e-8) for Hermitian generators and is
@@ -165,8 +156,6 @@ def schrodinger_evolve(h: Operator, psi0: StateVector, t: float,
     """
     if h.space != psi0.space:
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {psi0.space.subsystems}")
-    if cfg is None:
-        cfg = default_config(h)
     if t == 0.0:
         return StateVector(psi0.space, psi0.amplitudes, normalized=False)
     hm = h.elements
@@ -184,14 +173,12 @@ def schrodinger_evolve(h: Operator, psi0: StateVector, t: float,
 
 
 def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: DensityMatrix,
-                    t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
+                    t: float, cfg: IntegratorConfig) -> DensityMatrix:
     """Integrate the master equation
     d rho/dt = -i[H, rho] - sum_k (rate_k/2)(C_k^dag C_k rho - 2 C_k rho C_k^dag + rho C_k^dag C_k)
     with fixed-step RK4, returning a validated density matrix."""
     if rho0.space != h.space:
         raise ValueError(f"space mismatch: {h.space.subsystems} vs {rho0.space.subsystems}")
-    if cfg is None:
-        cfg = default_config(h, tuple(rate for rate, _ in collapse))
     out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
     result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
     drift = float(np.trace(out).real) - 1.0
