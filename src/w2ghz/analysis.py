@@ -38,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .atom_cavity import SystemParams
-from .detection import classify_pattern
 from .dynamics import (
     EvolutionCoefficients,
     _binade,
@@ -241,11 +240,10 @@ def master_equation_estimates(params: SystemParams) -> FidelityEstimates:
     block = emitted_block(params, params.operating_time)
     f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
-    report, conditional = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
-    patterns = list(report.conditional_states)
-    weights = np.array([report.probability(pattern) for pattern in patterns])
+    report, conditional, kept = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
+    weights = np.array([report.probability(pattern) for pattern in report.conditional_states])
     noisy = weights[:, None, None] * conditional * np.kron(np.kron(block, block), block)
-    _, fids = _corrected_fidelities(noisy, [classify_pattern(pattern) for pattern in patterns])
+    _, fids = _corrected_fidelities(noisy, kept)
     probability_acc = float(np.trace(noisy, axis1=1, axis2=2).real.sum())
     network_fidelity = float(fids.sum()) / probability_acc if probability_acc > 0 else 0.0
     return FidelityEstimates(

@@ -76,8 +76,8 @@ def check_povm_completeness() -> CheckResult:
     occupation in ``_POVM_COUNTS``, each weight lies in [0, 1] and the 64
     weights sum to 1.  The checks read each efficiency's ``_weight_table``
     itself, and only the sum picks its rows, in pattern order (which fixes
-    how it rounds), as a temporary: holding the picked rows through the
-    loop, as ``_pattern_weights`` returns them, faults in 60% more pages."""
+    how it rounds), as a temporary: holding a 64-row copy in pattern order
+    through the loop faults in 60% more pages."""
     worst, in_range = 0.0, True
     for eta_d in (0.0, 0.3, 0.7, 1.0):
         table = _weight_table(_POVM_COUNTS, eta_d)

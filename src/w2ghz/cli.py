@@ -70,12 +70,12 @@ def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a syntax error names its line and column
+    except (ValueError, RecursionError) as exc:  # a syntax error names its line and column
         raise ConfigError(f"invalid JSON in {path!r}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path!r} must hold a JSON object, got {type(data).__name__}")

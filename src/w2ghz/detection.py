@@ -79,8 +79,11 @@ def classify_pattern(pattern: ClickPattern) -> OutcomeClass:
     return OutcomeClass.GHZ_PLUS if pattern.v_count % 2 == 1 else OutcomeClass.GHZ_MINUS
 
 
+# The 64 patterns classified once.  Accepted ones fire three detectors, so
+# their indices, like DETECTORS, run in ``sorted_names`` (report) order.
 _PATTERNS = tuple(all_patterns())
-_ACCEPTED_INDICES = tuple(i for i, p in enumerate(_PATTERNS) if classify_pattern(p) is not OutcomeClass.REJECT)
+_CLASSES = tuple(classify_pattern(pattern) for pattern in _PATTERNS)
+_ACCEPTED_INDICES = tuple(i for i, outcome in enumerate(_CLASSES) if outcome is not OutcomeClass.REJECT)
 
 
 def _infer_atom_basis(configs) -> tuple[str, ...]:
@@ -128,23 +131,20 @@ def _weight_table(counts: np.ndarray, eta_d: float) -> np.ndarray:
     return table
 
 
-def _pattern_weights(counts: np.ndarray, eta_d: float, firing_sets: np.ndarray) -> np.ndarray:
-    """weights[p, o]: the rows of ``_weight_table`` for ``firing_sets[p]``."""
-    return _weight_table(counts, eta_d)[firing_sets]
-
-
+# Each pattern's row of ``_weight_table``, in ``_PATTERNS`` order.
 _PATTERN_SETS = _firing_sets(_PATTERNS)
 
 
-def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[list, dict]:
-    """Probabilities of every pattern in ``patterns`` and the conditional
-    atomic states of those whose index is in ``keep``.
+def _detect(state: JointAtomPhotonState, firing_sets: np.ndarray, eta_d: float, keep) -> tuple[list, dict]:
+    """Probabilities of the patterns with the given firing sets (see
+    ``_firing_sets``) and the conditional atomic states of those whose index
+    is in ``keep``.
 
     The pattern probability is the occupation-weighted squared amplitude,
     and the conditional state coherently combines atomic configurations that
     share an occupation.  Returns the probabilities as a list in
-    ``patterns`` order and a dict from kept index to state; a kept pattern
-    of zero probability gets no state.
+    ``firing_sets`` order and a dict from kept index to state; a kept
+    pattern of zero probability gets no state.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
@@ -159,9 +159,9 @@ def _detect(state: JointAtomPhotonState, patterns, eta_d: float, keep) -> tuple[
         for slot, count in occ:
             if slot in _SLOT_INDEX:
                 counts[row, _SLOT_INDEX[slot]] = count
-    weights = _pattern_weights(counts, eta_d, _firing_sets(patterns))
+    weights = _weight_table(counts, eta_d)[firing_sets]
 
-    probabilities = np.zeros(len(patterns))
+    probabilities = np.zeros(len(firing_sets))
     for row, (_, members) in enumerate(groups):
         for _, amp in members:
             probabilities = probabilities + weights[:, row] * abs(amp) ** 2
@@ -195,7 +195,7 @@ def measure(state: JointAtomPhotonState, pattern: ClickPattern, eta_d: float):
     A zero-probability pattern returns (0.0, None) rather than failing on
     normalization.
     """
-    (probability,), states = _detect(state, [pattern], eta_d, keep=[0])
+    (probability,), states = _detect(state, _firing_sets([pattern]), eta_d, keep=[0])
     return probability, states.get(0)
 
 
@@ -227,39 +227,35 @@ def _report(probabilities: list, conditionals: dict) -> DetectionReport:
 def enumerate_outcomes(state: JointAtomPhotonState, eta_d: float) -> DetectionReport:
     """Evaluate every click pattern of the exclusive outcome algebra in one
     pass, building conditional states only for the accepted patterns."""
-    probabilities, states = _detect(state, _PATTERNS, eta_d, keep=_ACCEPTED_INDICES)
+    probabilities, states = _detect(state, _PATTERN_SETS, eta_d, keep=_ACCEPTED_INDICES)
     return _report(probabilities, {_PATTERNS[i]: rho for i, rho in states.items()})
 
 
-# The emitted-level space of the three atoms, and the index in the four-level
-# (EFFECTIVE_LEVELS) basis of each of its basis states.
 _EMITTED_SPACE = atomic_space(ATOMS, EMITTED_LEVELS)
-_EMITTED_ROWS = [atomic_space(ATOMS, EFFECTIVE_LEVELS).basis_index(
-    *(EFFECTIVE_LEVELS.index(EMITTED_LEVELS[k]) for k in np.unravel_index(i, _EMITTED_SPACE.dims)))
-    for i in range(_EMITTED_SPACE.total_dim)]
 
 
-def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float) -> tuple[DetectionReport, np.ndarray]:
+def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float,
+                      emitted_rows: np.ndarray) -> tuple[DetectionReport, np.ndarray, list]:
     """Detection of the state sum_{c,o} psi[c, o] |c>|o>, with c running over
     the 64 configurations of the three atoms in the four-level
     (EFFECTIVE_LEVELS) basis and o over occupations holding counts[o]
     photons per detector.
 
-    Every pattern probability comes from one contraction of the occupation
-    weights with the pattern weight table.  An accepted pattern fires all
-    three modes, so only configurations in which every atom emitted carry
-    weight for it; the conditional states of the accepted patterns with
-    p > 0 are built over the emitted levels as one validated (k, 8, 8)
-    stack.  Returns the report and that stack, rows in the order of
-    ``report.conditional_states``.
+    The weight table is contracted once with the occupation weights, and
+    its 64 sums are picked in pattern order.  An accepted pattern fires all
+    three modes, so only the ``emitted_rows``, where every atom emitted (in
+    emitted-level basis order), carry weight for it; the conditional states
+    of the accepted patterns with p > 0 are built over the emitted levels as
+    one validated (k, 8, 8) stack.  Returns the report, that stack, and the
+    ``_PATTERNS`` index of each of its rows, in ``conditional_states`` order.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
-    weights = _pattern_weights(counts, eta_d, _PATTERN_SETS)
-    probabilities = weights @ (np.abs(psi) ** 2).sum(axis=0)
+    table = _weight_table(counts, eta_d)
+    probabilities = (table @ (np.abs(psi) ** 2).sum(axis=0))[_PATTERN_SETS]
     kept = [i for i in _ACCEPTED_INDICES if probabilities[i] > 0.0]
-    sub = psi[_EMITTED_ROWS]
-    stack = ((sub * weights[kept, None, :]) @ sub.conj().T) / probabilities[kept, None, None]
+    sub = psi[emitted_rows]
+    stack = ((sub * table[_PATTERN_SETS[kept], None, :]) @ sub.conj().T) / probabilities[kept, None, None]
     states = density_stack(_EMITTED_SPACE, stack)
     report = _report(probabilities.tolist(), dict(zip((_PATTERNS[i] for i in kept), states)))
-    return report, stack
+    return report, stack, kept

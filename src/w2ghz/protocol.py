@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, GROUND_LEVELS, SystemParams
-from .detection import (
-    ClickPattern,
-    DetectionReport,
-    OutcomeClass,
-    atomic_space,
-    classify_pattern,
-    detect_amplitudes,
-)
+from .detection import _CLASSES, ClickPattern, DetectionReport, OutcomeClass, atomic_space, detect_amplitudes
 from .dynamics import _MAX_PHASE, EvolutionCoefficients, _require_resolved, _require_time, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
@@ -78,6 +71,8 @@ _HADAMARD_GATE.setflags(write=False)
 # as the element-wise signs S_ii S_jj.
 _FLIP_DIAGONAL = np.repeat([-1.0, 1.0], 4)
 _FLIP_SIGNS = np.outer(_FLIP_DIAGONAL, _FLIP_DIAGONAL)
+# Which patterns, by index into detection's table, herald the (-) class.
+_MINUS = np.array([outcome is OutcomeClass.GHZ_MINUS for outcome in _CLASSES])
 
 
 def apply_hadamard_pulses(state: StateVector) -> StateVector:
@@ -104,6 +99,8 @@ _CONFIG_LEVELS = tuple(itertools.product(EFFECTIVE_LEVELS, repeat=len(ATOMS)))
 _CONFIG_QUBIT = np.array([np.ravel_multi_index([_LEVEL_ORIGIN[level][0] for level in config], (2,) * len(ATOMS))
                           for config in _CONFIG_LEVELS])
 _CONFIG_EMITTED = np.array([[_LEVEL_ORIGIN[level][1] is not None for level in config] for config in _CONFIG_LEVELS])
+# In emitted-level basis order, as EMITTED_LEVELS keeps EFFECTIVE_LEVELS' order.
+_CONFIG_ALL_EMITTED = np.flatnonzero(_CONFIG_EMITTED.all(axis=1))
 _CONFIG_CAVITIES = tuple({(mode, _LEVEL_ORIGIN[level][1]): 1 for mode, level in zip(SOURCE_MODES, config)
                           if _LEVEL_ORIGIN[level][1] is not None} for config in _CONFIG_LEVELS)
 _CONFIG_SLOT = np.array([np.ravel_multi_index([EMISSIONS.index(_LEVEL_ORIGIN[level][1]) for level in config],
@@ -162,11 +159,11 @@ _PULSED_W = apply_hadamard_pulses(prepare_w_state()).amplitudes
 _GHZ = ghz_target().amplitudes
 
 
-def _corrected_fidelities(stack: np.ndarray, outcomes) -> tuple[np.ndarray, np.ndarray]:
-    """A (k, 8, 8) emitted-level stack with the rows of the (-) class in
-    ``outcomes`` flipped onto the (+) form, and each row's GHZ fidelity."""
-    minus = np.array([outcome is OutcomeClass.GHZ_MINUS for outcome in outcomes], dtype=bool)
-    final = np.where(minus[:, None, None], stack * _FLIP_SIGNS, stack)
+def _corrected_fidelities(stack: np.ndarray, kept: list) -> tuple[np.ndarray, np.ndarray]:
+    """A (k, 8, 8) emitted-level stack, row r heralded by pattern kept[r] (an
+    index into detection's table), with the (-) class rows flipped onto the
+    (+) form, and each row's GHZ fidelity."""
+    final = np.where(_MINUS[kept, None, None], stack * _FLIP_SIGNS, stack)
     return final, fidelities(final, _GHZ)
 
 
@@ -188,12 +185,13 @@ def _network_amplitudes(coefficients: EvolutionCoefficients) -> tuple[np.ndarray
     return psi, network.counts
 
 
-def heralded_states(coefficients: EvolutionCoefficients, eta_d: float) -> tuple[DetectionReport, np.ndarray]:
+def heralded_states(coefficients: EvolutionCoefficients, eta_d: float) -> tuple[DetectionReport, np.ndarray, list]:
     """Detection report of the pulsed W state after the cavity interaction
-    with the given transfer amplitudes and the network, and the (k, 8, 8)
-    stack of its conditional states over the emitted levels."""
+    with the given transfer amplitudes and the network, the (k, 8, 8) stack
+    of its conditional states over the emitted levels, and the index into
+    detection's pattern table of each row (see ``detect_amplitudes``)."""
     psi, counts = _network_amplitudes(coefficients)
-    return detect_amplitudes(psi, counts, eta_d)
+    return detect_amplitudes(psi, counts, eta_d, _CONFIG_ALL_EMITTED)
 
 
 @dataclass(frozen=True)
@@ -277,34 +275,31 @@ def require_modelled(params: SystemParams, t: float | None = None) -> None:
 def run_protocol(params: SystemParams, t: float | None = None) -> ProtocolRun:
     """Run the complete pipeline and post-process every accepted pattern.
 
-    The returned aggregate fidelity is the probability-weighted mean over
-    accepted patterns; the reject probability absorbs in-algebra rejected
-    patterns plus, for decaying dynamics, the photon-loss (jump) weight that
-    never reaches the detectors.  Spontaneous decay is not part of this
-    model; ``require_modelled`` rejects the params it does not cover.
+    Results come in report (``sorted_names``) order, their classes read from
+    detection's table.  The returned aggregate fidelity is the
+    probability-weighted mean over accepted patterns; the reject probability
+    absorbs in-algebra rejected patterns plus, for decaying dynamics, the
+    photon-loss (jump) weight that never reaches the detectors.  Spontaneous
+    decay is not part of this model; ``require_modelled`` rejects the params
+    it does not cover.
     """
     require_modelled(params, t)
     if t is None:
         t = params.operating_time
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
-    report, conditional = heralded_states(transfer_coefficients(params, t), params.eta_d)
-    patterns = list(report.conditional_states)
-    outcomes = [classify_pattern(pattern) for pattern in patterns]
-    final, fids = _corrected_fidelities(conditional, outcomes)
+    report, conditional, kept = heralded_states(transfer_coefficients(params, t), params.eta_d)
+    final, fids = _corrected_fidelities(conditional, kept)
     # The Raman relabeling eL -> gL, eR -> gR keeps the elements, not the space.
     finals = density_stack(ground_state_space(), final)
-    fids = fids.tolist()
 
     results = []
-    success = 0.0
     fidelity_acc = 0.0
-    for k in sorted(range(len(patterns)), key=lambda k: patterns[k].sorted_names):
-        probability = report.probability(patterns[k])
-        results.append(ProtocolResult(patterns[k], outcomes[k], probability,
-                                      report.conditional_states[patterns[k]], finals[k], fids[k]))
-        success += probability
-        fidelity_acc += probability * fids[k]
+    for i, (pattern, rho), final_rho, fid in zip(kept, report.conditional_states.items(), finals, fids.tolist()):
+        probability = report.probability(pattern)
+        results.append(ProtocolResult(pattern, _CLASSES[i], probability, rho, final_rho, fid))
+        fidelity_acc += probability * fid
+    success = report.total_success_probability
     mean_fidelity = fidelity_acc / success if success > 0 else 0.0
     # 1 - success covers both in-algebra rejected patterns and, with decay,
     # the photon-loss weight missing from the surviving (no-jump) state.

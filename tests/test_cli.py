@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -16,6 +17,7 @@ from staged_reference import (
     staged_cavity_interaction,
     staged_network,
 )
+import w2ghz
 from w2ghz import analysis, checks, cli, hilbert, protocol
 from w2ghz.atom_cavity import DOCUMENT_FIELDS
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
@@ -55,12 +57,21 @@ class TestIdealRun:
         assert main(["ideal-run", "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["success_probability"] == pytest.approx(0.75)
 
-    def test_malformed_json_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ideal-run", "sweep-decay", "validate"])
+    @pytest.mark.parametrize("content, message", [
+        (b'{"eta_d": 0.5', "invalid JSON"),
+        (b'\xff\xfe{"eta_d": 0.5}', "cannot read config"),
+        (b"[" * 100_000, "invalid JSON"),
+    ], ids=["truncated", "not-utf8", "nested-too-deep"])
+    def test_malformed_json_config(self, tmp_path, capsys, command, content, message):
+        # Whatever stops the file from parsing is a config error naming it.
         path = tmp_path / "broken.json"
-        path.write_text('{"eta_d": 0.5')
-        assert main(["ideal-run", "--config", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "invalid JSON" in err and "line" in err
+        path.write_bytes(content)
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err and str(path) in captured.err
+        if content.startswith(b"{"):  # a syntax error names its line
+            assert "line" in captured.err
 
     def test_integer_past_digit_limit_is_config_error(self, tmp_path, capsys):
         # json.loads refuses it with a plain ValueError, not a decode error.
@@ -523,6 +534,18 @@ GOLDEN = [
       ]),
     *(pytest.param(["validate"], doc, False, EXIT_OK, VALIDATE_DOC_DIGEST, id=f"validate-benchmark-{i}")
       for i, doc in enumerate(BENCHMARK_VALIDATE_DOCS)),
+    # A decaying run, a run off the operating time, and one that keeps no
+    # accepted state; then estimator b and a 4 x 4 surface.
+    pytest.param(["ideal-run"], {"kappa": 0.004}, False, EXIT_OK,
+                 "3bd393b63e22b859cc70c72f055642cde034238ac1ec0f8029ca9c68f973f267", id="ideal-run-decaying"),
+    pytest.param(["ideal-run"], {"t": 10.0}, False, EXIT_OK,
+                 "9a89e8992d0d36f12d30ae134b7347c6376e6eb5d44daba9891a3dbd64dce87c", id="ideal-run-off-time"),
+    pytest.param(["ideal-run"], {"eta_d": 0}, False, EXIT_OK,
+                 "2d9ca9e3d643d249f044fde9a5d9e5ef9b75dd5f5902d01f0e2b1121fe84de41", id="ideal-run-blind"),
+    pytest.param(["fidelity-surface", "--axis-convention", "b"], None, False, EXIT_OK,
+                 "36f211731a0c351dd6eb6f390c149bd6b8417bbe9b6367f0ae71508c8c7a4bf4", id="fidelity-surface-axis-b"),
+    pytest.param(["fidelity-surface", "--grid-steps", "4"], None, False, EXIT_OK,
+                 "62b9b3f2378b0ce013f9e7edee6eaf582708ded333ed6d1b54d61a2f2d820939", id="fidelity-surface-steps-4"),
 ]
 
 
@@ -741,3 +764,22 @@ class TestArgumentErrors:
     def test_help_returns_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: w2ghz")
+
+
+class TestEntryPoint:
+    """``python -m w2ghz`` runs ``main`` and exits with its code."""
+
+    def run_module(self, *argv):
+        return subprocess.run([sys.executable, "-m", "w2ghz", *argv], capture_output=True, text=True,
+                              env={"PYTHONPATH": str(Path(w2ghz.__file__).parents[1])})
+
+    def test_validate(self):
+        digest = next(param.values[4] for param in GOLDEN if param.id == "validate-default")
+        done = self.run_module("validate")
+        assert done.returncode == EXIT_OK
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == digest
+
+    def test_unknown_subcommand(self):
+        done = self.run_module("bogus")
+        assert done.returncode == EXIT_CONFIG
+        assert done.stdout == "" and "invalid choice: 'bogus'" in done.stderr

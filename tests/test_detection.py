@@ -9,12 +9,15 @@ from staged_reference import ALIGNED_LAYOUT, accepted_patterns, ghz_pair_states,
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
+    _ACCEPTED_INDICES,
+    _CLASSES,
     _PATTERN_SETS,
+    _PATTERNS,
     DETECTORS,
     ClickPattern,
     OutcomeClass,
     _infer_atom_basis,
-    _pattern_weights,
+    _weight_table,
     all_patterns,
     atomic_space,
     classify_pattern,
@@ -23,7 +26,7 @@ from w2ghz.detection import (
 )
 from w2ghz.hilbert import DensityMatrix, fidelity
 from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
-from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
+from w2ghz.protocol import _MINUS, apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
@@ -109,7 +112,7 @@ class TestPovm:
     def test_completeness_exact(self):
         # Exact where every detector factor is 0 or 1, to rounding elsewhere.
         for eta, tolerance in ((0.0, 0.0), (0.4, 1e-14), (1.0, 0.0)):
-            weights = _pattern_weights(OCCUPATIONS, eta, _PATTERN_SETS)
+            weights = _weight_table(OCCUPATIONS, eta)[_PATTERN_SETS]
             assert np.all((weights >= 0.0) & (weights <= 1.0))
             assert np.max(np.abs(weights.sum(axis=0) - 1.0)) <= tolerance
 
@@ -126,13 +129,13 @@ class TestPovm:
         off = [[(1.0 - eta) ** k for k in row] for row in counts.tolist()]
         expected = [[math.prod(1.0 - f if name in pattern.fired else f for name, f in zip(DETECTORS, row))
                      for row in off] for pattern in all_patterns()]
-        weights = _pattern_weights(counts, eta, _PATTERN_SETS)
+        weights = _weight_table(counts, eta)[_PATTERN_SETS]
         assert weights.shape == (len(expected), occupations)
         assert (weights == np.array(expected)).all()
 
     def test_perfect_detector_limit(self):
         # Each occupation fires exactly the detectors holding photons.
-        weights = _pattern_weights(OCCUPATIONS, 1.0, _PATTERN_SETS)
+        weights = _weight_table(OCCUPATIONS, 1.0)[_PATTERN_SETS]
         fired = (OCCUPATIONS > 0) @ (1 << np.arange(len(DETECTORS)))
         assert np.array_equal(weights, (_PATTERN_SETS[:, None] == fired[None, :]).astype(float))
 
@@ -140,7 +143,7 @@ class TestPovm:
         eta = 0.35
         counts = np.zeros((3, len(DETECTORS)), dtype=np.intp)
         counts[:, 0] = (0, 1, 2)
-        weights = _pattern_weights(counts, eta, _PATTERN_SETS)
+        weights = _weight_table(counts, eta)[_PATTERN_SETS]
         patterns = all_patterns()
         click, silent = patterns.index(ClickPattern.of(DETECTORS[0])), patterns.index(ClickPattern.of())
         assert weights[click].tolist() == pytest.approx([0.0, eta, 1 - (1 - eta) ** 2])
@@ -183,6 +186,28 @@ class TestClassification:
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError, match="unknown detector"):
             ClickPattern.of("D6H")
+
+
+class TestOutcomeTable:
+    """The patterns classified once at import, which the array route indexes."""
+
+    def test_classes_match_classify_pattern(self):
+        assert len(_PATTERNS) == len(_CLASSES) == 2 ** len(DETECTORS)
+        for pattern, outcome in zip(_PATTERNS, _CLASSES):
+            assert classify_pattern(pattern) is outcome
+
+    def test_accepted_rows_in_report_order(self):
+        # run_protocol reports the accepted patterns in table order, which
+        # must be sorted_names order.
+        names = [_PATTERNS[i].sorted_names for i in _ACCEPTED_INDICES]
+        assert len(names) == 8 and names == sorted(names)
+        assert _ACCEPTED_INDICES == tuple(i for i, pattern in enumerate(_PATTERNS)
+                                          if classify_pattern(pattern) is not OutcomeClass.REJECT)
+
+    def test_minus_mask_marks_minus_rows(self):
+        assert _MINUS.shape == (len(_PATTERNS),)
+        expected = [classify_pattern(pattern) is OutcomeClass.GHZ_MINUS for pattern in _PATTERNS]
+        assert _MINUS.tolist() == expected and sum(expected) == 4
 
 
 class TestMeasure:
