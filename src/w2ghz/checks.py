@@ -17,21 +17,29 @@ from .analysis import params_for_eta_over_kappa, pd_closed_form, pd_numeric
 from .atom_cavity import SystemParams
 from .detection import _PATTERN_SETS, DETECTORS, _weight_table
 from .dynamics import decay_coefficients
-from .hilbert import tol
-from .photonics import DETECTOR_SLOTS, reference_output_state
+from .photonics import _expand_superposition_photons
 from .protocol import _CONFIG_LEVELS, _network_amplitudes, transfer_coefficients
 
 DEFAULT_CHECK_PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
-# The analytic post-network state as a table over the compiled route's axes:
-# each term's configuration index, detector-slot photon counts and amplitude,
-# and the first term of largest magnitude, whose phase the comparison fixes.
-_REFERENCE = reference_output_state().terms
-_REFERENCE_CONFIG = np.array([_CONFIG_LEVELS.index(config) for config, _ in _REFERENCE])
-_REFERENCE_COUNTS = np.array([[dict(occupation).get(slot, 0) for slot in DETECTOR_SLOTS]
-                              for _, occupation in _REFERENCE])
-_REFERENCE_AMPS = np.array(list(_REFERENCE.values()))
-_REFERENCE_ANCHOR = list(_REFERENCE).index(max(_REFERENCE, key=lambda k: abs(_REFERENCE[k])))
+# The analytic post-network state, naming no layout: per configuration, a
+# coefficient over 2 sqrt 6 and photons (mode, sign) in (|H> + sign |V>)/sqrt2.
+_REFERENCE_ROWS = (
+    (-3, ("eL", "eL", "eL"), ((7, -1), (8, -1), (9, -1))),
+    (+3, ("eR", "eR", "eR"), ((7, +1), (8, +1), (9, +1))),
+    (-1, ("eL", "eL", "eR"), ((7, -1), (8, -1), (8, +1))),
+    (-1, ("eL", "eR", "eL"), ((7, -1), (7, +1), (9, -1))),
+    (+1, ("eL", "eR", "eR"), ((7, -1), (7, +1), (8, +1))),
+    (-1, ("eR", "eL", "eL"), ((8, -1), (9, -1), (9, +1))),
+    (+1, ("eR", "eL", "eR"), ((8, -1), (8, +1), (9, +1))),
+    (+1, ("eR", "eR", "eL"), ((7, +1), (9, -1), (9, +1))),
+)
+# Its terms over the compiled route's axes (configuration index, detector
+# counts, amplitude); the first of largest magnitude fixes the phase.
+_REFERENCE_CONFIG, _REFERENCE_COUNTS, _REFERENCE_AMPS = map(np.array, zip(*(
+    (_CONFIG_LEVELS.index(config), counts, coeff * (1.0 / (2.0 * math.sqrt(6.0))) * amp)
+    for coeff, config, photons in _REFERENCE_ROWS for counts, amp in _expand_superposition_photons(photons).items())))
+_REFERENCE_ANCHOR = int(np.argmax(np.abs(_REFERENCE_AMPS)))
 # Every occupation with at most two photons per detector, the most any
 # network output holds.
 _POVM_COUNTS = np.indices((3,) * len(DETECTORS)).reshape(len(DETECTORS), -1).T
@@ -65,7 +73,7 @@ def check_transfer_norm() -> CheckResult:
         weight = decay_coefficients(replace(drive, kappa=rng.uniform(0.01, 1.0)), times).weight
         excess = max(excess, float(np.max(weight)) - 1.0)
         rise = max(rise, float(np.max(np.diff(weight))))
-    passed = lossless < tol(1e-12) and excess <= tol(1e-12) and rise <= tol(1e-12)
+    passed = lossless < 1e-12 and excess <= 1e-12 and rise <= 1e-12
     return CheckResult("transfer-norm", passed,
                        f"max ||alpha|^2 + |beta|^2 - 1| at kappa = 0: {lossless:.3e}; "
                        f"with kappa > 0, max excess over 1: {excess:.3e}, max rise in t: {rise:.3e}")
@@ -83,7 +91,7 @@ def check_povm_completeness() -> CheckResult:
         table = _weight_table(_POVM_COUNTS, eta_d)
         in_range &= bool(table.min() >= 0.0 and table.max() <= 1.0)
         worst = max(worst, float(np.max(np.abs(table[_PATTERN_SETS].sum(axis=0) - 1.0))))
-    return CheckResult("povm-completeness", in_range and worst < tol(1e-14),
+    return CheckResult("povm-completeness", in_range and worst < 1e-14,
                        f"pattern weights in [0, 1]: {in_range}; max |sum over patterns - 1| = {worst:.3e}")
 
 
@@ -111,7 +119,7 @@ def check_network_reference_state() -> CheckResult:
     """The compiled network that ``run_protocol`` runs must reproduce the
     analytic post-network state term by term (up to one global phase)."""
     deviation = network_reference_deviation()
-    return CheckResult("network-reference-state", deviation < tol(1e-12),
+    return CheckResult("network-reference-state", deviation < 1e-12,
                        f"max per-term amplitude deviation = {deviation:.3e}")
 
 
@@ -124,7 +132,7 @@ def check_decay_probability_identity() -> CheckResult:
         closed = pd_closed_form(params, kappa_t)
         difference = np.abs(closed - pd_numeric(params, kappa_t))
         worst = max(worst, float(np.max(difference / np.maximum(closed, 1e-300))))
-    return CheckResult("decay-probability-identity", worst < tol(1e-12),
+    return CheckResult("decay-probability-identity", worst < 1e-12,
                        f"max relative difference = {worst:.3e}")
 
 

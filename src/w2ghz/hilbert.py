@@ -26,6 +26,14 @@ def tol(base: float) -> float:
     return base
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """Refuse NaN, which passes every tolerance check, and infinity, which turns the checks into NaN."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValueError(f"{what} has a non-finite entry {complex(arr[index])!r} at {index} ({(~finite).sum()} in all)")
+
+
 @dataclass(frozen=True)
 class HilbertSpace:
     """Ordered tensor product of labelled finite-dimensional subsystems."""
@@ -81,8 +89,9 @@ class StateVector:
         def check(arr):
             if arr.ndim != 1 or arr.shape[0] != self.space.total_dim:
                 raise ValueError(f"amplitude vector must have length {self.space.total_dim}, got shape {arr.shape}")
+            _require_finite(arr, "amplitude vector")
         object.__setattr__(self, "amplitudes", _as_complex_array(self.amplitudes, check))
-        if self.normalized and abs(self.norm() - 1.0) > tol(1e-10):
+        if self.normalized and abs(self.norm() - 1.0) > 1e-10:
             raise ValueError(f"state flagged normalized has norm {self.norm()!r}")
 
     def norm(self) -> float:
@@ -91,22 +100,22 @@ class StateVector:
 
 def validate_density_stack(elements: NDArray[np.complex128], normalized: bool = True) -> None:
     """Raise ValueError unless every matrix of a (k, d, d) stack is a density
-    matrix: Hermitian to 1e-10, smallest eigenvalue at least -1e-8 and, when
-    ``normalized``, trace 1 to 1e-8.  Each check runs over the whole stack in
-    one call and reports the first matrix that fails it."""
-    if elements.shape[0] == 0:
-        return
+    matrix: finite, Hermitian to 1e-10, smallest eigenvalue at least -1e-8
+    and, when ``normalized``, trace 1 to 1e-8.  Each check runs over the whole
+    stack in one call and reports the first matrix that fails it."""
+    if not np.isfinite(elements).all():
+        _require_finite(elements[np.flatnonzero(~np.isfinite(elements).all(axis=(1, 2)))[0]], "density matrix")
     herm_err = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(1, 2))
-    bad = np.flatnonzero(herm_err > tol(1e-10))
+    bad = np.flatnonzero(herm_err > 1e-10)
     if bad.size:
         raise ValueError(f"density matrix is not Hermitian (max deviation {float(herm_err[bad[0]]):.3e})")
     min_eig = np.min(np.linalg.eigvalsh(elements), axis=1)
-    bad = np.flatnonzero(min_eig < -tol(1e-8))
+    bad = np.flatnonzero(min_eig < -1e-8)
     if bad.size:
         raise ValueError(f"density matrix has negative eigenvalue {float(min_eig[bad[0]]):.3e}")
     if normalized:
         traces = np.trace(elements, axis1=1, axis2=2).real
-        bad = np.flatnonzero(np.abs(traces - 1.0) > tol(1e-8))
+        bad = np.flatnonzero(np.abs(traces - 1.0) > 1e-8)
         if bad.size:
             raise ValueError(f"density matrix flagged normalized has trace {float(traces[bad[0]])!r}")
 
@@ -164,10 +173,11 @@ class Operator:
         def check(arr):
             if arr.shape != (d, d):
                 raise ValueError(f"operator must be {d}x{d}, got {arr.shape}")
+            _require_finite(arr, "operator")
         object.__setattr__(self, "elements", _as_complex_array(self.elements, check))
         if self.hermitian:
             herm_err = float(np.max(np.abs(self.elements - self.elements.conj().T))) if d else 0.0
-            if herm_err > tol(1e-12):
+            if herm_err > 1e-12:
                 raise ValueError(f"operator flagged Hermitian deviates by {herm_err:.3e}")
 
 
@@ -185,8 +195,9 @@ def fidelity(rho: DensityMatrix, target: StateVector) -> float:
 def fidelities(elements: NDArray[np.complex128], target: NDArray[np.complex128]) -> NDArray[np.float64]:
     """⟨target|ρ_k|target⟩ for every matrix ρ_k of a (k, d, d) stack, in one
     contraction; each value must come out real."""
+    _require_finite(elements, "density stack")
     values = (elements @ target) @ target.conj()
-    bad = np.flatnonzero(np.abs(values.imag) > tol(1e-12) * np.maximum(1.0, np.abs(values)))
+    bad = np.flatnonzero(np.abs(values.imag) > 1e-12 * np.maximum(1.0, np.abs(values)))
     if bad.size:
         raise ValueError(f"fidelity came out non-real: {complex(values[bad[0]])!r}")
     return values.real

@@ -110,7 +110,7 @@ class NetworkLayout:
 
 # H photons from each cavity join the V output of the cyclically preceding
 # cavity; of the 36 valid layouts this is the only one whose network output
-# matches reference_output_state, and the one the protocol runs.
+# matches the analytic state in ``checks``, and the one the protocol runs.
 DEFAULT_LAYOUT = NetworkLayout(((("a", "V"), 7), (("a", "H"), 9), (("b", "V"), 8),
                                 (("b", "H"), 7), (("c", "V"), 9), (("c", "H"), 8)))
 
@@ -228,32 +228,3 @@ def full_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LA
         for o in np.flatnonzero(column):
             entries.append((config, dict(zip(DETECTOR_SLOTS, network.counts[o])), amp * column[o]))
     return JointAtomPhotonState.from_terms(state.atoms, entries)
-
-
-def reference_output_state() -> JointAtomPhotonState:
-    """Analytic post-network state of the standard three-atom pipeline,
-    expanded term by term from the known interference pattern.
-
-    Serves as a structural reference for ``network_map`` and
-    ``full_network`` that names no layout: eight atomic configurations with
-    coefficient magnitudes
-    {3,3,1,1,1,1,1,1}/(2 sqrt 6) and fixed signs, each attached to a product
-    of (|H> +- |V>)/sqrt2 photons on the output modes.
-    """
-    scale = 1.0 / (2.0 * math.sqrt(6.0))
-    rows = [
-        (-3, ("eL", "eL", "eL"), ((7, -1), (8, -1), (9, -1))),
-        (+3, ("eR", "eR", "eR"), ((7, +1), (8, +1), (9, +1))),
-        (-1, ("eL", "eL", "eR"), ((7, -1), (8, -1), (8, +1))),
-        (-1, ("eL", "eR", "eL"), ((7, -1), (7, +1), (9, -1))),
-        (+1, ("eL", "eR", "eR"), ((7, -1), (7, +1), (8, +1))),
-        (-1, ("eR", "eL", "eL"), ((8, -1), (9, -1), (9, +1))),
-        (+1, ("eR", "eL", "eR"), ((8, -1), (8, +1), (9, +1))),
-        (+1, ("eR", "eR", "eL"), ((7, +1), (9, -1), (9, +1))),
-    ]
-    entries = []
-    for coeff, config, photons in rows:
-        for counts, amp in _expand_superposition_photons(photons).items():
-            entries.append((config, dict(zip(DETECTOR_SLOTS, counts)), coeff * scale * amp))
-    return JointAtomPhotonState.from_terms(ATOMS, entries)
-

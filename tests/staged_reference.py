@@ -1,35 +1,35 @@
 """Test-only reference pipeline: the transfer amplitudes as the two closed
-forms they were first derived in, and the cavity interaction and the photon
-network written stage by stage and term by term, independently of the
-compiled route in ``w2ghz`` (this module reaches neither ``network_map``,
-``decay_coefficients`` nor the views built on them), with the helpers that
-check that route against it: the accepted patterns, the lossless success
-probability 3 eta_d^3/4 and the two GHZ-class target states."""
+forms they were first derived in; the cavity interaction and the photon
+network written stage by stage and term by term; detection as a loop that
+weighs every occupation pattern by pattern; and the classes, the sign flip
+and the fidelity written out by hand.  It shares no code with the compiled
+route in ``w2ghz`` it checks: ``tests/test_api.py`` walks every ``w2ghz``
+name this module reads through the package, and the walk must reach neither
+``network_map``, ``decay_coefficients``, the detection table and its
+classes, nor the views built on them.  With it come the helpers that check
+that route: the analytic post-network state, the accepted patterns, the
+lossless success probability 3 eta_d^3/4 and the two GHZ-class target
+states."""
 
 import itertools
 import math
 
 import numpy as np
 
-from w2ghz.atom_cavity import EMITTED_LEVELS, GROUND_LEVELS, SystemParams
-from w2ghz.detection import ClickPattern, OutcomeClass, all_patterns, classify_pattern, enumerate_outcomes
+from w2ghz.atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS, SystemParams
+from w2ghz.checks import _REFERENCE_AMPS, _REFERENCE_CONFIG, _REFERENCE_COUNTS
+from w2ghz.detection import DETECTORS, ClickPattern, DetectionReport, OutcomeClass, all_patterns
 from w2ghz.dynamics import EvolutionCoefficients, _split, _times
-from w2ghz.hilbert import HilbertSpace, StateVector, fidelity
+from w2ghz.hilbert import DensityMatrix, HilbertSpace, StateVector
 from w2ghz.photonics import (
     ATOMS,
     DEFAULT_LAYOUT,
+    DETECTOR_SLOTS,
     OUTPUT_MODES,
     JointAtomPhotonState,
     NetworkLayout,
-    reference_output_state,
 )
-from w2ghz.protocol import (
-    apply_hadamard_pulses,
-    ghz_target,
-    prepare_w_state,
-    raman_mapping,
-    sign_correction,
-)
+from w2ghz.protocol import _CONFIG_LEVELS, apply_hadamard_pulses, ghz_target, prepare_w_state
 
 
 def lossless_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
@@ -249,6 +249,17 @@ def all_layouts() -> list[NetworkLayout]:
             for h_perm in itertools.permutations(OUTPUT_MODES)]
 
 
+def reference_output_state() -> JointAtomPhotonState:
+    """The analytic post-network state that ``validate`` holds the compiled
+    network to, as a joint state built from the table in ``checks``: eight
+    atomic configurations with coefficient magnitudes {3,3,1,1,1,1,1,1}/(2
+    sqrt 6), each attached to a product of (|H> +- |V>)/sqrt2 photons on the
+    output modes."""
+    return JointAtomPhotonState.from_terms(ATOMS, (
+        (_CONFIG_LEVELS[c], dict(zip(DETECTOR_SLOTS, counts)), amp)
+        for c, counts, amp in zip(_REFERENCE_CONFIG.tolist(), _REFERENCE_COUNTS.tolist(), _REFERENCE_AMPS.tolist())))
+
+
 def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1e-12) -> list[NetworkLayout]:
     """The valid layouts whose staged network turns the pipeline input into
     the analytic reference post-network state."""
@@ -257,30 +268,142 @@ def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1
             if states_equal_up_to_phase(staged_network(pipeline_state, layout), reference, atol=atol)]
 
 
+# Accepted detector triples and their class, as fixed by the protocol.
+PLUS_TRIPLES = [{"D7H", "D8H", "D9V"}, {"D7H", "D8V", "D9H"},
+                {"D7V", "D8H", "D9H"}, {"D7V", "D8V", "D9V"}]
+MINUS_TRIPLES = [{"D7H", "D8H", "D9H"}, {"D7H", "D8V", "D9V"},
+                 {"D7V", "D8H", "D9V"}, {"D7V", "D8V", "D9H"}]
+
+
+def pattern_class(pattern: ClickPattern) -> OutcomeClass:
+    """The class of a click pattern, looked up in the listed triples."""
+    if set(pattern.fired) in PLUS_TRIPLES:
+        return OutcomeClass.GHZ_PLUS
+    if set(pattern.fired) in MINUS_TRIPLES:
+        return OutcomeClass.GHZ_MINUS
+    return OutcomeClass.REJECT
+
+
+def accepted_patterns() -> list[ClickPattern]:
+    """The click patterns detection accepts, in ``all_patterns`` order."""
+    return [p for p in all_patterns() if pattern_class(p) is not OutcomeClass.REJECT]
+
+
+def _level_basis(configs) -> tuple[str, ...]:
+    """The emitted pair, the ground pair, or all four levels: the first that
+    holds every level of ``configs``."""
+    levels = {level for config in configs for level in config}
+    for basis in (EMITTED_LEVELS, GROUND_LEVELS):
+        if levels <= set(basis):
+            return basis
+    return EFFECTIVE_LEVELS
+
+
+def reference_measure(state, pattern, eta_d):
+    """The per-pattern loop the one-pass kernel replaced, kept as its oracle:
+    each pattern regroups the terms and weighs every occupation on its own.
+    Returns the pattern probability and the conditional atomic state, or
+    (0.0, None) for a pattern that cannot fire."""
+    slots = {name: (int(name[1]), name[2]) for name in DETECTORS}
+
+    def pattern_weight(occupation):
+        counts = {slot: count for slot, count in occupation}
+        weight = 1.0
+        for name in DETECTORS:
+            k = counts.get(slots[name], 0)
+            p_off = (1.0 - eta_d) ** k if k else 1.0
+            weight *= (1.0 - p_off) if name in pattern.fired else p_off
+            if weight == 0.0:
+                return 0.0
+        return weight
+
+    by_occupation: dict = {}
+    for (config, occ), amp in state.terms.items():
+        by_occupation.setdefault(occ, []).append((config, amp))
+    probability = 0.0
+    weighted: dict = {}
+    for occ, members in by_occupation.items():
+        w = pattern_weight(occ)
+        if w == 0.0:
+            continue
+        for config, amp in members:
+            probability += w * abs(amp) ** 2
+        for (c1, a1), (c2, a2) in itertools.product(members, members):
+            weighted[(c1, c2)] = weighted.get((c1, c2), 0.0) + w * a1 * np.conj(a2)
+    if probability <= 0.0:
+        return 0.0, None
+    configs = {c for pair in weighted for c in pair}
+    basis = _level_basis(configs)
+    space = HilbertSpace.of(*((atom, len(basis)) for atom in state.atoms))
+    rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    for (c1, c2), value in weighted.items():
+        i = space.basis_index(*(basis.index(level) for level in c1))
+        j = space.basis_index(*(basis.index(level) for level in c2))
+        rho[i, j] += value
+    return probability, DensityMatrix(space, rho / probability, normalized=True)
+
+
+def staged_detection(state: JointAtomPhotonState, eta_d: float) -> DetectionReport:
+    """Every click pattern measured one at a time, in ``all_patterns``
+    order: the probabilities, the conditional states of the accepted
+    patterns that can fire, and the accepted probabilities added in order."""
+    probabilities, conditionals, success = {}, {}, 0.0
+    for pattern in all_patterns():
+        probability, rho = reference_measure(state, pattern, eta_d)
+        probabilities[pattern] = probability
+        if pattern_class(pattern) is not OutcomeClass.REJECT:
+            success += probability
+            if rho is not None:
+                conditionals[pattern] = rho
+    return DetectionReport(probabilities, conditionals, success)
+
+
+# +1 or -1 on each emitted-level configuration of the three atoms (last atom
+# fastest): -1 where atom a is in eL.
+_ATOM_A_EL_SIGNS = np.array([-1.0 if config[0] == "eL" else 1.0
+                             for config in itertools.product(EMITTED_LEVELS, repeat=len(ATOMS))])
+
+
+def corrected_final(rho: DensityMatrix, outcome: OutcomeClass) -> DensityMatrix:
+    """The sign flip of atom a's eL component on a (-) class state, then the
+    relabeling eL -> gL, eR -> gR onto the ground qubits."""
+    elements = rho.elements
+    if outcome is OutcomeClass.GHZ_MINUS:
+        elements = elements * np.outer(_ATOM_A_EL_SIGNS, _ATOM_A_EL_SIGNS)
+    return DensityMatrix(ghz_target().space, elements, normalized=rho.normalized)
+
+
 def staged_run(params, layout, t=None):
     """run_protocol's fields from the staged pipeline: the branch-by-branch
-    cavity interaction, the staged network, enumerate_outcomes, then sign
-    correction, relabeling and fidelity per accepted pattern in sorted order."""
+    cavity interaction, the staged network, the per-pattern detection loop,
+    then the listed class, the sign flip, relabeling and GHZ overlap per
+    accepted pattern in sorted order."""
     pulsed = apply_hadamard_pulses(prepare_w_state())
     joint = staged_cavity_interaction(pulsed, reference_coefficients(params, t))
-    report = enumerate_outcomes(staged_network(joint, layout), params.eta_d)
+    report = staged_detection(staged_network(joint, layout), params.eta_d)
+    target = ghz_target().amplitudes
     results = []
     success = fidelity_acc = 0.0
     for pattern in sorted(report.conditional_states, key=lambda p: p.sorted_names):
-        outcome = classify_pattern(pattern)
+        outcome = pattern_class(pattern)
         probability = report.probability(pattern)
         conditional = report.conditional_states[pattern]
-        final = raman_mapping(sign_correction(conditional, outcome))
-        f = fidelity(final, ghz_target())
+        final = corrected_final(conditional, outcome)
+        f = float(np.vdot(target, final.elements @ target).real)
         results.append((pattern, outcome, probability, conditional, final, f))
         success += probability
         fidelity_acc += probability * f
     return report, results, success, fidelity_acc / success if success > 0 else 0.0
 
 
-def accepted_patterns() -> list[ClickPattern]:
-    """The click patterns detection accepts, in ``all_patterns`` order."""
-    return [p for p in all_patterns() if classify_pattern(p) is not OutcomeClass.REJECT]
+def lossless_heralded(layout: NetworkLayout = DEFAULT_LAYOUT) -> list:
+    """(probability, conditional state over the emitted levels, class) of
+    each accepted pattern of the lossless protocol with every atom emitted
+    and perfect detectors, from the staged pipeline on ``layout``."""
+    joint = staged_cavity_interaction(apply_hadamard_pulses(prepare_w_state()), EvolutionCoefficients(0.0, 1.0))
+    report = staged_detection(staged_network(joint, layout), 1.0)
+    return [(report.probability(pattern), rho, pattern_class(pattern))
+            for pattern, rho in report.conditional_states.items()]
 
 
 def success_probability_ideal(eta_d: float) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, staged_cavity_interaction, staged_network
+from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, lossless_heralded
 from unit_reference import block_of, unit_levels, unit_outputs
 
 import w2ghz.analysis as analysis
@@ -33,10 +33,10 @@ from w2ghz.atom_cavity import (
     full_space,
 )
 from w2ghz.cli import main
-from w2ghz.detection import OutcomeClass, atomic_space, classify_pattern, enumerate_outcomes
-from w2ghz.dynamics import EvolutionCoefficients, decay_coefficients, emitted_block
+from w2ghz.detection import OutcomeClass, atomic_space
+from w2ghz.dynamics import decay_coefficients, emitted_block
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT
-from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state, run_protocol
+from w2ghz.protocol import run_protocol
 
 # Off the reference drive: a two-photon cutoff with an asymmetric drive, and
 # an overdamped cavity (kappa > 2 lambda_c^2/Delta).
@@ -417,15 +417,14 @@ class TestMasterEquationFidelity:
         lift = np.kron(np.kron(embed, embed), embed)
         plus, minus = ghz_pair_states(atomic_space(ATOMS))
 
-        # The lossless conditional states come from the staged pipeline on
-        # the same routing, which shares no network code with estimator b.
-        joint = staged_cavity_interaction(apply_hadamard_pulses(prepare_w_state()), EvolutionCoefficients(0.0, 1.0))
-        report = enumerate_outcomes(staged_network(joint, layout), 1.0)
+        # The lossless conditional states and their classes come from the
+        # staged pipeline on the same routing, which shares no network or
+        # detection code with estimator b.
         fidelity_acc = probability_acc = 0.0
-        for pattern, state in report.conditional_states.items():
-            ideal = (report.probability(pattern) * state.elements).reshape((2,) * 6)
+        for probability, state, outcome in lossless_heralded(layout):
+            ideal = (probability * state.elements).reshape((2,) * 6)
             rho = np.einsum("ABCabc,AaIi,BbJj,CcKk->IJKijk", ideal, channel, channel, channel).reshape(n**3, n**3)
-            ghz = lift @ (plus if classify_pattern(pattern) is OutcomeClass.GHZ_PLUS else minus).amplitudes
+            ghz = lift @ (plus if outcome is OutcomeClass.GHZ_PLUS else minus).amplitudes
             fidelity_acc += np.vdot(ghz, rho @ ghz).real
             probability_acc += np.trace(rho).real
         assert est.accepted_probability == pytest.approx(probability_acc, abs=1e-14)

@@ -32,7 +32,20 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # leaves the package with it.
 BENCHMARK_ONLY = frozenset({"cavity_interaction", "full_network", "enumerate_outcomes", "measure",
                             "sign_correction", "raman_mapping", "propagate_matrix", "IntegratorConfig",
-                            "fidelity", "pd_sweep"})
+                            "fidelity", "pd_sweep", "tol"})
+
+# The definitions only BENCHMARK_ONLY reaches: the code that leaves the
+# package once the benchmark stops running those names.
+LEAF = frozenset({
+    "analysis.CurvePoint", "analysis.pd_sweep",
+    "detection._detect", "detection._infer_atom_basis", "detection.enumerate_outcomes", "detection.measure",
+    "dynamics.IntegratorConfig", "dynamics._matrix_rate_scale", "dynamics._rk4_propagate",
+    "dynamics.propagate_matrix",
+    "hilbert._require_same_space", "hilbert.fidelity", "hilbert.tol",
+    "photonics.JointAtomPhotonState", "photonics.JointAtomPhotonState.from_terms",
+    "photonics._canonical_occupation", "photonics.full_network",
+    "protocol.cavity_interaction", "protocol.raman_mapping", "protocol.sign_correction",
+})
 
 
 def resolve(module_name: str, name: str):
@@ -184,6 +197,16 @@ def test_every_definition_is_reached():
     assert benchmark_roots <= {read for read, _ in definitions.values()}
 
 
+def test_benchmark_only_names_reach_exactly_the_leaf():
+    # A new edge from a CLI command into the leaf takes a name off this
+    # difference, and a new benchmark-only definition adds one.
+    definitions, on_import = package_definitions()
+    cli_roots = on_import | {(ast.Name, "main")}
+    benchmark_roots = {(ast.Name, name) for name in BENCHMARK_ONLY}
+    leaf = reached(definitions, cli_roots | benchmark_roots) - reached(definitions, cli_roots)
+    assert leaf == LEAF, f"gained {sorted(leaf - LEAF)}, lost {sorted(LEAF - leaf)}"
+
+
 def test_benchmark_only_names_are_used_by_the_benchmark():
     paths = sorted(PERFBENCH.glob("*.py"))
     if not paths:
@@ -272,21 +295,36 @@ def test_tolerances_are_unscaled():
     assert hilbert.tol(1.0) == 1.0
 
 
+def oracle_reads(path: Path) -> set:
+    """Every identifier the oracle module ``path`` can run in the package:
+    the ``w2ghz`` names it imports and every attribute it reads (a method
+    is matched by its name alone), and what the package definitions that
+    ``reached`` walks from them read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = {(ast.Name, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "w2ghz"
+             for alias in node.names}
+    roots |= {(kind, name) for kind, name in read_names([tree]) if kind is ast.Attribute}
+    definitions, _ = package_definitions()
+    walked = reached(definitions, roots)
+    return {name for _, name in roots} | {name for qualified in walked
+                                          for _, name in read_names(definitions[qualified][1])}
+
+
 def test_staged_reference_is_independent():
-    # The test-side oracles must not reach the compiled routes they check,
-    # nor the hand-listed branch levels the exact unit route rests on.
+    # The test-side oracles must not reach, directly or through the package
+    # code they call, the compiled routes they check, the detection table
+    # and classes those routes index, nor the hand-listed branch levels the
+    # exact unit route rests on.
     compiled = {"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
                 "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
                 "transfer_coefficients", "compare_full_vs_effective", "master_equation_estimates",
                 "emitted_block", "_expm_minus_identity", "branch_levels", "detect_amplitudes",
-                "_corrected_fidelities", "_CLASSES", "_MINUS"}
+                "_corrected_fidelities", "_CLASSES", "_MINUS", "_weight_table", "_report", "_PATTERN_SETS",
+                "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern"}
     for name in ("staged_reference.py", "unit_reference.py"):
-        path = Path(__file__).with_name(name)
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert not used & compiled, name
+        reads = oracle_reads(Path(__file__).with_name(name))
+        assert not reads & compiled, f"{name} reaches {sorted(reads & compiled)}"
 
 
 # One case per benchmark source, or one skipped case in a checkout without it.

@@ -14,6 +14,7 @@ from staged_reference import (
     all_layouts,
     max_amplitude_deviation,
     reference_coefficients,
+    reference_output_state,
     staged_cavity_interaction,
     staged_network,
 )
@@ -23,7 +24,7 @@ from w2ghz.atom_cavity import DOCUMENT_FIELDS
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
 from w2ghz.dynamics import EvolutionCoefficients
-from w2ghz.photonics import DEFAULT_LAYOUT, reference_output_state
+from w2ghz.photonics import DEFAULT_LAYOUT
 from w2ghz.protocol import apply_hadamard_pulses, prepare_w_state
 
 # A valid routing table as a JSON object, under a "layout" key no command reads.

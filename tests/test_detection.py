@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from staged_reference import ALIGNED_LAYOUT, accepted_patterns, ghz_pair_states, norm_sq, success_probability_ideal
+from staged_reference import (
+    ALIGNED_LAYOUT,
+    MINUS_TRIPLES,
+    PLUS_TRIPLES,
+    accepted_patterns,
+    ghz_pair_states,
+    norm_sq,
+    reference_measure,
+    success_probability_ideal,
+)
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import (
@@ -16,7 +25,6 @@ from w2ghz.detection import (
     DETECTORS,
     ClickPattern,
     OutcomeClass,
-    _infer_atom_basis,
     _weight_table,
     all_patterns,
     atomic_space,
@@ -29,12 +37,6 @@ from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
 from w2ghz.protocol import _MINUS, apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
-
-# Accepted detector triples and their class, as fixed by the protocol.
-PLUS_TRIPLES = [{"D7H", "D8H", "D9V"}, {"D7H", "D8V", "D9H"},
-                {"D7V", "D8H", "D9H"}, {"D7V", "D8V", "D9V"}]
-MINUS_TRIPLES = [{"D7H", "D8H", "D9H"}, {"D7H", "D8V", "D9V"},
-                 {"D7V", "D8H", "D9V"}, {"D7V", "D8V", "D9H"}]
 
 
 def network_state():
@@ -49,48 +51,6 @@ def decaying_network_state(params: SystemParams, layout=None, fraction: float = 
     if layout is None:
         return full_network(joint, allow_vacuum=True)
     return full_network(joint, layout, allow_vacuum=True)
-
-
-def reference_measure(state, pattern, eta_d):
-    """The per-pattern loop the one-pass kernel replaced, kept as its oracle:
-    each pattern regroups the terms and weighs every occupation on its own."""
-    slots = {name: (int(name[1]), name[2]) for name in DETECTORS}
-
-    def pattern_weight(occupation):
-        counts = {slot: count for slot, count in occupation}
-        weight = 1.0
-        for name in DETECTORS:
-            k = counts.get(slots[name], 0)
-            p_off = (1.0 - eta_d) ** k if k else 1.0
-            weight *= (1.0 - p_off) if name in pattern.fired else p_off
-            if weight == 0.0:
-                return 0.0
-        return weight
-
-    by_occupation: dict = {}
-    for (config, occ), amp in state.terms.items():
-        by_occupation.setdefault(occ, []).append((config, amp))
-    probability = 0.0
-    weighted: dict = {}
-    for occ, members in by_occupation.items():
-        w = pattern_weight(occ)
-        if w == 0.0:
-            continue
-        for config, amp in members:
-            probability += w * abs(amp) ** 2
-        for (c1, a1), (c2, a2) in itertools.product(members, members):
-            weighted[(c1, c2)] = weighted.get((c1, c2), 0.0) + w * a1 * np.conj(a2)
-    if probability <= 0.0:
-        return 0.0, None
-    configs = {c for pair in weighted for c in pair}
-    basis = _infer_atom_basis(configs)
-    space = atomic_space(state.atoms, basis)
-    rho = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
-    for (c1, c2), value in weighted.items():
-        i = space.basis_index(*(basis.index(level) for level in c1))
-        j = space.basis_index(*(basis.index(level) for level in c2))
-        rho[i, j] += value
-    return probability, DensityMatrix(space, rho / probability, normalized=True)
 
 
 DECAYING = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.004)
@@ -172,14 +132,19 @@ class TestClassification:
         assert classify_pattern(ClickPattern.of()) is OutcomeClass.REJECT
 
     def test_exactly_eight_accepted(self):
-        accepted = accepted_patterns()
-        assert len(accepted) == 8
+        # classify_pattern accepts exactly the listed triples, the patterns
+        # the staged oracle's accepted_patterns() reads off them.
+        accepted = [p for p in all_patterns() if classify_pattern(p) is not OutcomeClass.REJECT]
+        assert accepted == accepted_patterns()
         got = [set(p.fired) for p in accepted]
+        assert len(got) == 8
         for names in PLUS_TRIPLES + MINUS_TRIPLES:
             assert names in got
 
     def test_parity_rule_separates_classes(self):
-        for pattern in accepted_patterns():
+        for pattern in all_patterns():
+            if classify_pattern(pattern) is OutcomeClass.REJECT:
+                continue
             expected = OutcomeClass.GHZ_PLUS if pattern.v_count % 2 else OutcomeClass.GHZ_MINUS
             assert classify_pattern(pattern) is expected
 

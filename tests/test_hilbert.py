@@ -10,9 +10,12 @@ from w2ghz.hilbert import (
     Operator,
     StateVector,
     density_stack,
+    fidelities,
     fidelity,
     validate_density_stack,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 def qubit(label="q"):
@@ -164,6 +167,19 @@ class TestValidationFlags:
         DensityMatrix(qubit(), np.eye(2), normalized=False)
 
 
+    @pytest.mark.parametrize("value", [NAN, INF, complex(0.0, -INF)], ids=["nan", "inf", "imaginary-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: StateVector(qubit(), [v, 0.0]),
+        lambda v: StateVector(qubit(), [v, 0.0], normalized=False),
+        lambda v: Operator(qubit(), [[v, 0.0], [0.0, 1.0]], hermitian=True),
+        lambda v: Operator(qubit(), [[1.0, v], [0.0, 1.0]]),
+        lambda v: fidelities(np.array([[[v, 0.0], [0.0, 1.0]]]), np.array([1.0, 0.0])),
+    ], ids=["state", "unnormalized-state", "hermitian-operator", "operator", "fidelities"])
+    def test_non_finite_entries_refused(self, build, value):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            build(value)
+
+
 class TestDensityStack:
     # Each bad matrix with the error DensityMatrix raised for it before the
     # checks were batched, worded and formatted as then.
@@ -171,9 +187,14 @@ class TestDensityStack:
         ([[0.5, 0.5], [0.0, 0.5]], "density matrix is not Hermitian (max deviation 5.000e-01)"),
         ([[1.5, 0.0], [0.0, -0.5]], "density matrix has negative eigenvalue -5.000e-01"),
         ([[1.0, 0.0], [0.0, 1.0]], "density matrix flagged normalized has trace 2.0"),
+        # NaN fails every tolerance comparison and an infinity turns the
+        # Hermiticity difference into NaN, so neither may reach the checks.
+        ([[NAN, 0.0], [0.0, 1.0]], "density matrix has a non-finite entry (nan+0j) at (0, 0) (1 in all)"),
+        ([[0.5, 0.0], [0.0, INF]], "density matrix has a non-finite entry (inf+0j) at (1, 1) (1 in all)"),
+        ([[NAN, NAN], [NAN, NAN]], "density matrix has a non-finite entry (nan+0j) at (0, 0) (4 in all)"),
     ]
 
-    @pytest.mark.parametrize("matrix, message", BAD, ids=["hermitian", "eigenvalue", "trace"])
+    @pytest.mark.parametrize("matrix, message", BAD, ids=["hermitian", "eigenvalue", "trace", "nan", "inf", "all-nan"])
     def test_same_errors_as_density_matrix(self, matrix, message):
         stack = np.array([np.eye(2) / 2, matrix, np.eye(2) / 2], dtype=complex)
         for check in (lambda: validate_density_stack(stack),

@@ -14,6 +14,7 @@ from staged_reference import (
     max_amplitude_deviation,
     norm_sq,
     photon_numbers,
+    reference_output_state,
     require_photon_number,
     search_routing_layouts,
     staged_network,
@@ -30,7 +31,6 @@ from w2ghz.photonics import (
     NetworkLayout,
     full_network,
     network_map,
-    reference_output_state,
 )
 from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state
 

@@ -27,7 +27,7 @@ from w2ghz.atom_cavity import (
     full_space,
 )
 from w2ghz.dynamics import IntegratorConfig, propagate_matrix
-from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, _require_same_space, tol
+from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, _require_same_space
 
 
 def basis_state(space: HilbertSpace, *indices: int) -> StateVector:
@@ -167,7 +167,7 @@ def schrodinger_evolve(h: Operator, psi0: StateVector, t: float, cfg: Integrator
     result = StateVector(psi0.space, out, normalized=False)
     if h.hermitian and psi0.norm() > 0:
         drift = abs(result.norm() - psi0.norm()) / psi0.norm()
-        if drift > tol(1e-8):
+        if drift > 1e-8:
             raise RuntimeError(f"integrator norm drift {drift:.3e} exceeds tolerance; reduce dt")
     return result
 
@@ -182,7 +182,7 @@ def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: D
     out = propagate_matrix(h, collapse, rho0.elements, t, cfg)
     result = DensityMatrix(rho0.space, out, normalized=rho0.normalized)
     drift = float(np.trace(out).real) - 1.0
-    if rho0.normalized and abs(drift) > tol(1e-8):
+    if rho0.normalized and abs(drift) > 1e-8:
         raise RuntimeError(f"integrator trace drift {drift:.3e}; reduce dt")
     return result
 
