@@ -34,11 +34,22 @@ _REFERENCE_ROWS = (
     (+1, ("eR", "eL", "eR"), ((8, -1), (8, +1), (9, +1))),
     (+1, ("eR", "eR", "eL"), ((7, +1), (9, -1), (9, +1))),
 )
-# Its terms over the compiled route's axes (configuration index, detector
-# counts, amplitude); the first of largest magnitude fixes the phase.
-_REFERENCE_CONFIG, _REFERENCE_COUNTS, _REFERENCE_AMPS = map(np.array, zip(*(
-    (_CONFIG_LEVELS.index(config), counts, coeff * (1.0 / (2.0 * math.sqrt(6.0))) * amp)
-    for coeff, config, photons in _REFERENCE_ROWS for counts, amp in _expand_superposition_photons(photons).items())))
+
+
+def _reference_terms():
+    """The analytic state's terms over the compiled route's axes: each
+    term's configuration index, detector-slot photon counts and amplitude."""
+    configs, counts, amps = [], [], []
+    for coeff, config, photons in _REFERENCE_ROWS:
+        for occupation, amp in _expand_superposition_photons(photons).items():
+            configs.append(_CONFIG_LEVELS.index(config))
+            counts.append(occupation)
+            amps.append(coeff * (1.0 / (2.0 * math.sqrt(6.0))) * amp)
+    return np.array(configs), np.array(counts), np.array(amps)
+
+
+_REFERENCE_CONFIG, _REFERENCE_COUNTS, _REFERENCE_AMPS = _reference_terms()
+# The first term of largest magnitude fixes the phase.
 _REFERENCE_ANCHOR = int(np.argmax(np.abs(_REFERENCE_AMPS)))
 # Every occupation with at most two photons per detector, the most any
 # network output holds.

@@ -103,6 +103,8 @@ def validate_density_stack(elements: NDArray[np.complex128], normalized: bool = 
     matrix: finite, Hermitian to 1e-10, smallest eigenvalue at least -1e-8
     and, when ``normalized``, trace 1 to 1e-8.  Each check runs over the whole
     stack in one call and reports the first matrix that fails it."""
+    if elements.shape[0] == 0:
+        return
     if not np.isfinite(elements).all():
         _require_finite(elements[np.flatnonzero(~np.isfinite(elements).all(axis=(1, 2)))[0]], "density matrix")
     herm_err = np.max(np.abs(elements - elements.conj().swapaxes(-1, -2)), axis=(1, 2))

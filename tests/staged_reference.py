@@ -9,7 +9,13 @@ name this module reads through the package, and the walk must reach neither
 classes, nor the views built on them.  With it come the helpers that check
 that route: the analytic post-network state, the accepted patterns, the
 lossless success probability 3 eta_d^3/4 and the two GHZ-class target
-states."""
+states.
+
+The analytic state's rows, hand-written data, are read from
+``checks._REFERENCE_ROWS`` and expanded into photon occupations here.  The
+import of ``checks`` builds that module's own reference arrays with
+``photonics._expand_superposition_photons``, which ``network_map`` also
+runs; the walk follows definitions only, so it does not see that data."""
 
 import itertools
 import math
@@ -17,19 +23,18 @@ import math
 import numpy as np
 
 from w2ghz.atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS, SystemParams
-from w2ghz.checks import _REFERENCE_AMPS, _REFERENCE_CONFIG, _REFERENCE_COUNTS
+from w2ghz.checks import _REFERENCE_ROWS
 from w2ghz.detection import DETECTORS, ClickPattern, DetectionReport, OutcomeClass, all_patterns
 from w2ghz.dynamics import EvolutionCoefficients, _split, _times
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, StateVector
 from w2ghz.photonics import (
     ATOMS,
     DEFAULT_LAYOUT,
-    DETECTOR_SLOTS,
     OUTPUT_MODES,
     JointAtomPhotonState,
     NetworkLayout,
 )
-from w2ghz.protocol import _CONFIG_LEVELS, apply_hadamard_pulses, ghz_target, prepare_w_state
+from w2ghz.protocol import apply_hadamard_pulses, ghz_target, prepare_w_state
 
 
 def lossless_coefficients(params: SystemParams, t: float) -> EvolutionCoefficients:
@@ -249,15 +254,34 @@ def all_layouts() -> list[NetworkLayout]:
             for h_perm in itertools.permutations(OUTPUT_MODES)]
 
 
+def _photon_product(photons) -> dict:
+    """The detector-slot occupations of a product of photons (mode, sign),
+    each (|H_mode> + sign |V_mode>)/sqrt2, with their amplitudes: every
+    choice of one polarization per photon, summed per occupation and scaled
+    by sqrt(n!) per slot for the stacked creation operators.  Exact zeros
+    (two photons cancelling on one mode) are left out."""
+    amplitudes: dict = {}
+    for pols in itertools.product("HV", repeat=len(photons)):
+        occupation: dict = {}
+        amp = 1.0
+        for (mode, sign), pol in zip(photons, pols):
+            occupation[(mode, pol)] = occupation.get((mode, pol), 0) + 1
+            amp *= _SQ2 if pol == "H" else sign * _SQ2
+        key = tuple(sorted(occupation.items()))
+        amplitudes[key] = amplitudes.get(key, 0.0) + amp
+    return {key: amp * math.prod(math.sqrt(math.factorial(n)) for _, n in key)
+            for key, amp in amplitudes.items() if amp != 0.0}
+
+
 def reference_output_state() -> JointAtomPhotonState:
     """The analytic post-network state that ``validate`` holds the compiled
-    network to, as a joint state built from the table in ``checks``: eight
-    atomic configurations with coefficient magnitudes {3,3,1,1,1,1,1,1}/(2
-    sqrt 6), each attached to a product of (|H> +- |V>)/sqrt2 photons on the
-    output modes."""
+    network to: the rows of ``checks._REFERENCE_ROWS``, eight atomic
+    configurations with coefficients {3,3,1,1,1,1,1,1}/(2 sqrt 6) up to
+    sign, each attached to a product of (|H> +- |V>)/sqrt2 photons on the
+    output modes, expanded here photon by photon."""
     return JointAtomPhotonState.from_terms(ATOMS, (
-        (_CONFIG_LEVELS[c], dict(zip(DETECTOR_SLOTS, counts)), amp)
-        for c, counts, amp in zip(_REFERENCE_CONFIG.tolist(), _REFERENCE_COUNTS.tolist(), _REFERENCE_AMPS.tolist())))
+        (config, dict(occupation), coeff * (1.0 / (2.0 * math.sqrt(6.0))) * amp)
+        for coeff, config, photons in _REFERENCE_ROWS for occupation, amp in _photon_product(photons).items()))
 
 
 def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1e-12) -> list[NetworkLayout]:

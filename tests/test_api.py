@@ -296,35 +296,58 @@ def test_tolerances_are_unscaled():
 
 
 def oracle_reads(path: Path) -> set:
-    """Every identifier the oracle module ``path`` can run in the package:
-    the ``w2ghz`` names it imports and every attribute it reads (a method
-    is matched by its name alone), and what the package definitions that
-    ``reached`` walks from them read."""
+    """Every identifier the oracle module ``path`` names or can run in the
+    package: each name it imports, from any module, each name and
+    attribute it mentions, and what the package definitions that
+    ``reached`` walks from its ``w2ghz`` imports and its attributes (a
+    method is matched by its name alone) read."""
     tree = ast.parse(path.read_text(), filename=str(path))
+    direct = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    direct |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    direct |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     roots = {(ast.Name, alias.name) for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "w2ghz"
              for alias in node.names}
     roots |= {(kind, name) for kind, name in read_names([tree]) if kind is ast.Attribute}
     definitions, _ = package_definitions()
-    walked = reached(definitions, roots)
-    return {name for _, name in roots} | {name for qualified in walked
-                                          for _, name in read_names(definitions[qualified][1])}
+    return direct | {name for qualified in reached(definitions, roots)
+                     for _, name in read_names(definitions[qualified][1])}
+
+
+# What the test-side oracles must not reach: the compiled routes they check,
+# the detection table and classes those routes index, and the hand-listed
+# branch levels the exact unit route rests on.
+COMPILED = frozenset({"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
+                      "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
+                      "transfer_coefficients", "compare_full_vs_effective", "master_equation_estimates",
+                      "emitted_block", "_expm_minus_identity", "branch_levels", "detect_amplitudes",
+                      "_corrected_fidelities", "_CLASSES", "_MINUS", "_weight_table", "_report",
+                      "_PATTERN_SETS", "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern"})
 
 
 def test_staged_reference_is_independent():
-    # The test-side oracles must not reach, directly or through the package
-    # code they call, the compiled routes they check, the detection table
-    # and classes those routes index, nor the hand-listed branch levels the
-    # exact unit route rests on.
-    compiled = {"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
-                "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
-                "transfer_coefficients", "compare_full_vs_effective", "master_equation_estimates",
-                "emitted_block", "_expm_minus_identity", "branch_levels", "detect_amplitudes",
-                "_corrected_fidelities", "_CLASSES", "_MINUS", "_weight_table", "_report", "_PATTERN_SETS",
-                "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern"}
+    # Neither directly nor through the package code the oracle calls.
     for name in ("staged_reference.py", "unit_reference.py"):
         reads = oracle_reads(Path(__file__).with_name(name))
-        assert not reads & compiled, f"{name} reaches {sorted(reads & compiled)}"
+        assert not reads & COMPILED, f"{name} reaches {sorted(reads & COMPILED)}"
+
+
+@pytest.mark.parametrize("source, flagged", [
+    # A name from a module outside the package, read bare.
+    ("from elimination_view import compare_full_vs_effective\n\n"
+     "def f(params, grid):\n    return compare_full_vs_effective(params, grid)\n",
+     {"compare_full_vs_effective"}),
+    # A name only the package code it calls reads.
+    ("from w2ghz.protocol import run_protocol\n\n"
+     "def f(params):\n    return run_protocol(params)\n",
+     {"_weight_table", "_PATTERN_SETS", "fidelities", "network_map"}),
+    # A compiled name stored, never read.
+    ("def f():\n    network_map = None\n", {"network_map"}),
+], ids=["foreign-import", "transitive", "bare-name"])
+def test_independence_guard_flags(tmp_path, source, flagged):
+    path = tmp_path / "oracle.py"
+    path.write_text(source)
+    assert flagged <= oracle_reads(path) & COMPILED
 
 
 # One case per benchmark source, or one skipped case in a checkout without it.
