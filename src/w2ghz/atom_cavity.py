@@ -4,7 +4,8 @@ The atom has two Raman branches (left/right circular): classical driving
 couples |g_j> <-> |f_j> with Rabi frequency Omega, and cavity mode a_j couples
 |e_j> <-> |f_j> with strength lambda_c, both detuned by Delta from the upper
 level |f_j>.  This module writes that six-level model once, in the tensor
-space of the atom and both cavity modes, with its Lindblad channels.  For
+space of the atom and both cavity modes, with its Lindblad channels; each
+cavity emits at most once, so a mode holds at most one photon.  For
 large detuning the |f_j> levels stay only virtually populated and can be
 eliminated, leaving Stark shifts and a Raman g <-> e,1-photon coupling; the
 one place that model is written is the 2x2 no-jump block of
@@ -31,7 +32,7 @@ EFFECTIVE_LEVELS = ("gL", "gR", "eL", "eR")
 GROUND_LEVELS = ("gL", "gR")
 EMITTED_LEVELS = ("eL", "eR")
 
-# The fields of a params document, in SystemParams order; n_max is none.
+# The fields of a params document: every SystemParams field, in order.
 DOCUMENT_FIELDS = ("delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d")
 
 
@@ -44,7 +45,7 @@ class SystemParams:
     frequency, ``kappa`` the cavity decay rate of either polarization mode,
     ``gamma_a`` the total spontaneous rate out of each upper level (split
     equally over its four decay branches), ``eta_d`` the detector quantum
-    efficiency and ``n_max`` the Fock cutoff per mode, no document field.
+    efficiency.
 
     Two routes read ``kappa`` apart (ROADMAP.md, "One cavity-decay rate"):
     ``dynamics.decay_coefficients`` (so ``run_protocol`` and P_d) takes it
@@ -59,7 +60,9 @@ class SystemParams:
     kappa: float = 0.0
     gamma_a: float = 0.0
     eta_d: float = 1.0
-    n_max: int = 1
+    # Photons per mode, no field, so nothing sets it; only the benchmark reads
+    # it, for ``full_space``, until ROADMAP item 1(d).
+    n_max = 1
 
     def __post_init__(self):
         for name in DOCUMENT_FIELDS:
@@ -72,8 +75,6 @@ class SystemParams:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not 0.0 <= self.eta_d <= 1.0:
             raise ValueError(f"eta_d must lie in [0, 1], got {self.eta_d}")
-        if not isinstance(self.n_max, int) or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
 
     @property
     def adiabatic_advisory(self) -> bool:
@@ -134,26 +135,24 @@ class SystemParams:
 
 
 def full_space(n_max: int = 1) -> HilbertSpace:
-    """Six-level atom tensored with the two cavity polarization modes."""
+    """Six-level atom tensored with the two cavity modes; only the benchmark passes n_max."""
     return HilbertSpace.of(("atom", 6), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
 
 
-def branch_levels(n_max: int, branch: str) -> list[int]:
-    """Indices in ``full_space(n_max)`` of |g_j,0,0>, |f_j,0,0> and |e_j,1_j>
+def branch_levels(branch: str) -> list[int]:
+    """Indices in ``full_space()`` of |g_j,0,0>, |f_j,0,0> and |e_j,1_j>
     for branch j = "L" or "R": the levels the unit leaves from |g_j, vacuum>
     only by jumps that nothing brings back."""
-    space = full_space(n_max)
+    space = full_space()
     photons = (1, 0) if branch == "L" else (0, 1)
     return [space.basis_index(FULL_LEVELS.index("g" + branch), 0, 0),
             space.basis_index(FULL_LEVELS.index("f" + branch), 0, 0),
             space.basis_index(FULL_LEVELS.index("e" + branch), *photons)]
 
 
-def _annihilator(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        a[n - 1, n] = np.sqrt(n)
-    return a
+# One mode's annihilator and identity on {|0>, |1>}.
+_A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+_EYE = np.eye(2, dtype=np.complex128)
 
 
 def _atom_op(levels, ket: str, bra: str) -> np.ndarray:
@@ -172,17 +171,15 @@ def full_hamiltonian(params: SystemParams) -> Operator:
     Contains Delta |f_j><f_j|, lambda_c (a_j |f_j><e_j| + h.c.) and
     Omega (|f_j><g_j| + h.c.) for both circular branches j = L, R.
     """
-    nph = params.n_max + 1
-    a = _annihilator(nph)
-    eye = np.eye(nph, dtype=np.complex128)
-    h = np.zeros((6 * nph * nph,) * 2, dtype=np.complex128)
+    space = full_space()
+    h = np.zeros((space.total_dim,) * 2, dtype=np.complex128)
     for j, (g, e, f) in (("L", ("gL", "eL", "fL")), ("R", ("gR", "eR", "fR"))):
-        a_l, a_r = (a, eye) if j == "L" else (eye, a)
-        h += params.delta * _embed(_atom_op(FULL_LEVELS, f, f), eye, eye)
+        a_l, a_r = (_A, _EYE) if j == "L" else (_EYE, _A)
+        h += params.delta * _embed(_atom_op(FULL_LEVELS, f, f), _EYE, _EYE)
         coupling = params.lambda_c * _embed(_atom_op(FULL_LEVELS, f, e), a_l, a_r)
-        drive = params.omega * _embed(_atom_op(FULL_LEVELS, f, g), eye, eye)
+        drive = params.omega * _embed(_atom_op(FULL_LEVELS, f, g), _EYE, _EYE)
         h += coupling + coupling.conj().T + drive + drive.conj().T
-    return Operator(full_space(params.n_max), h, hermitian=True)
+    return Operator(space, h, hermitian=True)
 
 
 def collapse_operators(params: SystemParams) -> list[tuple[float, Operator]]:
@@ -191,17 +188,14 @@ def collapse_operators(params: SystemParams) -> list[tuple[float, Operator]]:
     Two cavity channels a_L, a_R at rate kappa and the four spontaneous
     branches |x_j><f_j| (x = g, e; j = L, R), each at rate gamma_a/2.
     """
-    space = full_space(params.n_max)
-    nph = params.n_max + 1
-    a = _annihilator(nph)
-    eye = np.eye(nph, dtype=np.complex128)
+    space = full_space()
     eye6 = np.eye(6, dtype=np.complex128)
     ops: list[tuple[float, Operator]] = [
-        (params.kappa, Operator(space, _embed(eye6, a, eye))),
-        (params.kappa, Operator(space, _embed(eye6, eye, a))),
+        (params.kappa, Operator(space, _embed(eye6, _A, _EYE))),
+        (params.kappa, Operator(space, _embed(eye6, _EYE, _A))),
     ]
     for f, targets in (("fL", ("gL", "eL")), ("fR", ("gR", "eR"))):
         for x in targets:
             ops.append((params.branch_rate,
-                        Operator(space, _embed(_atom_op(FULL_LEVELS, x, f), eye, eye))))
+                        Operator(space, _embed(_atom_op(FULL_LEVELS, x, f), _EYE, _EYE))))
     return ops

@@ -17,7 +17,7 @@ from .analysis import params_for_eta_over_kappa, pd_closed_form, pd_numeric
 from .atom_cavity import SystemParams
 from .detection import _PATTERN_SETS, DETECTORS, _weight_table
 from .dynamics import decay_coefficients
-from .photonics import _expand_superposition_photons
+from .photonics import DEFAULT_LAYOUT, _expand_superposition_photons, network_map
 from .protocol import _CONFIG_LEVELS, _network_amplitudes, transfer_coefficients
 
 DEFAULT_CHECK_PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
@@ -128,10 +128,14 @@ def network_reference_deviation() -> float:
 
 def check_network_reference_state() -> CheckResult:
     """The compiled network that ``run_protocol`` runs must reproduce the
-    analytic post-network state term by term (up to one global phase)."""
-    deviation = network_reference_deviation()
-    return CheckResult("network-reference-state", deviation < 1e-12,
-                       f"max per-term amplitude deviation = {deviation:.3e}")
+    analytic post-network state term by term (up to one global phase), and,
+    being passive linear optics, map the emission slots to orthonormal
+    outputs, which the photon expansion both share cannot fake."""
+    deviation, matrix = network_reference_deviation(), network_map(DEFAULT_LAYOUT).matrix
+    isometry = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])).max())
+    passed = deviation < 1e-12 and isometry < 1e-12
+    return CheckResult("network-reference-state", passed, f"max per-term amplitude deviation = {deviation:.3e}"
+                       + ("" if passed else f"; max |M^H M - I| = {isometry:.3e}"))
 
 
 def check_decay_probability_identity() -> CheckResult:

@@ -245,7 +245,7 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     _require_resolved(params.kappa + sum(params.light_shifts), t)
     collapse = [(rate, op.elements) for rate, op in collapse_operators(params)]
     drift = -1j * full_hamiltonian(params).elements - 0.5 * sum(rate * (c.conj().T @ c) for rate, c in collapse)
-    ix = [np.ix_(levels, levels) for levels in (branch_levels(params.n_max, j) for j in "LR")]
+    ix = [np.ix_(levels, levels) for levels in (branch_levels(j) for j in "LR")]
     entries = []
     for j, k in ((0, 0), (1, 1), (0, 1)):
         generator = (np.kron(drift[ix[j]], np.eye(3)) + np.kron(np.eye(3), drift[ix[k]].conj())

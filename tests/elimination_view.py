@@ -42,7 +42,7 @@ def compare_full_vs_effective(params: SystemParams, t_grid) -> DeviationReport:
     if times.ndim != 1 or times.size == 0:
         raise ValueError(f"t_grid must be a non-empty one-dimensional grid of times, got shape {times.shape}")
     times = _times(times)
-    branch = branch_levels(params.n_max, "L")
+    branch = branch_levels("L")
     energies, vectors = np.linalg.eigh(full_hamiltonian(params).elements[np.ix_(branch, branch)])
     b0, upper, b1 = ((np.exp(-1j * np.outer(times, energies)) * vectors[0].conj()) @ vectors.T).T
     eliminated = decay_coefficients(replace(params, kappa=0.0), times)

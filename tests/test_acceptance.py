@@ -38,8 +38,15 @@ from w2ghz.analysis import (
 from w2ghz.atom_cavity import EFFECTIVE_LEVELS, SystemParams
 from w2ghz.dynamics import IntegratorConfig, decay_coefficients
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator
-from w2ghz.photonics import full_network
-from w2ghz.protocol import apply_hadamard_pulses, cavity_interaction, prepare_w_state, run_protocol
+from w2ghz.photonics import DETECTOR_SLOTS
+from w2ghz.protocol import (
+    _CONFIG_LEVELS,
+    _network_amplitudes,
+    apply_hadamard_pulses,
+    prepare_w_state,
+    run_protocol,
+    transfer_coefficients,
+)
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
@@ -160,13 +167,17 @@ def test_criterion_5_network_output_structure():
             expected[key] = expected.get(key, 0.0) + c
     expected = {k: v for k, v in expected.items() if abs(v) > 1e-15}
 
-    produced = full_network(cavity_interaction(apply_hadamard_pulses(prepare_w_state()), IDEAL))
+    # The produced terms, from the compiled route run_protocol runs: each
+    # configuration of the three atoms and detector-slot occupation.
+    psi, counts = _network_amplitudes(transfer_coefficients(IDEAL))
+    produced = {(_CONFIG_LEVELS[c], tuple(sorted((slot, int(n)) for slot, n in zip(DETECTOR_SLOTS, counts[o]) if n))):
+                complex(psi[c, o]) for c, o in zip(*np.nonzero(psi))}
     anchor = max(expected, key=lambda k: abs(expected[k]))
-    phase = expected[anchor] / produced.terms[anchor]
+    phase = expected[anchor] / produced[anchor]
     phase /= abs(phase)
-    keys = set(expected) | set(produced.terms)
-    worst = max(abs(phase * produced.terms.get(k, 0.0) - expected.get(k, 0.0)) for k in keys)
-    configs = {config for (config, _) in produced.terms}
+    keys = set(expected) | set(produced)
+    worst = max(abs(phase * produced.get(k, 0.0) - expected.get(k, 0.0)) for k in keys)
+    configs = {config for (config, _) in produced}
     ok = worst < 1e-12 and len(configs) == 8
     report(5, "post-network state structure", ok,
            f"max per-term amplitude deviation = {worst:.3e} over {len(keys)} terms, "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, lossless_heralded
-from unit_reference import block_of, unit_levels, unit_outputs
+from unit_reference import block_of, unit_channels, unit_hamiltonian, unit_levels, unit_outputs, unit_space
 
 import w2ghz.analysis as analysis
 from w2ghz import dynamics, protocol
@@ -28,8 +28,6 @@ from w2ghz.atom_cavity import (
     FULL_LEVELS,
     SystemParams,
     branch_levels,
-    collapse_operators,
-    full_hamiltonian,
     full_space,
 )
 from w2ghz.cli import main
@@ -38,9 +36,9 @@ from w2ghz.dynamics import decay_coefficients, emitted_block
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT
 from w2ghz.protocol import run_protocol
 
-# Off the reference drive: a two-photon cutoff with an asymmetric drive, and
-# an overdamped cavity (kappa > 2 lambda_c^2/Delta).
-N_MAX_2 = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=2)
+# Off the reference drive: an asymmetric drive, which the oracles also run at
+# a two-photon cutoff, and an overdamped cavity (kappa > 2 lambda_c^2/Delta).
+ASYMMETRIC = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3)
 OVERDAMPED = SystemParams(delta=3.0, lambda_c=1.0, omega=1.0, kappa=1.5, gamma_a=0.05)
 
 
@@ -48,7 +46,7 @@ OVERDAMPED = SystemParams(delta=3.0, lambda_c=1.0, omega=1.0, kappa=1.5, gamma_a
 def rk4_block(params, dt):
     """The emitted block of RK4 at step dt on the whole unit space, at the
     operating time; each RK4 run takes seconds, so tests share it."""
-    return block_of(unit_outputs(params, params.operating_time, dt), params.n_max)
+    return block_of(unit_outputs(params, params.operating_time, dt))
 
 
 def estimate_gap(got, expected):
@@ -386,25 +384,25 @@ class TestMasterEquationFidelity:
         # reached both.
         assert (est.network_fidelity > 0.99) == (layout == DEFAULT_LAYOUT)
 
-    @pytest.mark.parametrize("params, layout", [
-        (reference_noise_params(50.0), DEFAULT_LAYOUT),
-        (reference_noise_params(50.0), ALIGNED_LAYOUT),
-        (N_MAX_2, DEFAULT_LAYOUT),
-        (OVERDAMPED, DEFAULT_LAYOUT),
-        (reference_noise_params(250.0), DEFAULT_LAYOUT),
-        (reference_noise_params(250.0), ALIGNED_LAYOUT),
-        (N_MAX_2, ALIGNED_LAYOUT),
-        (OVERDAMPED, ALIGNED_LAYOUT),
+    @pytest.mark.parametrize("params, layout, n_max", [
+        (reference_noise_params(50.0), DEFAULT_LAYOUT, 1),
+        (reference_noise_params(50.0), ALIGNED_LAYOUT, 1),
+        (ASYMMETRIC, DEFAULT_LAYOUT, 2),
+        (OVERDAMPED, DEFAULT_LAYOUT, 1),
+        (reference_noise_params(250.0), DEFAULT_LAYOUT, 1),
+        (reference_noise_params(250.0), ALIGNED_LAYOUT, 1),
+        (ASYMMETRIC, ALIGNED_LAYOUT, 2),
+        (OVERDAMPED, ALIGNED_LAYOUT, 1),
     ], ids=["default", "aligned", "n_max-2", "overdamped",
             "250-default", "250-aligned", "n2-al", "od-al"])
-    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout):
+    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout, n_max):
         # Reference: each pattern's noisy state over all six levels of every
-        # atom, from the unit's outputs on its whole space, scored against
-        # the GHZ target of its class lifted into them.
+        # atom, from the unit's outputs on its whole space at Fock cutoff
+        # n_max, scored against the GHZ target of its class lifted into them.
         monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
         est = master_equation_estimates(params)
-        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time)
-        space, n = full_space(params.n_max), len(FULL_LEVELS)
+        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time, n_max=n_max)
+        space, n = unit_space(n_max), len(FULL_LEVELS)
         sel = [[space.basis_index(k, 1, 0) for k in range(n)], [space.basis_index(k, 0, 1) for k in range(n)]]
         channel = np.empty((2, 2, n, n), dtype=np.complex128)
         channel[0, 0] = m_ll[np.ix_(sel[0], sel[0])]
@@ -430,15 +428,16 @@ class TestMasterEquationFidelity:
         assert est.accepted_probability == pytest.approx(probability_acc, abs=1e-14)
         assert est.network_fidelity == pytest.approx(fidelity_acc / probability_acc, abs=1e-14)
 
-    @pytest.mark.parametrize("params", [reference_noise_params(250.0), N_MAX_2, OVERDAMPED,
-                                        reference_noise_params(50.0)],
+    @pytest.mark.parametrize("params, n_max", [(reference_noise_params(250.0), 1), (ASYMMETRIC, 2),
+                                               (OVERDAMPED, 1), (reference_noise_params(50.0), 1)],
                              ids=["reference", "n_max-2", "overdamped", "50"])
-    def test_subsystem_fidelity_matches_projected_output(self, params):
-        # Oracle: <t|rho_+|t> on the whole unit space, rho_+ the output of the
-        # (gL + gR)/sqrt2 input by linearity, t = (|eL,1,0> + |eR,0,1>)/sqrt2.
+    def test_subsystem_fidelity_matches_projected_output(self, params, n_max):
+        # Oracle: <t|rho_+|t> on the whole unit space at Fock cutoff n_max,
+        # rho_+ the output of the (gL + gR)/sqrt2 input by linearity,
+        # t = (|eL,1,0> + |eR,0,1>)/sqrt2.
         est = master_equation_estimates(params)
-        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time)
-        _, _, e_l, e_r = unit_levels(params.n_max)
+        m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time, n_max=n_max)
+        _, _, e_l, e_r = unit_levels(n_max)
         rho_plus = 0.5 * (m_ll + m_rr + m_lr + m_lr.conj().T)
         target = np.zeros(len(m_ll), dtype=np.complex128)
         target[[e_l, e_r]] = 1.0 / np.sqrt(2.0)
@@ -458,14 +457,16 @@ class TestMasterEquationFidelity:
 
     @pytest.mark.parametrize("n_max", [1, 2, 3])
     def test_branch_levels_are_invariant(self, n_max):
-        # The exact route rests on the hand-listed branch levels: the
-        # Hamiltonian has exactly no entry between them and any other level,
-        # and every collapse operator maps them into their branch or into a
-        # level reachable from them that nothing maps back into a branch.
-        params = SystemParams(delta=5.0, lambda_c=1.3, omega=0.7, kappa=0.2, gamma_a=0.3, n_max=n_max)
-        h = full_hamiltonian(params).elements
-        collapse = [op.elements for _, op in collapse_operators(params)]
-        branches = [np.isin(np.arange(len(h)), branch_levels(n_max, j)) for j in "LR"]
+        # The exact route rests on the hand-listed branch levels.  Placed in
+        # the test-side unit at Fock cutoff n_max, the Hamiltonian has
+        # exactly no entry between them and any other level, and every
+        # collapse operator maps them into their branch or into a level
+        # reachable from them that nothing maps back into a branch.
+        space = unit_space(n_max)
+        h = unit_hamiltonian(ASYMMETRIC, n_max).elements
+        collapse = [op.elements for _, op in unit_channels(ASYMMETRIC, n_max)]
+        branches = [np.isin(np.arange(len(h)), [space.basis_index(*map(int, np.unravel_index(i, full_space().dims)))
+                                                for i in branch_levels(j)]) for j in "LR"]
         reached = branches[0] | branches[1]
         for _ in range(len(h)):
             for op in [h, *collapse]:
@@ -474,8 +475,6 @@ class TestMasterEquationFidelity:
             assert np.count_nonzero(h[np.ix_(branch, ~branch)]) == np.count_nonzero(h[np.ix_(~branch, branch)]) == 0
             for c in collapse:
                 assert np.count_nonzero(c[np.ix_(branch, reached & ~branch)]) == 0
-        one = master_equation_estimates(replace(params, n_max=1))
-        assert master_equation_estimates(params) == one
 
     @pytest.mark.parametrize("ratio, fidelity, probability", [
         (250.0, 0.9993728312249477, 0.6363534148227254),

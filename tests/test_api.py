@@ -315,14 +315,15 @@ def oracle_reads(path: Path) -> set:
 
 
 # What the test-side oracles must not reach: the compiled routes they check,
-# the detection table and classes those routes index, and the hand-listed
-# branch levels the exact unit route rests on.
+# the detection table and classes those routes index, the hand-listed
+# branch levels the exact unit route rests on, and the unit's builders.
 COMPILED = frozenset({"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
                       "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
                       "transfer_coefficients", "compare_full_vs_effective", "master_equation_estimates",
                       "emitted_block", "_expm_minus_identity", "branch_levels", "detect_amplitudes",
                       "_corrected_fidelities", "_CLASSES", "_MINUS", "_weight_table", "_report",
-                      "_PATTERN_SETS", "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern"})
+                      "_PATTERN_SETS", "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern",
+                      "full_hamiltonian", "collapse_operators"})
 
 
 def test_staged_reference_is_independent():
@@ -343,7 +344,11 @@ def test_staged_reference_is_independent():
      {"_weight_table", "_PATTERN_SETS", "fidelities", "network_map"}),
     # A compiled name stored, never read.
     ("def f():\n    network_map = None\n", {"network_map"}),
-], ids=["foreign-import", "transitive", "bare-name"])
+    # A builder of the unit the whole-space oracles propagate.
+    ("from w2ghz.atom_cavity import collapse_operators, full_hamiltonian\n\n"
+     "def f(params):\n    return full_hamiltonian(params), collapse_operators(params)\n",
+     {"full_hamiltonian", "collapse_operators"}),
+], ids=["foreign-import", "transitive", "bare-name", "unit-builder"])
 def test_independence_guard_flags(tmp_path, source, flagged):
     path = tmp_path / "oracle.py"
     path.write_text(source)

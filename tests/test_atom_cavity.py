@@ -1,7 +1,17 @@
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from unit_reference import conditional_hamiltonian, effective_embedding, effective_hamiltonian, effective_space
+from unit_reference import (
+    conditional_hamiltonian,
+    effective_embedding,
+    effective_hamiltonian,
+    effective_space,
+    unit_channels,
+    unit_hamiltonian,
+    unit_space,
+)
 
 from w2ghz.atom_cavity import (
     DOCUMENT_FIELDS,
@@ -16,8 +26,8 @@ from w2ghz.atom_cavity import (
 PARAMS = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, kappa=0.05, gamma_a=0.02)
 
 
-def full_index(level, n_l, n_r, n_max=1):
-    return full_space(n_max).basis_index(FULL_LEVELS.index(level), n_l, n_r)
+def full_index(level, n_l, n_r):
+    return full_space().basis_index(FULL_LEVELS.index(level), n_l, n_r)
 
 
 def eff_index(level, n_l, n_r, n_max=1):
@@ -25,19 +35,29 @@ def eff_index(level, n_l, n_r, n_max=1):
 
 
 class TestSystemParams:
-    @pytest.mark.parametrize("bad", [
-        dict(delta=0.0, lambda_c=1.0, omega=1.0),
-        dict(delta=-1.0, lambda_c=1.0, omega=1.0),
-        dict(delta=1.0, lambda_c=-0.1, omega=1.0),
-        dict(delta=1.0, lambda_c=1.0, omega=1.0, kappa=-2.0),
-        dict(delta=1.0, lambda_c=1.0, omega=1.0, gamma_a=-1e-9),
-        dict(delta=1.0, lambda_c=1.0, omega=1.0, eta_d=1.5),
-        dict(delta=1.0, lambda_c=1.0, omega=1.0, eta_d=-0.2),
-        dict(delta=1.0, lambda_c=1.0, omega=1.0, n_max=0),
-    ])
-    def test_invalid_params_rejected(self, bad):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("bad, error", [
+        (dict(delta=0.0, lambda_c=1.0, omega=1.0), ValueError),
+        (dict(delta=-1.0, lambda_c=1.0, omega=1.0), ValueError),
+        (dict(delta=1.0, lambda_c=-0.1, omega=1.0), ValueError),
+        (dict(delta=1.0, lambda_c=1.0, omega=1.0, kappa=-2.0), ValueError),
+        (dict(delta=1.0, lambda_c=1.0, omega=1.0, gamma_a=-1e-9), ValueError),
+        (dict(delta=1.0, lambda_c=1.0, omega=1.0, eta_d=1.5), ValueError),
+        (dict(delta=1.0, lambda_c=1.0, omega=1.0, eta_d=-0.2), ValueError),
+        # The Fock cutoff is no field: one photon per mode is the model.
+        (dict(delta=1.0, lambda_c=1.0, omega=1.0, n_max=0), TypeError),
+    ], ids=[f"bad{k}" for k in range(8)])
+    def test_invalid_params_rejected(self, bad, error):
+        with pytest.raises(error):
             SystemParams(**bad)
+
+    def test_cutoff_the_benchmark_reads(self):
+        # The benchmark passes params.n_max to full_space; nothing can set it.
+        params = SystemParams(delta=1.0, lambda_c=1.0, omega=1.0)
+        assert params.n_max == 1
+        assert full_space(params.n_max).total_dim == 24
+        assert tuple(field.name for field in fields(SystemParams)) == DOCUMENT_FIELDS
+        with pytest.raises(TypeError, match="n_max"):
+            SystemParams(delta=1.0, lambda_c=1.0, omega=1.0, n_max=2)
 
     @pytest.mark.parametrize("field", ["delta", "lambda_c", "omega", "kappa", "gamma_a", "eta_d"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -96,8 +116,8 @@ class TestSystemParams:
             SystemParams.from_json_dict({"delta": 10**400, "lambda_c": 1.0, "omega": 1.0})
 
     def test_fractional_n_max_rejected(self):
-        # The Fock cutoff is a constructor field only: a document holding
-        # n_max is refused as an unknown field, whatever its value.
+        # The Fock cutoff is no field: a document holding n_max is refused
+        # as an unknown field, whatever its value.
         for n_max in (1.5, 1, 2, "1", None):
             with pytest.raises(ValueError, match=r"unknown params field\(s\): \['n_max'\]"):
                 SystemParams.from_json_dict({"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, "n_max": n_max})
@@ -129,11 +149,24 @@ class TestFullHamiltonian:
             assert h[full_index(f, 0, 0), full_index(f, 0, 0)] == pytest.approx(PARAMS.delta)
 
     def test_higher_cutoff_scales_coupling(self):
-        params = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, n_max=2)
-        h = full_hamiltonian(params).elements
-        got = h[full_space(2).basis_index(FULL_LEVELS.index("fL"), 1, 0),
-                full_space(2).basis_index(FULL_LEVELS.index("eL"), 2, 0)]
+        # On the test-side unit, which the whole-space oracles run at any
+        # cutoff: a_L takes |eL,2,0> to sqrt2 |eL,1,0>.
+        params = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9)
+        h = unit_hamiltonian(params, n_max=2).elements
+        got = h[unit_space(2).basis_index(FULL_LEVELS.index("fL"), 1, 0),
+                unit_space(2).basis_index(FULL_LEVELS.index("eL"), 2, 0)]
         assert got == pytest.approx(np.sqrt(2.0) * params.lambda_c)
+
+    def test_matches_test_side_unit(self):
+        # The test-side unit shares no code with these builders; at one
+        # photon per mode every entry is a rate times 0 or 1, so both agree
+        # exactly.
+        assert np.array_equal(full_hamiltonian(PARAMS).elements, unit_hamiltonian(PARAMS).elements)
+        channels = collapse_operators(PARAMS)
+        assert len(channels) == len(unit_channels(PARAMS))
+        for (rate, op), (oracle_rate, oracle) in zip(channels, unit_channels(PARAMS)):
+            assert rate == oracle_rate
+            assert np.array_equal(op.elements, oracle.elements)
 
 
 class TestEffectiveHamiltonian:

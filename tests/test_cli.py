@@ -1,12 +1,14 @@
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from staged_reference import (
@@ -19,7 +21,7 @@ from staged_reference import (
     staged_network,
 )
 import w2ghz
-from w2ghz import analysis, checks, cli, hilbert, protocol
+from w2ghz import analysis, checks, cli, hilbert, photonics, protocol
 from w2ghz.atom_cavity import DOCUMENT_FIELDS
 from w2ghz.checks import check_network_reference_state, check_transfer_norm, run_all_checks
 from w2ghz.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
@@ -203,9 +205,9 @@ class TestIdealRun:
         assert captured.out == "" and "t = 1.7e+308" in captured.err and "past the float range" in captured.err
 
     def test_fock_cutoff_is_not_read(self, tmp_path, capsys):
-        # run_protocol never reads n_max, so ideal-run refuses it like any
-        # other unread key, and the report's params hold the document
-        # fields alone.
+        # n_max is no params field, so ideal-run refuses it like any other
+        # unread key, and the report's params hold the document fields
+        # alone.
         cfg = write_json(tmp_path, "cfg.json", {"n_max": 7})
         assert main(["ideal-run", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -636,6 +638,31 @@ class TestChecksApi:
         result = check_network_reference_state()
         assert not result.passed
         assert result.name == "network-reference-state"
+
+    def test_photon_normalization_fault_detected(self, monkeypatch):
+        # Occupations normalized by n! instead of sqrt(n!), in the network
+        # and in the analytic state alike: the term-by-term comparison
+        # cannot see it, but the network is then no isometry.
+        expand = photonics._expand_superposition_photons
+
+        def by_factorial(photons):
+            return {counts: amp * math.prod(math.sqrt(math.factorial(n)) for n in counts)
+                    for counts, amp in expand(photons).items()}
+
+        monkeypatch.setattr(photonics, "_expand_superposition_photons", by_factorial)
+        monkeypatch.setattr(checks, "_expand_superposition_photons", by_factorial)
+        config, counts, amps = checks._reference_terms()
+        for name, value in (("CONFIG", config), ("COUNTS", counts), ("AMPS", amps),
+                            ("ANCHOR", int(np.argmax(np.abs(amps))))):
+            monkeypatch.setattr(checks, f"_REFERENCE_{name}", value)
+        photonics.network_map.cache_clear()
+        try:
+            deviation, result = checks.network_reference_deviation(), check_network_reference_state()
+        finally:
+            photonics.network_map.cache_clear()
+        assert deviation < 1e-12
+        assert not result.passed
+        assert result.detail.endswith("; max |M^H M - I| = 1.000e+00")
 
     @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout.routing))
     def test_network_check_matches_staged_pipeline(self, monkeypatch, layout):

@@ -84,15 +84,14 @@ class TestIdealCoefficients:
         assert abs(out.amplitudes[i_e] - c.beta) < 1e-8
 
     def test_fock_cutoff_truncation_negligible(self):
-        # The transfer dynamics never populate two-photon states, so raising
-        # the cutoff must not move the amplitudes.
-        wide = SystemParams(delta=20.0, lambda_c=1.3, omega=0.9, n_max=2)
-        h = effective_hamiltonian(wide)
+        # The transfer dynamics never populate two-photon states, so the
+        # eliminated model at a two-photon cutoff must give the amplitudes.
+        h = effective_hamiltonian(ASYMMETRIC, n_max=2)
         psi0 = basis_state(h.space, 0, 0, 0)
-        t = 0.6 * wide.operating_time
+        t = 0.6 * ASYMMETRIC.operating_time
         out = schrodinger_evolve(h, psi0, t, IntegratorConfig(dt=2e-3))
         space = effective_space(2)
-        c = decay_coefficients(wide, t)
+        c = decay_coefficients(ASYMMETRIC, t)
         assert abs(out.amplitudes[space.basis_index(0, 0, 0)] - c.alpha) < 1e-8
         assert abs(out.amplitudes[space.basis_index(2, 1, 0)] - c.beta) < 1e-8
         two_photon = [space.basis_index(k, 2, 0) for k in range(4)]
@@ -484,7 +483,7 @@ class TestEmittedBlock:
         # reference), so the bound grows past 1e-10 with it.
         params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa, gamma_a=gamma_a)
         t = fraction * params.operating_time
-        oracle = block_of(unit_outputs(params, t), params.n_max)
+        oracle = block_of(unit_outputs(params, t))
         assert np.max(np.abs(emitted_block(params, t) - oracle)) <= max(1e-10, 2.0**-52 * delta * t)
 
     @pytest.mark.parametrize("params, population, coherence", [
@@ -585,15 +584,13 @@ class TestCompareFullVsEffective:
         assert report.points[0].distance <= 1e-12
 
     def test_same_report_at_any_fock_cutoff(self):
-        # From |gL, vacuum> no second photon is ever made, so the cutoff
-        # changes only where the branch block sits in the full space.
-        reports = []
+        # From |gL, vacuum> no second photon is ever made, so the tensor-space
+        # oracle gives the branch block's report at every cutoff.
+        params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9)
+        grid = self.one_period_grid(params)
+        report = compare_full_vs_effective(params, grid)
         for n_max in (1, 2, 3):
-            params = SystemParams(delta=14.0, lambda_c=2.86, omega=2.9, n_max=n_max)
-            grid = self.one_period_grid(params)
-            reports.append(compare_full_vs_effective(params, grid))
-            self.assert_matches_oracle(reports[-1], tensor_space_deviation(params, grid))
-        assert reports[0] == reports[1] == reports[2]
+            self.assert_matches_oracle(report, tensor_space_deviation(params, grid, n_max))
 
     @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
     def test_bad_time_rejected(self, bad):

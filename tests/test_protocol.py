@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from staged_reference import (
     staged_cavity_interaction,
     staged_run,
 )
-from unit_reference import to_density_matrix
+from unit_reference import eliminated_emission, to_density_matrix
 
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import OutcomeClass, atomic_space
@@ -240,6 +241,30 @@ class TestRunProtocol:
         coeffs = decay_coefficients(DECAYING, DECAYING.operating_time)
         assert in_algebra == pytest.approx(coeffs.weight ** 3, abs=1e-10)
         assert run.success_probability + run.reject_probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_closed_form_over_accepted_range(self):
+        # On the eliminated model each cavity emits at most one photon, and
+        # an accepted pattern fires one detector in each of modes 7, 8 and
+        # 9, so it needs all three photons, each detected: every accepted
+        # pattern has probability (3/32) eta_d^3 |beta|^6 and fidelity 1.
+        # |beta|^2 is the 40-digit one of unit_reference.  The bound scales
+        # with the largest value P can take, (3/4) eta_d^3, not with P, as a
+        # relative bound is ill-conditioned near the zeros of beta.
+        rng = random.Random(7)
+        for _ in range(300):
+            params = SystemParams(delta=rng.uniform(0.5, 60.0), lambda_c=rng.uniform(0.1, 3.0),
+                                  omega=rng.uniform(0.1, 3.0),
+                                  kappa=0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.5),
+                                  eta_d=rng.uniform(0.05, 1.0))
+            t = rng.uniform(0.2, 2.0) * params.operating_time
+            run = run_protocol(params, t)
+            exact = 0.75 * params.eta_d**3 * eliminated_emission(params, t) ** 3
+            bound = 1e-13 * 0.75 * params.eta_d**3
+            assert abs(run.success_probability - exact) <= bound, (params, t)
+            assert len(run.results) == 8
+            for result in run.results:
+                assert abs(8.0 * result.probability - exact) <= bound, (params, t)
+                assert abs(result.fidelity - 1.0) <= 1e-13, (params, t)
 
     def test_json_report(self):
         doc = run_protocol(IDEAL).to_json_dict()

@@ -1,31 +1,25 @@
-"""Test-only reference for one atom-cavity unit: the eliminated four-level
-model written out in the tensor space of the atom and both cavity modes, the
-fixed-step RK4 wavefunction and master-equation integrators, the dense propagator and the trace distance, and pure-state
-helpers.  ``tensor_space_deviation`` is the comparison of the six-level and
-the eliminated model in that space, by diagonalising both Hamiltonians,
-which ``elimination_view.compare_full_vs_effective`` (a view of the branch
-blocks) is checked against; both give a ``DeviationReport``.
-``unit_outputs`` propagates the noisy unit on its whole space, by RK4 or by
-scipy's exponential of the Liouvillian, for ``emitted_block`` (the exact
-route on the branch blocks) to be checked against.  The package runs none of
-this; each piece is an oracle for a route it does run."""
+"""Test-only reference for one atom-cavity unit: the six-level unit and the
+eliminated four-level model, each written out here in the tensor space of
+the atom and both cavity modes at any Fock cutoff ``n_max`` (default 1), the
+fixed-step RK4 wavefunction and master-equation integrators, the dense
+propagator and the trace distance, and pure-state helpers.
+``tensor_space_deviation`` is the comparison of the six-level and the
+eliminated model in that space, by diagonalising both Hamiltonians, which
+``elimination_view.compare_full_vs_effective`` (a view of the branch blocks)
+is checked against; both give a ``DeviationReport``.  ``unit_outputs``
+propagates the noisy unit on its whole space, by RK4 or by scipy's
+exponential of the Liouvillian, for ``emitted_block`` (the exact route on the
+branch blocks) to be checked against, and ``eliminated_emission`` gives the
+eliminated model's emitted weight to 40 digits.  The package runs none of
+this, and it builds no operator of the package's: each piece is an oracle for
+a route the package does run."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from w2ghz import dynamics
-from w2ghz.atom_cavity import (
-    EFFECTIVE_LEVELS,
-    FULL_LEVELS,
-    SystemParams,
-    _annihilator,
-    _atom_op,
-    _embed,
-    collapse_operators,
-    full_hamiltonian,
-    full_space,
-)
+from w2ghz.atom_cavity import EFFECTIVE_LEVELS, FULL_LEVELS, SystemParams
 from w2ghz.dynamics import IntegratorConfig, propagate_matrix
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, Operator, StateVector, _require_same_space
 
@@ -65,20 +59,66 @@ class DeviationReport:
         return max(p.leakage for p in self.points)
 
 
+def lowering(n_max: int) -> np.ndarray:
+    """One mode's annihilator on the Fock levels 0..n_max: a|n> = sqrt(n)|n-1>."""
+    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(np.complex128)
+
+
+def transition(levels, ket: str, bra: str) -> np.ndarray:
+    """The atomic operator |ket><bra| on ``levels``."""
+    return np.outer(np.eye(len(levels))[levels.index(ket)], np.eye(len(levels))[levels.index(bra)])
+
+
+def tensor(atom: np.ndarray, ph_l: np.ndarray, ph_r: np.ndarray) -> np.ndarray:
+    """atom x mode L x mode R, in that subsystem order."""
+    return np.kron(atom, np.kron(ph_l, ph_r))
+
+
+def unit_space(n_max: int = 1) -> HilbertSpace:
+    """The six-level atom tensored with the two cavity modes."""
+    return HilbertSpace.of(("atom", 6), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
+
+
+def unit_hamiltonian(params: SystemParams, n_max: int = 1) -> Operator:
+    """Delta |f_j><f_j| + lambda_c (a_j |f_j><e_j| + h.c.)
+    + Omega (|f_j><g_j| + h.c.), summed over the branches j = L, R."""
+    a, eye = lowering(n_max), np.eye(n_max + 1)
+    modes = {"L": (a, eye), "R": (eye, a)}
+    detuning = sum(params.delta * tensor(transition(FULL_LEVELS, "f" + j, "f" + j), eye, eye) for j in "LR")
+    raising = sum(params.lambda_c * tensor(transition(FULL_LEVELS, "f" + j, "e" + j), *modes[j])
+                  + params.omega * tensor(transition(FULL_LEVELS, "f" + j, "g" + j), eye, eye) for j in "LR")
+    return Operator(unit_space(n_max), detuning + raising + raising.conj().T, hermitian=True)
+
+
+def unit_channels(params: SystemParams, n_max: int = 1) -> list[tuple[float, Operator]]:
+    """The unit's Lindblad channels as (rate, operator): a_L and a_R at rate
+    kappa, and the four spontaneous branches |x_j><f_j| (x = g, e) at
+    gamma_a/2 each."""
+    space, a, eye = unit_space(n_max), lowering(n_max), np.eye(n_max + 1)
+    atom = np.eye(len(FULL_LEVELS))
+    channels = [(params.kappa, Operator(space, tensor(atom, a, eye))),
+                (params.kappa, Operator(space, tensor(atom, eye, a)))]
+    for j in "LR":
+        for x in "ge":
+            channels.append((params.gamma_a / 2.0,
+                             Operator(space, tensor(transition(FULL_LEVELS, x + j, "f" + j), eye, eye))))
+    return channels
+
+
 def effective_space(n_max: int = 1) -> HilbertSpace:
     """Four-level ground manifold tensored with the two cavity modes."""
     return HilbertSpace.of(("atom", 4), ("ph_L", n_max + 1), ("ph_R", n_max + 1))
 
 
-def effective_hamiltonian(params: SystemParams) -> Operator:
+def effective_hamiltonian(params: SystemParams, n_max: int = 1) -> Operator:
     """Ground-manifold Hamiltonian after eliminating the upper levels.
 
     Stark terms -(lambda_c^2/Delta) |e_j><e_j| a_j^dag a_j and
     -(Omega^2/Delta) |g_j><g_j|, plus the Raman coupling
     -(lambda_c Omega/Delta) (|g_j><e_j| a_j + h.c.).
     """
-    nph = params.n_max + 1
-    a = _annihilator(nph)
+    nph = n_max + 1
+    a = lowering(n_max)
     num = a.conj().T @ a
     eye = np.eye(nph, dtype=np.complex128)
     stark_e = params.lambda_c**2 / params.delta
@@ -88,22 +128,21 @@ def effective_hamiltonian(params: SystemParams) -> Operator:
     for j, (g, e) in (("L", ("gL", "eL")), ("R", ("gR", "eR"))):
         a_l, a_r = (a, eye) if j == "L" else (eye, a)
         n_l, n_r = (num, eye) if j == "L" else (eye, num)
-        h -= stark_e * _embed(_atom_op(EFFECTIVE_LEVELS, e, e), n_l, n_r)
-        h -= stark_g * _embed(_atom_op(EFFECTIVE_LEVELS, g, g), eye, eye)
-        flip = raman * _embed(_atom_op(EFFECTIVE_LEVELS, g, e), a_l, a_r)
+        h -= stark_e * tensor(transition(EFFECTIVE_LEVELS, e, e), n_l, n_r)
+        h -= stark_g * tensor(transition(EFFECTIVE_LEVELS, g, g), eye, eye)
+        flip = raman * tensor(transition(EFFECTIVE_LEVELS, g, e), a_l, a_r)
         h -= flip + flip.conj().T
-    return Operator(effective_space(params.n_max), h, hermitian=True)
+    return Operator(effective_space(n_max), h, hermitian=True)
 
 
-def conditional_hamiltonian(params: SystemParams) -> Operator:
+def conditional_hamiltonian(params: SystemParams, n_max: int = 1) -> Operator:
     """Effective Hamiltonian minus i*kappa * sum_j a_j^dag a_j (no-jump decay)."""
-    nph = params.n_max + 1
-    num = _annihilator(nph).conj().T @ _annihilator(nph)
+    num = lowering(n_max).conj().T @ lowering(n_max)
     eye4 = np.eye(4, dtype=np.complex128)
-    eye = np.eye(nph, dtype=np.complex128)
-    total_num = _embed(eye4, num, eye) + _embed(eye4, eye, num)
-    h = effective_hamiltonian(params).elements - 1j * params.kappa * total_num
-    return Operator(effective_space(params.n_max), h, hermitian=False)
+    eye = np.eye(n_max + 1, dtype=np.complex128)
+    total_num = tensor(eye4, num, eye) + tensor(eye4, eye, num)
+    h = effective_hamiltonian(params, n_max).elements - 1j * params.kappa * total_num
+    return Operator(effective_space(n_max), h, hermitian=False)
 
 
 def effective_embedding(n_max: int = 1) -> np.ndarray:
@@ -118,7 +157,7 @@ def effective_embedding(n_max: int = 1) -> np.ndarray:
     for k, level in enumerate(EFFECTIVE_LEVELS):
         atom_embed[FULL_LEVELS.index(level), k] = 1.0
     eye = np.eye(nph, dtype=np.complex128)
-    return _embed(atom_embed, eye, eye)
+    return tensor(atom_embed, eye, eye)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -187,7 +226,7 @@ def lindblad_evolve(h: Operator, collapse: list[tuple[float, Operator]], rho0: D
     return result
 
 
-def tensor_space_deviation(params: SystemParams, t_grid) -> DeviationReport:
+def tensor_space_deviation(params: SystemParams, t_grid, n_max: int = 1) -> DeviationReport:
     """Evolve |g_L, vacuum> under the six-level and the eliminated four-level
     Hamiltonians and report, per grid time, the trace distance between the
     four-level state and the (unnormalized) projection of the six-level state
@@ -197,9 +236,9 @@ def tensor_space_deviation(params: SystemParams, t_grid) -> DeviationReport:
     the model difference rather than integration error.  Density matrices make
     the comparison insensitive to any global phase.
     """
-    h_full = full_hamiltonian(params)
-    h_eff = effective_hamiltonian(params)
-    embed = effective_embedding(params.n_max)
+    h_full = unit_hamiltonian(params, n_max)
+    h_eff = effective_hamiltonian(params, n_max)
+    embed = effective_embedding(n_max)
 
     e_full, v_full = np.linalg.eigh(h_full.elements)
     e_eff, v_eff = np.linalg.eigh(h_eff.elements)
@@ -213,7 +252,7 @@ def tensor_space_deviation(params: SystemParams, t_grid) -> DeviationReport:
     c_full = v_full.conj().T @ psi0_full
     c_eff = v_eff.conj().T @ psi0_eff
 
-    eff_space = effective_space(params.n_max)
+    eff_space = effective_space(n_max)
     points = []
     for t in t_grid:
         psi_full = v_full @ (np.exp(-1j * e_full * t) * c_full)
@@ -228,9 +267,9 @@ def tensor_space_deviation(params: SystemParams, t_grid) -> DeviationReport:
     return DeviationReport(tuple(points))
 
 
-def unit_levels(n_max: int) -> list[int]:
+def unit_levels(n_max: int = 1) -> list[int]:
     """Indices of |gL,0,0>, |gR,0,0>, |eL,1,0> and |eR,0,1> in the unit space."""
-    space = full_space(n_max)
+    space = unit_space(n_max)
     return [space.basis_index(FULL_LEVELS.index(level), n_l, n_r)
             for level, n_l, n_r in (("gL", 0, 0), ("gR", 0, 0), ("eL", 1, 0), ("eR", 0, 1))]
 
@@ -245,7 +284,7 @@ def liouvillian(h: Operator, collapse: list[tuple[float, Operator]]) -> np.ndarr
             + sum(rate * np.kron(c.elements, c.elements.conj()) for rate, c in collapse))
 
 
-def unit_outputs(params: SystemParams, t: float, dt: float | None = None) -> np.ndarray:
+def unit_outputs(params: SystemParams, t: float, dt: float | None = None, n_max: int = 1) -> np.ndarray:
     """The outputs of |gL><gL|, |gR><gR| and |gL><gR| tensor vacuum at time
     t on the whole unit space, stacked: by ``propagate_matrix`` at RK4 step
     dt, or without one by scipy's exponential of ``liouvillian``.  That is
@@ -256,21 +295,39 @@ def unit_outputs(params: SystemParams, t: float, dt: float | None = None) -> np.
     from scipy.sparse import csr_matrix
     from scipy.sparse.linalg import expm_multiply
 
-    g_l, g_r, _, _ = unit_levels(params.n_max)
-    n = full_space(params.n_max).total_dim
+    g_l, g_r, _, _ = unit_levels(n_max)
+    n = unit_space(n_max).total_dim
     inputs = np.zeros((3, n, n), dtype=np.complex128)
     for k, (i, j) in enumerate(((g_l, g_l), (g_r, g_r), (g_l, g_r))):
         inputs[k, i, j] = 1.0
-    h, collapse = full_hamiltonian(params), collapse_operators(params)
+    h, collapse = unit_hamiltonian(params, n_max), unit_channels(params, n_max)
     if dt is not None:
         return propagate_matrix(h, collapse, inputs, t, IntegratorConfig(dt=dt))
     generator, columns = liouvillian(h, collapse) * t, inputs.reshape(3, n * n).T
-    out = expm(generator) @ columns if params.n_max == 1 else expm_multiply(csr_matrix(generator), columns)
+    out = expm(generator) @ columns if n_max == 1 else expm_multiply(csr_matrix(generator), columns)
     return out.T.reshape(3, n, n)
 
 
-def block_of(outputs: np.ndarray, n_max: int) -> np.ndarray:
+def block_of(outputs: np.ndarray, n_max: int = 1) -> np.ndarray:
     """M = [[P_L, C], [conj(C), P_R]] read off ``unit_outputs``."""
     _, _, e_l, e_r = unit_levels(n_max)
     m_ll, m_rr, m_lr = outputs
     return np.array([[m_ll[e_l, e_l], m_lr[e_l, e_r]], [np.conj(m_lr[e_l, e_r]), m_rr[e_r, e_r]]])
+
+
+def eliminated_emission(params: SystemParams, t: float) -> float:
+    """|beta(t)|^2 of the eliminated model, from a 40-digit mpmath exponential
+    of t times its no-jump generator on {|g_j,0>, |e_j,1_j>},
+
+        [[i Omega^2/Delta,          i lambda_c Omega/Delta],
+         [i lambda_c Omega/Delta,   i lambda_c^2/Delta - kappa]],
+
+    applied to |g_j,0>: the same -i kappa a^dag a no-jump term as the
+    paper's P_d, written out here and not read from the package."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        delta, lambda_c, omega, kappa = map(mpmath.mpf, (params.delta, params.lambda_c, params.omega, params.kappa))
+        raman = 1j * lambda_c * omega / delta
+        generator = mpmath.matrix([[1j * omega**2 / delta, raman], [raman, 1j * lambda_c**2 / delta - kappa]])
+        return float(abs(mpmath.expm(generator * mpmath.mpf(t))[1, 0]) ** 2)
