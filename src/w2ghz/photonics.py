@@ -2,21 +2,22 @@
 
 Photons leaving the three cavities are tracked as occupation numbers per
 (spatial mode, polarization) slot attached to each atomic configuration.
-Circular cavity polarizations are written "L"/"R"; after the quarter-wave
-plates the free photons carry linear polarizations "V"/"H".  The polarizing
-beam splitters deterministically reroute photons by polarization, and the
-half-wave plates mix H and V on each output mode.
+Circular cavity polarizations are written "L"/"R", and the detector slots
+hold the linear polarizations "H"/"V" of the three output modes.
 
-Occupation amplitudes follow bosonic creation-operator conventions: stacking
-two photons in one slot contributes the usual sqrt(2) factor, which is what
-makes every element transformation an exact isometry (two photons meeting on
-one mode interfere Hong-Ou-Mandel style into |2,0> - |0,2>).
+The network is passive linear optics: the quarter-wave plates, polarizing
+beam splitters and half-wave plates each act on one photon.  So
+``_mode_matrix`` states it once, as the 6x6 single-photon matrix from
+(atom, L/R) to the detector slots, and every multi-photon amplitude follows
+from it by the bosonic rule: stacking two photons in one slot contributes
+the usual sqrt(2) factor, which keeps the map an exact isometry (two photons
+meeting on one mode interfere Hong-Ou-Mandel style into |2,0> - |0,2>).
 
-``network_map`` compiles the whole network of one layout into a single
-linear map from the 27 emission slots of the three cavities (each empty, or
-holding one L or one R photon) to detector-slot occupations; the protocol
-runs on it, and ``full_network`` is its term-by-term view.  Both are checked
-against the element-by-element stages in ``tests/staged_reference.py``.
+``network_map`` compiles that rule for one layout into a single linear map
+from the 27 emission slots of the three cavities (each empty, or holding one
+L or one R photon) to detector-slot occupations; the protocol runs on it,
+and ``full_network`` is its term-by-term view.  Both are checked against the
+element-by-element stages in ``tests/staged_reference.py``.
 """
 
 from __future__ import annotations
@@ -115,42 +116,20 @@ DEFAULT_LAYOUT = NetworkLayout(((("a", "V"), 7), (("a", "H"), 9), (("b", "V"), 8
                                 (("b", "H"), 7), (("c", "V"), 9), (("c", "H"), 8)))
 
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-
-
-def _expand_superposition_photons(photons) -> dict:
-    """Occupation amplitudes of a product of single-photon superposition
-    states, each given as (mode, sign) meaning (|H_mode> + sign |V_mode>)/sqrt2,
-    keyed by the photon count of every slot in DETECTOR_SLOTS order; exact
-    zeros (two photons cancelling on one mode) are left out.
-
-    Implemented by polynomial multiplication of creation operators followed by
-    the sqrt(n!) occupation normalization.
-    """
-    poly = {(0,) * len(DETECTOR_SLOTS): 1.0}
-    for mode, sign in photons:
-        new_poly: dict = {}
-        for counts, coeff in poly.items():
-            for pol, weight in (("H", _SQ2), ("V", sign * _SQ2)):
-                grown = list(counts)
-                grown[DETECTOR_SLOTS.index((mode, pol))] += 1
-                key = tuple(grown)
-                new_poly[key] = new_poly.get(key, 0.0) + coeff * weight
-        poly = new_poly
-    amplitudes: dict = {}
-    for counts, coeff in poly.items():
-        factor = 1.0
-        for count in counts:
-            factor *= math.sqrt(math.factorial(count))
-        if coeff != 0.0:
-            amplitudes[counts] = coeff * factor
-    return amplitudes
-
-
-# Per-photon element rules: the quarter-wave plate turns L into V and R into
-# H, and the half-wave plate sends H to (H + V)/sqrt2 and V to (H - V)/sqrt2.
-_QWP = {"L": "V", "R": "H"}
-_HWP_SIGN = {"H": 1.0, "V": -1.0}
+def _mode_matrix(layout: NetworkLayout) -> np.ndarray:
+    """The network's action on one photon: column 2a + p is where atom a's
+    photon of circular polarization ("L", "R")[p] ends up, over
+    DETECTOR_SLOTS.  The quarter-wave plate turns L into V and R into H,
+    ``layout`` routes the photon to its output mode, and the half-wave plate
+    there sends H to (H + V)/sqrt2 and V to (H - V)/sqrt2."""
+    weight = 1.0 / math.sqrt(2.0)
+    matrix = np.zeros((len(DETECTOR_SLOTS), 2 * len(ATOMS)))
+    for a, atom in enumerate(ATOMS):
+        for p, (pol, v_weight) in enumerate((("V", -weight), ("H", weight))):
+            mode = layout.route(atom, pol)
+            matrix[DETECTOR_SLOTS.index((mode, "H")), 2 * a + p] = weight
+            matrix[DETECTOR_SLOTS.index((mode, "V")), 2 * a + p] = v_weight
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -170,20 +149,26 @@ class NetworkMap:
 
 @functools.lru_cache(maxsize=None)  # keyed by layout; there are 36 valid ones
 def network_map(layout: NetworkLayout) -> NetworkMap:
-    """Compile the quarter-wave plates, beam-splitter routing and half-wave
-    plates of ``layout`` into one map, photon by photon: each emitted photon
-    passes the quarter-wave plate, is routed to its output mode, and becomes
-    the half-wave plate's image there; the photons of one emission slot then
-    multiply as creation operators, which keeps the two-photon sectors exact.
+    """Compile ``layout``'s network from its single-photon matrix T by the
+    bosonic rule: an emission slot's photons enter columns i_1..i_k of T, and
+    occupation n gets sqrt(prod n_o!) times the sum of prod_j T[o_j, i_j]
+    over the ordered detector slots (o_1..o_k) with counts n, which is
+    Perm(T[rows(n), inputs]) / sqrt(prod n_o!).  Only nonzero entries of T
+    are visited, and exact zeros (photons cancelling on one mode) are left out.
     """
+    outputs = [[(o, amp) for o, amp in enumerate(column) if amp != 0.0] for column in _mode_matrix(layout).T.tolist()]
     columns = []
     for emission in itertools.product(EMISSIONS, repeat=len(ATOMS)):
-        photons = []
-        for atom, circular in zip(ATOMS, emission):
-            if circular is not None:
-                pol = _QWP[circular]
-                photons.append((layout.route(atom, pol), _HWP_SIGN[pol]))
-        columns.append(_expand_superposition_photons(photons))
+        inputs = [2 * a + ("L", "R").index(c) for a, c in enumerate(emission) if c is not None]
+        sums: dict = {}
+        for path in itertools.product(*(outputs[i] for i in inputs)):
+            counts, amp = [0] * len(DETECTOR_SLOTS), 1.0
+            for o, weight in path:
+                counts[o] += 1
+                amp *= weight
+            sums[tuple(counts)] = sums.get(tuple(counts), 0.0) + amp
+        columns.append({counts: amp * math.prod(math.sqrt(math.factorial(n)) for n in counts)
+                        for counts, amp in sums.items() if amp != 0.0})
     occupations = sorted({counts for column in columns for counts in column})
     row = {counts: index for index, counts in enumerate(occupations)}
     matrix = np.zeros((len(occupations), len(columns)), dtype=np.complex128)

@@ -13,9 +13,9 @@ states.
 
 The analytic state's rows, hand-written data, are read from
 ``checks._REFERENCE_ROWS`` and expanded into photon occupations here.  The
-import of ``checks`` builds that module's own reference arrays with
-``photonics._expand_superposition_photons``, which ``network_map`` also
-runs; the walk follows definitions only, so it does not see that data."""
+import of ``checks`` builds that module's own reference arrays with its own
+expansion, which shares no code with ``network_map``
+(``tests/test_api.py::test_validate_reference_shares_no_code_with_the_route``)."""
 
 import itertools
 import math

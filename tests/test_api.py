@@ -315,15 +315,16 @@ def oracle_reads(path: Path) -> set:
 
 
 # What the test-side oracles must not reach: the compiled routes they check,
-# the detection table and classes those routes index, the hand-listed
-# branch levels the exact unit route rests on, and the unit's builders.
+# the network's single-photon matrix they are compiled from, the detection
+# table and classes those routes index, the hand-listed branch levels the
+# exact unit route rests on, and the unit's builders.
 COMPILED = frozenset({"full_network", "cavity_interaction", "network_map", "_configuration_amplitudes",
                       "_network_amplitudes", "network_state", "heralded_states", "decay_coefficients",
                       "transfer_coefficients", "compare_full_vs_effective", "master_equation_estimates",
                       "emitted_block", "_expm_minus_identity", "branch_levels", "detect_amplitudes",
                       "_corrected_fidelities", "_CLASSES", "_MINUS", "_weight_table", "_report",
                       "_PATTERN_SETS", "_ACCEPTED_INDICES", "_FLIP_SIGNS", "fidelities", "classify_pattern",
-                      "full_hamiltonian", "collapse_operators"})
+                      "full_hamiltonian", "collapse_operators", "_mode_matrix"})
 
 
 def test_staged_reference_is_independent():
@@ -348,11 +349,26 @@ def test_staged_reference_is_independent():
     ("from w2ghz.atom_cavity import collapse_operators, full_hamiltonian\n\n"
      "def f(params):\n    return full_hamiltonian(params), collapse_operators(params)\n",
      {"full_hamiltonian", "collapse_operators"}),
-], ids=["foreign-import", "transitive", "bare-name", "unit-builder"])
+    # The network's single-photon matrix the compiled map is built from.
+    ("from w2ghz.photonics import _mode_matrix\n\n"
+     "def f(layout):\n    return _mode_matrix(layout)\n",
+     {"_mode_matrix"}),
+], ids=["foreign-import", "transitive", "bare-name", "unit-builder", "mode-matrix"])
 def test_independence_guard_flags(tmp_path, source, flagged):
     path = tmp_path / "oracle.py"
     path.write_text(source)
     assert flagged <= oracle_reads(path) & COMPILED
+
+
+def test_validate_reference_shares_no_code_with_the_route():
+    # network-reference-state's analytic state is expanded by checks' own
+    # code: no package definition the reference reaches is one the compiled
+    # network reaches, so a fault in either cannot cancel in the comparison.
+    definitions, _ = package_definitions()
+    reference = reached(definitions, {(ast.Name, "_reference_terms")})
+    route = reached(definitions, {(ast.Name, "network_map")})
+    assert not reference & route, f"both reach {sorted(reference & route)}"
+    assert "checks._expand_photons" in reference and "photonics._mode_matrix" in route
 
 
 # One case per benchmark source, or one skipped case in a checkout without it.

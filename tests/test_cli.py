@@ -640,29 +640,50 @@ class TestChecksApi:
         assert result.name == "network-reference-state"
 
     def test_photon_normalization_fault_detected(self, monkeypatch):
-        # Occupations normalized by n! instead of sqrt(n!), in the network
-        # and in the analytic state alike: the term-by-term comparison
-        # cannot see it, but the network is then no isometry.
-        expand = photonics._expand_superposition_photons
+        # Occupations normalized by n! instead of sqrt(n!) in the compiled
+        # route alone: every entry of an occupation with a doubly occupied
+        # slot gains a factor sqrt2.  The analytic reference, expanded by
+        # checks' own code, sees it term by term, and the map is then no
+        # isometry.
+        compile_map = photonics.network_map
 
-        def by_factorial(photons):
+        def by_factorial(layout):
+            network = compile_map(layout)
+            scale = [math.prod(math.sqrt(math.factorial(n)) for n in counts) for counts in network.counts]
+            return photonics.NetworkMap(network.matrix * np.array(scale)[:, None], network.counts)
+
+        monkeypatch.setattr(protocol, "network_map", by_factorial)
+        monkeypatch.setattr(checks, "network_map", by_factorial)
+        deviation, result = checks.network_reference_deviation(), check_network_reference_state()
+        assert deviation >= 1e-12
+        assert not result.passed
+        assert result.detail == f"max per-term amplitude deviation = {deviation:.3e}; max |M^H M - I| = 1.000e+00"
+
+    @pytest.mark.parametrize("fault", ["n-factorial", "v-sign"])
+    def test_reference_expansion_fault_detected(self, monkeypatch, fault):
+        # A fault in checks' own expansion of the analytic rows alone, which
+        # the route does not run: occupations normalized by n! instead of
+        # sqrt(n!), or every V weight flipped.  The term-by-term comparison
+        # sees it, while the route stays an isometry.
+        expand = checks._expand_photons
+
+        def faulty(photons):
+            if fault == "v-sign":
+                return expand([(mode, -sign) for mode, sign in photons])
             return {counts: amp * math.prod(math.sqrt(math.factorial(n)) for n in counts)
                     for counts, amp in expand(photons).items()}
 
-        monkeypatch.setattr(photonics, "_expand_superposition_photons", by_factorial)
-        monkeypatch.setattr(checks, "_expand_superposition_photons", by_factorial)
+        monkeypatch.setattr(checks, "_expand_photons", faulty)
         config, counts, amps = checks._reference_terms()
         for name, value in (("CONFIG", config), ("COUNTS", counts), ("AMPS", amps),
                             ("ANCHOR", int(np.argmax(np.abs(amps))))):
             monkeypatch.setattr(checks, f"_REFERENCE_{name}", value)
-        photonics.network_map.cache_clear()
-        try:
-            deviation, result = checks.network_reference_deviation(), check_network_reference_state()
-        finally:
-            photonics.network_map.cache_clear()
-        assert deviation < 1e-12
+        deviation, result = checks.network_reference_deviation(), check_network_reference_state()
+        assert deviation >= 1e-12
         assert not result.passed
-        assert result.detail.endswith("; max |M^H M - I| = 1.000e+00")
+        head, isometry = result.detail.split("; max |M^H M - I| = ")
+        assert head == f"max per-term amplitude deviation = {deviation:.3e}"
+        assert float(isometry) < 1e-12
 
     @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout.routing))
     def test_network_check_matches_staged_pipeline(self, monkeypatch, layout):

@@ -29,6 +29,7 @@ from w2ghz.photonics import (
     SOURCE_MODES,
     JointAtomPhotonState,
     NetworkLayout,
+    _mode_matrix,
     full_network,
     network_map,
 )
@@ -256,6 +257,41 @@ class TestNetworkMap:
                 occupation = dict(occ)
                 column[row[tuple(occupation.get(slot, 0) for slot in DETECTOR_SLOTS)]] = amp
             assert np.max(np.abs(m[:, s] - column)) <= 1e-14
+
+    @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
+    def test_mode_matrix_is_orthogonal_and_the_one_photon_columns(self, layout):
+        # The single-photon matrix loses no photon, and each of its columns
+        # is the map's column for that photon emitted alone.
+        t = _mode_matrix(layout)
+        assert np.max(np.abs(t.T @ t - np.eye(2 * len(ATOMS)))) <= 1e-15
+        network = network_map(layout)
+        single = np.flatnonzero(network.counts.sum(axis=1) == 1)
+        for a in range(len(ATOMS)):
+            for p, circular in enumerate(("L", "R")):
+                emission = [0] * len(ATOMS)
+                emission[a] = EMISSIONS.index(circular)
+                s = np.ravel_multi_index(emission, (len(EMISSIONS),) * len(ATOMS))
+                column = np.zeros(len(DETECTOR_SLOTS), dtype=complex)
+                column[network.counts[single].argmax(axis=1)] = network.matrix[single, s]
+                assert np.count_nonzero(network.matrix[:, s]) == np.count_nonzero(column) == 2
+                assert np.array_equal(column, t[:, 2 * a + p])
+
+    def test_hong_ou_mandel(self):
+        # Emission slot 19: a holds R, b is empty, c holds L.  On the
+        # paper's network both photons reach output mode 9, one as H and
+        # one as V, and the half-wave plate there makes them bunch:
+        # +1/sqrt2 on two H photons, -1/sqrt2 on two V photons, and no
+        # (9H, 9V) coincidence row at all.
+        assert [EMISSIONS[i] for i in np.unravel_index(19, (len(EMISSIONS),) * len(ATOMS))] == ["R", None, "L"]
+        network = network_map(DEFAULT_LAYOUT)
+        h, v = DETECTOR_SLOTS.index((9, "H")), DETECTOR_SLOTS.index((9, "V"))
+        two_h, two_v, coincidence = np.zeros((3, len(DETECTOR_SLOTS)), dtype=np.intp)
+        two_h[h], two_v[v], coincidence[[h, v]] = 2, 2, 1
+        column = {tuple(counts): amp for counts, amp in zip(network.counts.tolist(), network.matrix[:, 19]) if amp}
+        assert column.keys() == {tuple(two_h), tuple(two_v)}
+        assert column[tuple(two_h)] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert column[tuple(two_v)] == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
+        assert not (network.counts == coincidence).all(axis=1).any()
 
     def test_cached_per_layout(self):
         assert network_map(DEFAULT_LAYOUT) is network_map(DEFAULT_LAYOUT)
