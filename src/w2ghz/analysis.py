@@ -132,7 +132,7 @@ def pd_closed_form(params: SystemParams, t):
     phi_sq = kappa_m * kappa_m - 4.0 * eta_m * eta_m
     phi = math.sqrt(abs(phi_sq))
     ts = _times(t)
-    _require_resolved(kappa + 2.0 * eta, ts)
+    _require_resolved(params, ts)
 
     def critical(t):
         # Critically damped neighbourhood: sinh(x)/x -> 1 + x^2/6.

@@ -88,23 +88,15 @@ def _split(owned, branch, rest, x):
     return out
 
 
-def _require_time(t: float) -> None:
-    """Raise ValueError naming ``t`` unless it is a finite, non-negative time."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be a finite non-negative time, got {t}")
-
-
 def _times(t):
     """A time as a float, or an array of times as a float array, after
     checking that every time is finite and non-negative."""
-    if not isinstance(t, float):
-        times = np.asarray(t, dtype=float)
-        if times.ndim:
-            for extreme in (times.min(), times.max()):  # a nan is its own extreme
-                _require_time(float(extreme))
-            return times
-    _require_time(float(t))
-    return float(t)
+    times = float(t) if isinstance(t, float) or not np.ndim(t) else np.asarray(t, dtype=float)
+    extremes = (times,) if isinstance(times, float) else (float(times.min()), float(times.max()))
+    for extreme in extremes:  # a nan is its own extreme
+        if not (math.isfinite(extreme) and extreme >= 0.0):
+            raise ValueError(f"t must be a finite non-negative time, got {extreme}")
+    return times
 
 
 # Largest fast phase (kappa + S) t the closed forms accept, S being the
@@ -117,30 +109,27 @@ def _times(t):
 _MAX_PHASE = 2.0**50
 
 
-def _require_resolved(rate: float, t) -> None:
-    """Raise ValueError when the fast phase rate * t, at the latest of the
-    checked times ``t``, is finite but past _MAX_PHASE.  A phase past the
-    float range is a range failure, not a resolution one: it leaves a
-    non-finite result, which the callers refuse as such."""
+def _fast_rate(params: SystemParams) -> float:
+    """kappa + S, the rate of the fast phase _MAX_PHASE bounds."""
+    return params.kappa + sum(params.light_shifts)
+
+
+def _require_resolved(params: SystemParams, t) -> None:
+    """Raise ValueError when the fast phase, at the latest of the checked
+    times ``t``, is finite but past _MAX_PHASE.  A phase past the float
+    range leaves non-finite results, for a time as for an array of times,
+    which the callers refuse as such."""
     t_max = t if isinstance(t, float) else float(t.max())
-    phase = rate * t_max
+    phase = _fast_rate(params) * t_max
     if _MAX_PHASE < phase < math.inf:
         raise ValueError(f"t = {t_max!r} puts the fast phase (kappa + light shifts) * t = {phase:.3g} rad "
                          f"past double resolution (2^50 rad)")
 
 
-def _complex_expm1(z: complex) -> complex:
-    """e^z - 1 without cancellation for small |z|, rounded as numpy's
-    complex expm1 rounds: Re = expm1(x) cos(y) - 2 sin^2(y/2), Im = e^x sin(y)."""
-    half = math.sin(z.imag / 2.0)
-    return complex(math.expm1(z.real) * math.cos(z.imag) - 2.0 * half * half,
-                   math.exp(z.real) * math.sin(z.imag))
-
-
 def _product(a, b):
-    """a * b for complex arrays, rounded as Python rounds a * b for complex
-    scalars: numpy may fuse a multiply-add in its complex product, so the
-    product is taken in real arithmetic."""
+    """a * b for complex arrays, rounded as a * b rounds for complex scalars,
+    non-finite parts included: numpy may fuse a multiply-add in its complex
+    array product, so the product is taken in real arithmetic."""
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
@@ -171,12 +160,13 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     lossless transfer.
 
     ``t`` is a time or an array of times: a scalar gives complex alpha and
-    beta, an array complex arrays of its shape.  A time whose fast phase
-    (kappa + S) t is past double resolution raises ValueError naming it.
+    beta, an array complex arrays of its shape with each time's own bits.
+    A time whose fast phase (kappa + S) t is past double resolution raises
+    ValueError naming it; one past the float range gives non-finite values.
     """
     ts = _times(t)
+    _require_resolved(params, ts)
     stark_e, stark_g = params.light_shifts
-    _require_resolved(params.kappa + stark_e + stark_g, ts)
     g = (params.lambda_c / params.delta) * params.omega
     two_d = complex(params.kappa, stark_g - stark_e)
     m = _binade(max(abs(two_d.real), abs(two_d.imag), g))
@@ -191,10 +181,7 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     denominator = (a * a + b * b + v * v + abs(root) ** 2) * (a + root.real)
     decay = -2.0 * a * a * v * v / denominator if denominator else 0.0
     rate = complex(decay * (m / 2.0), (stark_e + stark_g) / 2.0 + s.imag)
-    if isinstance(ts, float):
-        exp, expm1, product = cmath.exp, _complex_expm1, operator.mul
-    else:
-        exp, expm1, product = np.exp, np.expm1, _product
+    product = operator.mul if isinstance(ts, float) else _product
 
     def h_series(t):
         x = s * t
@@ -203,11 +190,11 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
     def h_direct(t):
         # 1/(2x) as the constant 1/(2s) times 1/t: no per-time complex
         # division, which Python and numpy round differently.
-        return product(-expm1(-2.0 * (s * t)), (0.5 / s) * (1.0 / t))
+        return product(-np.expm1(-2.0 * (s * t)), (0.5 / s) * (1.0 / t))
 
     x = s * ts
     h = _split(abs(x.real) + abs(x.imag) < 1e-6, h_series, h_direct, ts)
-    envelope = exp(rate * ts)
+    envelope = np.exp(rate * ts)
     return EvolutionCoefficients(product(envelope, 1.0 + product((two_d / 2.0 - s) * ts, h)),
                                  product(envelope, product(1j * g * ts, h)))
 
@@ -242,7 +229,7 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     refused as in ``decay_coefficients`` or where it takes the generator
     past the float range, and an M that is not a state raises RuntimeError."""
     t = _times(float(t))
-    _require_resolved(params.kappa + sum(params.light_shifts), t)
+    _require_resolved(params, t)
     collapse = [(rate, op.elements) for rate, op in collapse_operators(params)]
     drift = -1j * full_hamiltonian(params).elements - 0.5 * sum(rate * (c.conj().T @ c) for rate, c in collapse)
     ix = [np.ix_(levels, levels) for levels in (branch_levels(j) for j in "LR")]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, GROUND_LEVELS, SystemParams
 from .detection import _CLASSES, ClickPattern, DetectionReport, OutcomeClass, atomic_space, detect_amplitudes
-from .dynamics import _MAX_PHASE, EvolutionCoefficients, _require_resolved, _require_time, decay_coefficients
+from .dynamics import _MAX_PHASE, EvolutionCoefficients, _fast_rate, _require_resolved, _times, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
@@ -245,14 +245,15 @@ class ProtocolRun:
         }
 
 
-def require_modelled(params: SystemParams, t: float | None = None) -> None:
-    """Raise ValueError for params ``run_protocol`` does not model: a nonzero
-    ``gamma_a`` (it models cavity decay only), a drive whose light shifts
-    lambda_c^2/Delta and Omega^2/Delta, or their sum, are past the float
-    range, or an interaction time t (default: the operating time) at which
-    the fast phase of ``decay_coefficients`` is past the float range or
-    double resolution; at the operating time, where that phase is
-    pi (1 + kappa/S), S the light-shift sum, the error names ``kappa``."""
+def require_modelled(params: SystemParams, t: float | None = None) -> float:
+    """The interaction time t (default: the operating time) ``run_protocol``
+    runs at these params, or ValueError where it does not model them: a
+    nonzero ``gamma_a`` (it models cavity decay only), a drive whose light
+    shifts lambda_c^2/Delta and Omega^2/Delta, or their sum, are past the
+    float range, or a t at which the fast phase of ``decay_coefficients`` is
+    past the float range or double resolution; at the operating time, where
+    that phase is pi (1 + kappa/S), S the light-shift sum, the error names
+    ``kappa``."""
     if params.gamma_a != 0.0:
         raise ValueError(f"field 'gamma_a': run_protocol models cavity decay only and needs "
                          f"gamma_a = 0, got {params.gamma_a}")
@@ -260,16 +261,17 @@ def require_modelled(params: SystemParams, t: float | None = None) -> None:
     if not math.isfinite(shift_e + shift_g):
         raise ValueError(f"fields 'lambda_c', 'omega' and 'delta': the light shifts lambda_c^2/delta = "
                          f"{shift_e!r} and omega^2/delta = {shift_g!r} sum past the float range")
-    rate = params.kappa + shift_e + shift_g
     if t is None:
         t = params.operating_time
-        if not rate * t <= _MAX_PHASE:
+        if not _fast_rate(params) * t <= _MAX_PHASE:
             raise ValueError(f"field 'kappa': kappa = {params.kappa!r} puts the fast phase (kappa + light shifts) * t "
                              f"at the operating time {t!r} past double resolution (2^50 rad)")
-    _require_time(t)
-    if rate * t == math.inf:
+        return t
+    _times(t)
+    if _fast_rate(params) * t == math.inf:
         raise ValueError(f"t = {t!r} puts the fast phase (kappa + light shifts) * t past the float range")
-    _require_resolved(rate, t)
+    _require_resolved(params, t)
+    return t
 
 
 def run_protocol(params: SystemParams, t: float | None = None) -> ProtocolRun:
@@ -283,9 +285,7 @@ def run_protocol(params: SystemParams, t: float | None = None) -> ProtocolRun:
     decay is not part of this model; ``require_modelled`` rejects the params
     it does not cover.
     """
-    require_modelled(params, t)
-    if t is None:
-        t = params.operating_time
+    t = require_modelled(params, t)
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
     report, conditional, kept = heralded_states(transfer_coefficients(params, t), params.eta_d)

@@ -1,9 +1,10 @@
 import functools
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, lossless_heralded
 from unit_reference import block_of, unit_channels, unit_hamiltonian, unit_levels, unit_outputs, unit_space
@@ -21,6 +22,7 @@ from w2ghz.analysis import (
     pd_closed_form,
     pd_numeric,
     pd_sweep,
+    pd_sweep_table,
     reference_noise_params,
 )
 from w2ghz.atom_cavity import (
@@ -271,6 +273,59 @@ class TestRateScaling:
         expected, got = master_equation_estimates(noisy), master_equation_estimates(scaled(noisy))
         for field in fields(FidelityEstimates):
             assert getattr(got, field.name) == pytest.approx(getattr(expected, field.name), rel=1e-12, abs=0.0)
+
+
+class TestBinaryRateScaling:
+    # A power-of-two s multiplies every rate and divides every time exactly,
+    # so with no absolute rate scale in the package each output is the same
+    # float, bit for bit, over TestRateScaling's range, where that test
+    # allows 1e-12 for its decimal s.
+    @given(k=st.integers(min_value=-150, max_value=150),
+           delta=st.floats(min_value=1.0, max_value=50.0),
+           lambda_c=st.floats(min_value=0.1, max_value=3.0),
+           omega=st.floats(min_value=0.1, max_value=3.0),
+           kappa=st.floats(min_value=0.0, max_value=0.5),
+           gamma_a=st.floats(min_value=0.0, max_value=0.5))
+    # ROADMAP item 13's draw, which TestRateScaling's s = 100 fails by 1.07e-12.
+    @example(k=7, delta=45.44064341836843, lambda_c=0.125, omega=0.25, kappa=0.5, gamma_a=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_exact_under_binary_scaling(self, k, delta, lambda_c, omega, kappa, gamma_a):
+        s = 2.0**k
+
+        def scaled(params):
+            return SystemParams(delta=params.delta * s, lambda_c=params.lambda_c * s,
+                                omega=params.omega * s, kappa=params.kappa * s, gamma_a=params.gamma_a * s)
+
+        def same_bits(got, expected):
+            return np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        times = np.linspace(0.0, 3.0, 31) * params.operating_time
+        expected, got = decay_coefficients(params, times), decay_coefficients(scaled(params), times / s)
+        assert same_bits(got.alpha, expected.alpha) and same_bits(got.beta, expected.beta)
+
+        symmetric = SystemParams(delta=delta, lambda_c=lambda_c, omega=lambda_c, kappa=kappa)
+        times = np.linspace(0.0, 3.0, 31) * symmetric.operating_time
+        assert same_bits(pd_closed_form(scaled(symmetric), times / s), pd_closed_form(symmetric, times))
+
+        expected, got = run_protocol(params), run_protocol(scaled(params))
+        assert same_bits([got.time * s, got.success_probability, got.fidelity],
+                         [expected.time, expected.success_probability, expected.fidelity])
+
+        noisy = replace(params, gamma_a=gamma_a)
+        expected, got = master_equation_estimates(noisy), master_equation_estimates(scaled(noisy))
+        assert same_bits([getattr(got, field.name) for field in fields(FidelityEstimates)],
+                         [getattr(expected, field.name) for field in fields(FidelityEstimates)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pd_sweep_table(SweepSpec("kappa_t", 0.0, 1.0, 10, SystemParams(delta=20.0, lambda_c=1.0, omega=1.0))),
+     "decay sweep needs kappa > 0"),
+    (lambda: reference_noise_params(0.0), "lambda_c/gamma_a must be positive, got 0.0"),
+], ids=["sweep-without-decay", "no-spontaneous-ratio"])
+def test_input_refused(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 class TestReferenceParams:

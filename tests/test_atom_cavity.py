@@ -123,6 +123,14 @@ class TestSystemParams:
                 SystemParams.from_json_dict({"delta": 1.0, "lambda_c": 1.0, "omega": 1.0, "n_max": n_max})
 
 
+@pytest.mark.parametrize("document, message", [
+    ([], "params document must be a JSON object, got list"),
+], ids=["not-an-object"])
+def test_document_refused(document, message):
+    with pytest.raises(ValueError, match=message):
+        SystemParams.from_json_dict(document)
+
+
 class TestFullHamiltonian:
     def test_is_hermitian(self):
         h = full_hamiltonian(PARAMS).elements

@@ -41,6 +41,18 @@ def write_json(tmp_path, name, payload):
     return str(path)
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["ideal-run"], [1], "must hold a JSON object, got list"),
+    (["sweep-decay"], {"sweep": 3}, "config error: field 'sweep': expected an object"),
+    (["sweep-decay", "--eta-over-kappa", ","], None, "config error: --eta-over-kappa needs at least one ratio"),
+], ids=["config-not-an-object", "sweep-not-an-object", "no-ratio"])
+def test_input_refused(tmp_path, capsys, argv, config, message):
+    args = argv if config is None else [*argv, "--config", write_json(tmp_path, "cfg.json", config)]
+    assert main(args) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 class TestIdealRun:
     def test_default_report(self, tmp_path, capsys):
         assert main(["ideal-run"]) == EXIT_OK

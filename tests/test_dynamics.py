@@ -21,7 +21,7 @@ from unit_reference import (
 )
 
 import w2ghz.dynamics as dynamics
-from w2ghz.analysis import pd_closed_form
+from w2ghz.analysis import pd_closed_form, pd_numeric
 from w2ghz.atom_cavity import (
     EFFECTIVE_LEVELS,
     FULL_LEVELS,
@@ -411,6 +411,68 @@ class TestArrayTimes:
         assert weights.shape == t.shape
         assert weights == pytest.approx([decay_coefficients(params, tk).weight for tk in t.tolist()],
                                         rel=1e-15, abs=0.0)
+
+
+def bits(value):
+    """The hex of a number's real and imaginary parts, signed zeros included."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def seeded_drives(count=60):
+    """(params, times) at seeded drives, every other one symmetric: kappa 0,
+    up to 10, or 1e3 to 1e8 times the light-shift sum S, and times 0, one in
+    the 1e-6 series window, within 3 operating times, and 3 and 50 of them."""
+    rng = np.random.default_rng(30)
+    for k in range(count):
+        lambda_c = float(rng.uniform(0.05, 5.0))
+        omega = lambda_c if k % 2 else float(rng.uniform(0.05, 5.0))
+        params = SystemParams(delta=float(np.exp(rng.uniform(np.log(0.5), np.log(300.0)))),
+                              lambda_c=lambda_c, omega=omega)
+        shift = sum(params.light_shifts)
+        kappa = (0.0, float(rng.uniform(0.0, 10.0)), shift * 10.0 ** float(rng.uniform(3.0, 8.0)))[k % 3]
+        params = SystemParams(delta=params.delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        top = params.operating_time
+        times = np.array([0.0, float(rng.uniform(0.0, 1e-7)) / (kappa + shift),
+                          float(rng.uniform(0.0, 3.0)) * top, 3.0 * top, 50.0 * top])
+        yield params, times
+
+
+class TestTimeAloneMatchesArray:
+    """A time alone and the same time in an array give the same bits."""
+
+    def test_transfer_amplitudes(self):
+        for params, times in seeded_drives():
+            grid = decay_coefficients(params, times)
+            for k, t in enumerate(times.tolist()):
+                alone = decay_coefficients(params, t)
+                assert (bits(alone.alpha), bits(alone.beta)) == (bits(grid.alpha[k]), bits(grid.beta[k])), (params, t)
+
+    @pytest.mark.parametrize("route", [pd_closed_form, pd_numeric])
+    def test_success_probability(self, route):
+        drives = [(params, times) for params, times in seeded_drives() if params.lambda_c == params.omega]
+        assert len(drives) == 30
+        for params, times in drives:
+            grid = route(params, times)
+            for k, t in enumerate(times.tolist()):
+                assert route(params, t).hex() == float(grid[k]).hex(), (params, t)
+
+    def test_infinite_fast_phase(self):
+        # (kappa + S) t overflows while the rates and t are finite: a
+        # non-finite result, which the callers refuse, and the same one
+        # either way.
+        asymmetric = SystemParams(delta=1e-300, lambda_c=1.0, omega=0.5)
+        symmetric = SystemParams(delta=1e-300, lambda_c=1.0, omega=1.0)
+        times = np.array([0.0, 1e10])
+        values = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for params in (asymmetric, symmetric):
+                alone, grid = decay_coefficients(params, 1e10), decay_coefficients(params, times)
+                values += [(alone.alpha, grid.alpha[1]), (alone.beta, grid.beta[1])]
+            values += [(route(symmetric, 1e10), route(symmetric, times)[1]) for route in (pd_closed_form, pd_numeric)]
+        for alone, element in values:
+            assert not np.isfinite(alone)
+            assert bits(alone) == bits(element)
 
 
 class TestPhaseResolution:

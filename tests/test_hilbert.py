@@ -54,6 +54,17 @@ class TestHilbertSpace:
         assert space.basis_index(1, 0) == 3
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: qubit().basis_index(0, 1), "expected 1 indices, got 2"),
+    (lambda: StateVector(qubit(), np.ones(3) / np.sqrt(3.0)), r"amplitude vector must have length 2, got shape \(3,\)"),
+    (lambda: DensityMatrix(qubit(), np.eye(3) / 3.0), r"density matrix must be 2x2, got \(3, 3\)"),
+    (lambda: Operator(qubit(), np.eye(3)), r"operator must be 2x2, got \(3, 3\)"),
+], ids=["basis-index-count", "state-vector-shape", "density-matrix-shape", "operator-shape"])
+def test_wrong_shape_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestFidelity:
     def test_pure_state_self_fidelity(self):
         rng = np.random.default_rng(17)

@@ -65,6 +65,14 @@ class TestJointState:
             require_photon_number(state, 2)
 
 
+@pytest.mark.parametrize("occupation, message", [
+    ({(1, "L"): -1}, r"negative photon count -1 on slot \(1, 'L'\)"),
+], ids=["negative-count"])
+def test_joint_state_refused(occupation, message):
+    with pytest.raises(ValueError, match=message):
+        single_term(("eL", "eL", "eL"), occupation)
+
+
 class TestLayout:
     def test_default_routing_table(self):
         expected = {("a", "V"): 7, ("b", "V"): 8, ("c", "V"): 9,
