@@ -425,13 +425,12 @@ def seeded_drives(count=60):
     the 1e-6 series window, within 3 operating times, and 3 and 50 of them."""
     rng = np.random.default_rng(30)
     for k in range(count):
+        delta = float(np.exp(rng.uniform(np.log(0.5), np.log(300.0))))
         lambda_c = float(rng.uniform(0.05, 5.0))
         omega = lambda_c if k % 2 else float(rng.uniform(0.05, 5.0))
-        params = SystemParams(delta=float(np.exp(rng.uniform(np.log(0.5), np.log(300.0)))),
-                              lambda_c=lambda_c, omega=omega)
-        shift = sum(params.light_shifts)
+        shift = (lambda_c**2 + omega**2) / delta
         kappa = (0.0, float(rng.uniform(0.0, 10.0)), shift * 10.0 ** float(rng.uniform(3.0, 8.0)))[k % 3]
-        params = SystemParams(delta=params.delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
+        params = SystemParams(delta=delta, lambda_c=lambda_c, omega=omega, kappa=kappa)
         top = params.operating_time
         times = np.array([0.0, float(rng.uniform(0.0, 1e-7)) / (kappa + shift),
                           float(rng.uniform(0.0, 3.0)) * top, 3.0 * top, 50.0 * top])
