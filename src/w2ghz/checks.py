@@ -20,12 +20,12 @@ from .analysis import params_for_eta_over_kappa, pd_closed_form, pd_numeric
 from .atom_cavity import SystemParams
 from .detection import _PATTERN_SETS, DETECTORS, _weight_table
 from .dynamics import decay_coefficients
-from .photonics import DEFAULT_LAYOUT, DETECTOR_SLOTS, network_map
+from .photonics import DETECTOR_SLOTS, network_map
 from .protocol import _CONFIG_LEVELS, _network_amplitudes, transfer_coefficients
 
 DEFAULT_CHECK_PARAMS = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
-# The analytic post-network state, naming no layout: per configuration, a
+# The analytic post-network state, naming no routing: per configuration, a
 # coefficient over 2 sqrt 6 and photons (mode, sign) in (|H> + sign |V>)/sqrt2.
 _REFERENCE_ROWS = (
     (-3, ("eL", "eL", "eL"), ((7, -1), (8, -1), (9, -1))),
@@ -150,8 +150,8 @@ def check_network_reference_state() -> CheckResult:
     """The compiled network that ``run_protocol`` runs must reproduce the
     analytic post-network state term by term (up to one global phase), and,
     being passive linear optics, map the emission slots to orthonormal
-    outputs, which holds for every layout, not only the paper's."""
-    deviation, matrix = network_reference_deviation(), network_map(DEFAULT_LAYOUT).matrix
+    outputs, which holds for every valid routing, not only the paper's."""
+    deviation, matrix = network_reference_deviation(), network_map().matrix
     isometry = float(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[1])).max())
     passed = deviation < 1e-12 and isometry < 1e-12
     return CheckResult("network-reference-state", passed, f"max per-term amplitude deviation = {deviation:.3e}"

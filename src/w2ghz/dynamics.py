@@ -161,16 +161,20 @@ def decay_coefficients(params: SystemParams, t) -> EvolutionCoefficients:
 
     ``t`` is a time or an array of times: a scalar gives complex alpha and
     beta, an array complex arrays of its shape with each time's own bits.
-    A time whose fast phase (kappa + S) t is past double resolution raises
-    ValueError naming it; one past the float range gives non-finite values.
+    A time whose fast phase (kappa + S) t is past double resolution, or a
+    drive whose light shifts or g are past the float range, raises
+    ValueError naming it; a phase past the float range gives non-finite values.
     """
     ts = _times(t)
     _require_resolved(params, ts)
     stark_e, stark_g = params.light_shifts
     g = (params.lambda_c / params.delta) * params.omega
+    if not all(map(math.isfinite, (stark_e, stark_g, g))):
+        raise ValueError(f"fields 'lambda_c', 'omega' and 'delta': a light shift ({stark_e!r}, {stark_g!r}) or "
+                         f"the Raman coupling lambda_c omega/delta = {g!r} is past the float range")
     two_d = complex(params.kappa, stark_g - stark_e)
     m = _binade(max(abs(two_d.real), abs(two_d.imag), g))
-    u, v = two_d / m, 2.0 * g / m
+    u, v = two_d / m, g / (m / 2.0)
     root = cmath.sqrt(u * u - v * v)
     s = root * (m / 2.0)
     # Re(mu + s) = Re s - kappa/2 cancels where g << kappa; it is taken as

@@ -13,11 +13,13 @@ from it by the bosonic rule: stacking two photons in one slot contributes
 the usual sqrt(2) factor, which keeps the map an exact isometry (two photons
 meeting on one mode interfere Hong-Ou-Mandel style into |2,0> - |0,2>).
 
-``network_map`` compiles that rule for one layout into a single linear map
-from the 27 emission slots of the three cavities (each empty, or holding one
-L or one R photon) to detector-slot occupations; the protocol runs on it,
-and ``full_network`` is its term-by-term view.  Both are checked against the
-element-by-element stages in ``tests/staged_reference.py``.
+Only the paper's network is compiled: its beam-splitter routing is the
+table ``DEFAULT_LAYOUT``, and ``network_map`` turns it, once, into a single
+linear map from the 27 emission slots of the three cavities (each empty, or
+holding one L or one R photon) to detector-slot occupations.  The protocol
+runs on that map, and ``full_network`` is its term-by-term view.  Both are
+checked against the element-by-element stages in
+``tests/staged_reference.py``, which also holds the other 35 valid routings.
 """
 
 from __future__ import annotations
@@ -79,54 +81,26 @@ class JointAtomPhotonState:
         return cls(tuple(atoms), pruned)
 
 
-@dataclass(frozen=True)
-class NetworkLayout:
-    """Deterministic routing of each (source atom, linear polarization) pair
-    to one of the three output spatial modes.
-
-    Validity requires every output mode to receive exactly one V route and
-    one H route, so each output carries at most one photon per polarization
-    before the half-wave plates.  The routing is kept sorted, so equal
-    routes compare equal and share one compiled network.
-    """
-
-    routing: tuple[tuple[tuple[str, str], int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "routing", tuple(sorted(self.routing)))
-        table = dict(self.routing)
-        if len(table) != len(self.routing):
-            raise ValueError(f"routing repeats an (atom, polarization) key: {self.routing}")
-        expected_keys = {(atom, pol) for atom in ATOMS for pol in ("V", "H")}
-        if set(table) != expected_keys:
-            raise ValueError(f"routing must cover exactly {sorted(expected_keys)}, got {sorted(table)}")
-        for pol in ("V", "H"):
-            targets = sorted(table[(atom, pol)] for atom in ATOMS)
-            if targets != sorted(OUTPUT_MODES):
-                raise ValueError(f"{pol} routes must hit each output mode once, got {targets}")
-
-    def route(self, atom: str, pol: str) -> int:
-        return dict(self.routing)[(atom, pol)]
+# The paper's routing, ((atom, linear polarization), output mode) in sorted
+# order: V photons keep their cavity's index on the output side, and H
+# photons from each cavity join the V output of the cyclically preceding
+# cavity, so each output mode receives one V and one H route.
+DEFAULT_LAYOUT = ((("a", "H"), 9), (("a", "V"), 7), (("b", "H"), 7),
+                  (("b", "V"), 8), (("c", "H"), 8), (("c", "V"), 9))
 
 
-# H photons from each cavity join the V output of the cyclically preceding
-# cavity; of the 36 valid layouts this is the only one whose network output
-# matches the analytic state in ``checks``, and the one the protocol runs.
-DEFAULT_LAYOUT = NetworkLayout(((("a", "V"), 7), (("a", "H"), 9), (("b", "V"), 8),
-                                (("b", "H"), 7), (("c", "V"), 9), (("c", "H"), 8)))
-
-
-def _mode_matrix(layout: NetworkLayout) -> np.ndarray:
+def _mode_matrix() -> np.ndarray:
     """The network's action on one photon: column 2a + p is where atom a's
     photon of circular polarization ("L", "R")[p] ends up, over
     DETECTOR_SLOTS.  The quarter-wave plate turns L into V and R into H,
-    ``layout`` routes the photon to its output mode, and the half-wave plate
-    there sends H to (H + V)/sqrt2 and V to (H - V)/sqrt2."""
+    ``DEFAULT_LAYOUT`` routes the photon to its output mode, and the
+    half-wave plate there sends H to (H + V)/sqrt2 and V to (H - V)/sqrt2."""
     weight = 1.0 / math.sqrt(2.0)
+    routes = dict(DEFAULT_LAYOUT)
     matrix = np.zeros((len(DETECTOR_SLOTS), 2 * len(ATOMS)))
     for a, atom in enumerate(ATOMS):
         for p, (pol, v_weight) in enumerate((("V", -weight), ("H", weight))):
-            mode = layout.route(atom, pol)
+            mode = routes[(atom, pol)]
             matrix[DETECTOR_SLOTS.index((mode, "H")), 2 * a + p] = weight
             matrix[DETECTOR_SLOTS.index((mode, "V")), 2 * a + p] = v_weight
     return matrix
@@ -134,7 +108,7 @@ def _mode_matrix(layout: NetworkLayout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NetworkMap:
-    """The network of one layout as a linear map.
+    """The paper's network as a linear map.
 
     Column s of ``matrix`` (n_occ x 27) is the output state of emission slot
     s, the row-major index over ATOMS of each cavity's entry in EMISSIONS
@@ -147,16 +121,17 @@ class NetworkMap:
     counts: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)  # keyed by layout; there are 36 valid ones
-def network_map(layout: NetworkLayout) -> NetworkMap:
-    """Compile ``layout``'s network from its single-photon matrix T by the
-    bosonic rule: an emission slot's photons enter columns i_1..i_k of T, and
-    occupation n gets sqrt(prod n_o!) times the sum of prod_j T[o_j, i_j]
-    over the ordered detector slots (o_1..o_k) with counts n, which is
-    Perm(T[rows(n), inputs]) / sqrt(prod n_o!).  Only nonzero entries of T
-    are visited, and exact zeros (photons cancelling on one mode) are left out.
+@functools.cache
+def network_map() -> NetworkMap:
+    """Compile the paper's network, once, from its single-photon matrix T
+    by the bosonic rule: an emission slot's photons enter columns i_1..i_k
+    of T, and occupation n gets sqrt(prod n_o!) times the sum of
+    prod_j T[o_j, i_j] over the ordered detector slots (o_1..o_k) with
+    counts n, which is Perm(T[rows(n), inputs]) / sqrt(prod n_o!).  Only
+    nonzero entries of T are visited, and exact zeros (photons cancelling
+    on one mode) are left out.
     """
-    outputs = [[(o, amp) for o, amp in enumerate(column) if amp != 0.0] for column in _mode_matrix(layout).T.tolist()]
+    outputs = [[(o, amp) for o, amp in enumerate(column) if amp != 0.0] for column in _mode_matrix().T.tolist()]
     columns = []
     for emission in itertools.product(EMISSIONS, repeat=len(ATOMS)):
         inputs = [2 * a + ("L", "R").index(c) for a, c in enumerate(emission) if c is not None]
@@ -181,18 +156,20 @@ def network_map(layout: NetworkLayout) -> NetworkMap:
     return NetworkMap(matrix, counts)
 
 
-def full_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT,
+def full_network(state: JointAtomPhotonState, layout: tuple | None = None,
                  allow_vacuum: bool = False) -> JointAtomPhotonState:
     """The complete path from cavity emission to the detector slots, term by
     term: the cavity photons of each term (at most one L or R photon per
-    source mode) name an emission slot, and that column of
-    ``network_map(layout)`` is the term's output.
+    source mode) name an emission slot, and that column of ``network_map()``
+    is the term's output.  ``layout``, if given, must be ``DEFAULT_LAYOUT``.
 
     Unless ``allow_vacuum`` is set, every term must carry one photon per
     cavity (the lossless operating point); a term with an empty cavity is
     rejected as an operating-time violation.
     """
-    network = network_map(layout)
+    if layout is not None and layout != DEFAULT_LAYOUT:
+        raise ValueError(f"full_network runs the paper's routing DEFAULT_LAYOUT only, got {layout!r}")
+    network = network_map()
     entries = []
     for (config, occ), amp in state.terms.items():
         emission = dict.fromkeys(SOURCE_MODES)

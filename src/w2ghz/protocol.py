@@ -10,7 +10,7 @@ class fired, and finally map the emitted levels back onto ground levels.
 coefficients give the amplitude of each of the 64 configurations of three
 four-level atoms (the Hadamard-W amplitude times alpha^(3-k) beta^k with k
 atoms emitted), each configuration leaves one of the 27 emission slots, and
-one product with ``network_map(DEFAULT_LAYOUT)``, the paper's network
+one product with ``network_map()``, the paper's one photon network
 compiled, gives the amplitudes over detector occupations.  Detection, the
 sign flip, the relabeling and the fidelities then act on stacks of 8 x 8
 conditional states.
@@ -33,7 +33,6 @@ from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fi
 from .photonics import (
     AMPLITUDE_PRUNE_TOL,
     ATOMS,
-    DEFAULT_LAYOUT,
     EMISSIONS,
     SOURCE_MODES,
     JointAtomPhotonState,
@@ -170,8 +169,8 @@ def _corrected_fidelities(stack: np.ndarray, kept: list) -> tuple[np.ndarray, np
 def _network_amplitudes(coefficients: EvolutionCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """psi[c, o], the amplitude of configuration c of the three four-level
     atoms with detector occupation o once the pulsed W state has met the
-    cavities with the given transfer amplitudes and passed the network of
-    ``DEFAULT_LAYOUT``, and the photon counts of each occupation.
+    cavities with the given transfer amplitudes and passed the paper's
+    network, and the photon counts of each occupation.
 
     Terms of magnitude at most AMPLITUDE_PRUNE_TOL are exact zeros, as in the
     term-by-term views; no network entry exceeds 1 in magnitude, so the prune
@@ -179,7 +178,7 @@ def _network_amplitudes(coefficients: EvolutionCoefficients) -> tuple[np.ndarray
     drops nothing more.
     """
     amps = _configuration_amplitudes(_PULSED_W, coefficients)
-    network = network_map(DEFAULT_LAYOUT)
+    network = network_map()
     psi = amps[:, None] * network.matrix.T[_CONFIG_SLOT]
     psi[np.abs(psi) <= AMPLITUDE_PRUNE_TOL] = 0.0
     return psi, network.counts

@@ -27,13 +27,7 @@ from w2ghz.checks import _REFERENCE_ROWS
 from w2ghz.detection import DETECTORS, ClickPattern, DetectionReport, OutcomeClass, all_patterns
 from w2ghz.dynamics import EvolutionCoefficients, _split, _times
 from w2ghz.hilbert import DensityMatrix, HilbertSpace, StateVector
-from w2ghz.photonics import (
-    ATOMS,
-    DEFAULT_LAYOUT,
-    OUTPUT_MODES,
-    JointAtomPhotonState,
-    NetworkLayout,
-)
+from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT, OUTPUT_MODES, JointAtomPhotonState
 from w2ghz.protocol import apply_hadamard_pulses, ghz_target, prepare_w_state
 
 
@@ -158,10 +152,12 @@ def emit_and_qwp(state: JointAtomPhotonState) -> JointAtomPhotonState:
     return map_single_photons(state, lambda slot: (slot[0], "V" if slot[1] == "L" else "H"))
 
 
-def apply_pbs_routing(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT) -> JointAtomPhotonState:
+def apply_pbs_routing(state: JointAtomPhotonState, layout=DEFAULT_LAYOUT) -> JointAtomPhotonState:
     """Beam splitters: each photon moves from its source mode to the output
-    mode the layout gives its atom and polarization (no reflection phase)."""
-    return map_single_photons(state, lambda slot: (layout.route(ATOM_OF_SOURCE[slot[0]], slot[1]), slot[1]))
+    mode the routing table ``layout`` gives its atom and polarization (no
+    reflection phase)."""
+    routes = dict(layout)
+    return map_single_photons(state, lambda slot: (routes[(ATOM_OF_SOURCE[slot[0]], slot[1])], slot[1]))
 
 
 # Half-wave plate action per photon: |H> -> (|H>+|V>)/sqrt2, |V> -> (|H>-|V>)/sqrt2.
@@ -193,7 +189,7 @@ def apply_hwp(state: JointAtomPhotonState, modes=OUTPUT_MODES) -> JointAtomPhoto
     return JointAtomPhotonState.from_terms(state.atoms, entries)
 
 
-def staged_network(state: JointAtomPhotonState, layout: NetworkLayout = DEFAULT_LAYOUT) -> JointAtomPhotonState:
+def staged_network(state: JointAtomPhotonState, layout=DEFAULT_LAYOUT) -> JointAtomPhotonState:
     """Quarter-wave plates, beam-splitter routing and half-wave plates in sequence."""
     return apply_hwp(apply_pbs_routing(emit_and_qwp(state), layout))
 
@@ -234,19 +230,24 @@ def states_equal_up_to_phase(state: JointAtomPhotonState, other: JointAtomPhoton
     return max_amplitude_deviation(state, other) <= atol
 
 
-def layout_of(routes: dict) -> NetworkLayout:
-    """The layout of an {atom: {polarization: output mode}} table."""
-    return NetworkLayout(tuple(((atom, pol), mode) for atom, pols in routes.items() for pol, mode in pols.items()))
+def layout_of(routes: dict) -> tuple:
+    """The routing table of {atom: {polarization: output mode}}, in the
+    sorted ((atom, polarization), output mode) form of ``DEFAULT_LAYOUT``."""
+    return tuple(sorted(((atom, pol), mode) for atom, pols in routes.items() for pol, mode in pols.items()))
 
 
-# Two valid routings whose output is not the paper's post-network state:
-# each atom's photons kept on its own output mode, and the paper's network
-# with the V routes of atoms a and b swapped.
+# A routing is valid when each output mode receives one V route and one H
+# route, so it carries at most one photon per polarization before its
+# half-wave plate.  Of the 36 valid routings only the paper's,
+# DEFAULT_LAYOUT, turns the pulsed W state into the analytic post-network
+# state (``search_routing_layouts``).  Two others, whose output is not that
+# state: each atom's photons kept on its own output mode, and the paper's
+# network with the V routes of atoms a and b swapped.
 ALIGNED_LAYOUT = layout_of({"a": {"V": 7, "H": 7}, "b": {"V": 8, "H": 8}, "c": {"V": 9, "H": 9}})
 CORRUPTED_LAYOUT = layout_of({"a": {"V": 8, "H": 9}, "b": {"V": 7, "H": 7}, "c": {"V": 9, "H": 8}})
 
 
-def all_layouts() -> list[NetworkLayout]:
+def all_layouts() -> list[tuple]:
     """Every valid routing table: V and H routes each a bijection onto the
     output modes (36 in all)."""
     return [layout_of({atom: {"V": v_perm[i], "H": h_perm[i]} for i, atom in enumerate(ATOMS)})
@@ -284,7 +285,7 @@ def reference_output_state() -> JointAtomPhotonState:
         for coeff, config, photons in _REFERENCE_ROWS for occupation, amp in _photon_product(photons).items()))
 
 
-def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1e-12) -> list[NetworkLayout]:
+def search_routing_layouts(pipeline_state: JointAtomPhotonState, atol: float = 1e-12) -> list[tuple]:
     """The valid layouts whose staged network turns the pipeline input into
     the analytic reference post-network state."""
     reference = reference_output_state()
@@ -420,7 +421,7 @@ def staged_run(params, layout, t=None):
     return report, results, success, fidelity_acc / success if success > 0 else 0.0
 
 
-def lossless_heralded(layout: NetworkLayout = DEFAULT_LAYOUT) -> list:
+def lossless_heralded(layout=DEFAULT_LAYOUT) -> list:
     """(probability, conditional state over the emitted levels, class) of
     each accepted pattern of the lossless protocol with every atom emitted
     and perfect detectors, from the staged pipeline on ``layout``."""

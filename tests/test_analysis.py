@@ -10,7 +10,7 @@ from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, lossless_heralded
 from unit_reference import block_of, unit_channels, unit_hamiltonian, unit_levels, unit_outputs, unit_space
 
 import w2ghz.analysis as analysis
-from w2ghz import dynamics, protocol
+from w2ghz import dynamics
 from w2ghz.analysis import (
     CurvePoint,
     FidelityEstimates,
@@ -427,11 +427,11 @@ class TestMasterEquationFidelity:
         assert est.network_fidelity == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ALIGNED_LAYOUT])
-    def test_network_estimator_follows_layout(self, monkeypatch, layout):
+    def test_network_estimator_follows_layout(self, put_routing, layout):
         # Noiseless and deep in the dispersive regime, estimator b must
         # reproduce the lossless protocol on whatever network is put in
         # place of the paper's.
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
+        put_routing(layout)
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.86)
         est = master_equation_estimates(params)
         assert est.network_fidelity == pytest.approx(run_protocol(params).fidelity, abs=1e-3)
@@ -450,11 +450,11 @@ class TestMasterEquationFidelity:
         (OVERDAMPED, ALIGNED_LAYOUT, 1),
     ], ids=["default", "aligned", "n_max-2", "overdamped",
             "250-default", "250-aligned", "n2-al", "od-al"])
-    def test_network_estimator_matches_six_level_loop(self, monkeypatch, params, layout, n_max):
+    def test_network_estimator_matches_six_level_loop(self, put_routing, params, layout, n_max):
         # Reference: each pattern's noisy state over all six levels of every
         # atom, from the unit's outputs on its whole space at Fock cutoff
         # n_max, scored against the GHZ target of its class lifted into them.
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
+        put_routing(layout)
         est = master_equation_estimates(params)
         m_ll, m_rr, m_lr = unit_outputs(params, params.operating_time, n_max=n_max)
         space, n = unit_space(n_max), len(FULL_LEVELS)

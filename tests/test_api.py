@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import w2ghz
-from w2ghz import hilbert
+from w2ghz import hilbert, photonics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(w2ghz.__file__).parent
@@ -225,7 +225,7 @@ PUBLIC_NAMES = {
                         "enumerate_outcomes", "measure"),
     "w2ghz.dynamics": ("EvolutionCoefficients", "decay_coefficients"),
     "w2ghz.hilbert": ("DensityMatrix", "HilbertSpace", "Operator", "StateVector", "fidelity"),
-    "w2ghz.photonics": ("DEFAULT_LAYOUT", "JointAtomPhotonState", "NetworkLayout", "full_network"),
+    "w2ghz.photonics": ("DEFAULT_LAYOUT", "JointAtomPhotonState", "full_network"),
     "w2ghz.protocol": ("ProtocolResult", "ProtocolRun", "apply_hadamard_pulses", "cavity_interaction",
                        "ghz_target", "prepare_w_state", "raman_mapping", "run_protocol", "sign_correction"),
 }
@@ -282,12 +282,14 @@ def test_modules_do_not_import_through_the_root():
                 assert names <= submodules, f"{path.name}:{node.lineno} imports {sorted(names - submodules)}"
 
 
-def test_only_photonics_names_routings():
-    # The pipeline runs the paper's one network: routings belong to the
-    # compile layer in photonics, and no other module of the package names
-    # their type, so no option to pick one can reach the pipeline.
+def test_one_network_is_compiled():
+    # The pipeline runs the paper's one network: its compile steps take no
+    # routing, and no module of the package but photonics names the routing
+    # table, so no option to pick another can reach the pipeline.
+    for compile_step in (photonics.network_map, photonics._mode_matrix):
+        assert not inspect.signature(compile_step).parameters, compile_step.__name__
     package = Path(w2ghz.__file__).parent
-    naming = [path.name for path in sorted(package.glob("*.py")) if "NetworkLayout" in path.read_text()]
+    naming = [path.name for path in sorted(package.glob("*.py")) if "DEFAULT_LAYOUT" in path.read_text()]
     assert naming == ["photonics.py"]
 
 
@@ -351,7 +353,7 @@ def test_staged_reference_is_independent():
      {"full_hamiltonian", "collapse_operators"}),
     # The network's single-photon matrix the compiled map is built from.
     ("from w2ghz.photonics import _mode_matrix\n\n"
-     "def f(layout):\n    return _mode_matrix(layout)\n",
+     "def f():\n    return _mode_matrix()\n",
      {"_mode_matrix"}),
 ], ids=["foreign-import", "transitive", "bare-name", "unit-builder", "mode-matrix"])
 def test_independence_guard_flags(tmp_path, source, flagged):

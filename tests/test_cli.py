@@ -377,6 +377,18 @@ class TestSweepDecay:
         assert captured.out == ""
         assert "--eta-over-kappa" in captured.err and "P_d leaves the float range" in captured.err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_coupling_from_time_zero(self, tmp_path, capsys):
+        # At eta/kappa = 1e308 the coupling g = 1e308 is finite and 2g is
+        # not; a grid from t = 0 divides by no zero time on the way to the
+        # named refusal, and nothing but that reaches stderr.
+        cfg = write_json(tmp_path, "cfg.json", {"sweep": {"min": 0, "max": 3}})
+        assert main(["sweep-decay", "--config", cfg, "--eta-over-kappa", "1e308"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: --eta-over-kappa 1e+308 with field 'sweep': P_d leaves the float "
+                                "range on this grid (eta = 1e+308, kappa = 1.0, kappa*t up to 3.0)\n")
+
 
 class TestFidelitySurface:
     def test_grid_output(self, tmp_path):
@@ -607,7 +619,7 @@ class TestValidate:
             "ok   params-invariants: no params supplied; defaults valid by construction\n"
         )
 
-    def test_corrupted_layout_fails_named_check(self, tmp_path, capsys, monkeypatch):
+    def test_corrupted_layout_fails_named_check(self, tmp_path, capsys, put_routing):
         # A "layout" key is no setting of validate: like any key, it goes to
         # the params document, which has no such field.
         cfg = write_json(tmp_path, "cfg.json", {"layout": ALIGNED_ROUTES})
@@ -616,7 +628,7 @@ class TestValidate:
         assert "FAIL params-invariants: unknown params field(s): ['layout']" in captured.out
         assert "ok   network-reference-state" in captured.out
         # A corrupted network put in place of the paper's fails its check.
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", CORRUPTED_LAYOUT)
+        put_routing(CORRUPTED_LAYOUT)
         assert main(["validate"]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert "FAIL network-reference-state" in captured.out
@@ -645,8 +657,8 @@ class TestChecksApi:
             "params-invariants",
         ]
 
-    def test_injected_corruption_detected(self, monkeypatch):
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", CORRUPTED_LAYOUT)
+    def test_injected_corruption_detected(self, put_routing):
+        put_routing(CORRUPTED_LAYOUT)
         result = check_network_reference_state()
         assert not result.passed
         assert result.name == "network-reference-state"
@@ -659,8 +671,8 @@ class TestChecksApi:
         # isometry.
         compile_map = photonics.network_map
 
-        def by_factorial(layout):
-            network = compile_map(layout)
+        def by_factorial():
+            network = compile_map()
             scale = [math.prod(math.sqrt(math.factorial(n)) for n in counts) for counts in network.counts]
             return photonics.NetworkMap(network.matrix * np.array(scale)[:, None], network.counts)
 
@@ -697,12 +709,12 @@ class TestChecksApi:
         assert head == f"max per-term amplitude deviation = {deviation:.3e}"
         assert float(isometry) < 1e-12
 
-    @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout.routing))
-    def test_network_check_matches_staged_pipeline(self, monkeypatch, layout):
+    @pytest.mark.parametrize("layout", all_layouts(), ids=lambda layout: "".join(str(m) for _, m in layout))
+    def test_network_check_matches_staged_pipeline(self, put_routing, layout):
         # The array comparison against the term-by-term one on the
         # element-by-element pipeline, each routing put in place of the
         # paper's network: the same deviation to the last bit.
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
+        put_routing(layout)
         pulsed = apply_hadamard_pulses(prepare_w_state())
         joint = staged_cavity_interaction(pulsed, reference_coefficients(checks.DEFAULT_CHECK_PARAMS))
         expected = max_amplitude_deviation(staged_network(joint, layout), reference_output_state())

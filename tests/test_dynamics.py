@@ -489,6 +489,15 @@ class TestPhaseResolution:
             with pytest.raises(ValueError, match="past double resolution"):
                 call(self.PARAMS, t)
 
+    def test_drive_past_float_range_rejected(self):
+        # Light shifts (1e170 * 1e160) past the float range: refused by name,
+        # at a time as at an array of times, instead of dividing by t = 0.
+        params = SystemParams(delta=1e-10, lambda_c=1e160, omega=1e160)
+        for t in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match="fields 'lambda_c', 'omega' and 'delta': a light shift "
+                                                 r"\(inf, inf\) or the Raman coupling .* past the float range"):
+                decay_coefficients(params, t)
+
     def test_overdamped_cavity_counts(self):
         # Past critical damping the envelope's exponent is a difference of
         # terms of size kappa t, so kappa alone can exhaust the resolution.

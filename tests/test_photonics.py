@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -10,7 +11,6 @@ from staged_reference import (
     apply_hwp,
     apply_pbs_routing,
     emit_and_qwp,
-    layout_of,
     max_amplitude_deviation,
     norm_sq,
     photon_numbers,
@@ -26,9 +26,9 @@ from w2ghz.photonics import (
     DEFAULT_LAYOUT,
     DETECTOR_SLOTS,
     EMISSIONS,
+    OUTPUT_MODES,
     SOURCE_MODES,
     JointAtomPhotonState,
-    NetworkLayout,
     _mode_matrix,
     full_network,
     network_map,
@@ -77,30 +77,19 @@ class TestLayout:
     def test_default_routing_table(self):
         expected = {("a", "V"): 7, ("b", "V"): 8, ("c", "V"): 9,
                     ("a", "H"): 9, ("b", "H"): 7, ("c", "H"): 8}
-        for (atom, pol), mode in expected.items():
-            assert DEFAULT_LAYOUT.route(atom, pol) == mode
+        assert dict(DEFAULT_LAYOUT) == expected
 
-    def test_each_output_gets_one_route_per_polarization(self):
-        with pytest.raises(ValueError, match="once"):
-            layout_of({"a": {"V": 7, "H": 9}, "b": {"V": 7, "H": 8}, "c": {"V": 9, "H": 7}})
-
-    def test_missing_entries_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
-            layout_of({"a": {"V": 7, "H": 9}})
-
-    def test_routing_order_is_canonical(self):
-        # The same routes in another order are the same layout, and compile
-        # to the same cached network.
-        reordered = NetworkLayout(tuple(reversed(DEFAULT_LAYOUT.routing)))
-        assert reordered == DEFAULT_LAYOUT and hash(reordered) == hash(DEFAULT_LAYOUT)
-        assert reordered.routing == tuple(sorted(DEFAULT_LAYOUT.routing))
-        assert network_map(reordered) is network_map(DEFAULT_LAYOUT)
-
-    def test_repeated_route_rejected(self):
-        # A seventh entry repeating ("a", "V") with its own mode would
-        # otherwise collapse into a valid table.
-        with pytest.raises(ValueError, match="repeats"):
-            NetworkLayout(DEFAULT_LAYOUT.routing + ((("a", "V"), DEFAULT_LAYOUT.route("a", "V")),))
+    def test_routing_tables_are_valid(self):
+        # Each table lists the six (atom, polarization) keys once, in sorted
+        # order, and sends one V and one H route to each output mode; the
+        # 36 tables all_layouts() yields are distinct, the paper's among them.
+        keys = sorted((atom, pol) for atom in ATOMS for pol in ("V", "H"))
+        tables = all_layouts()
+        assert len(tables) == len(set(tables)) == 36 and DEFAULT_LAYOUT in tables
+        for table in [DEFAULT_LAYOUT, *tables]:
+            assert [key for key, _ in table] == keys
+            for pol in ("V", "H"):
+                assert sorted(mode for (_, p), mode in table if p == pol) == list(OUTPUT_MODES)
 
 
 class TestEmitAndQwp:
@@ -220,9 +209,17 @@ class TestFullNetwork:
             if config not in (("eL", "eL", "eL"), ("eR", "eR", "eR")):
                 assert w == pytest.approx(scale, abs=1e-13)
 
-    def test_corrupted_layout_breaks_reference(self):
-        produced = full_network(pipeline_state(), CORRUPTED_LAYOUT)
+    def test_corrupted_layout_breaks_reference(self, put_routing):
+        put_routing(CORRUPTED_LAYOUT)
+        produced = full_network(pipeline_state())
         assert max_amplitude_deviation(produced, reference_output_state()) > 0.1
+
+    def test_other_routing_refused(self):
+        # The paper's table may be named; any other routing is refused.
+        state = pipeline_state()
+        assert full_network(state, DEFAULT_LAYOUT).terms == full_network(state).terms
+        with pytest.raises(ValueError, match="runs the paper's routing DEFAULT_LAYOUT only"):
+            full_network(state, CORRUPTED_LAYOUT)
 
 
 def test_routing_search_recovers_unique_layout():
@@ -231,19 +228,20 @@ def test_routing_search_recovers_unique_layout():
 
 
 def layout_id(layout):
-    return "".join(str(mode) for _, mode in layout.routing)
+    return "".join(str(mode) for _, mode in layout)
 
 
 class TestFullNetworkView:
     """full_network reads its columns off network_map; the staged network
-    must give the same terms."""
+    must give the same terms, on each routing put in place of the paper's."""
 
     @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
-    def test_matches_staged_network(self, layout):
+    def test_matches_staged_network(self, put_routing, layout):
         # Lossless at the operating time, and decaying off it, where vacuum
         # branches remain.
+        put_routing(layout)
         for state in (pipeline_state(), pipeline_state(DECAYING, 0.7)):
-            view = full_network(state, layout, allow_vacuum=True)
+            view = full_network(state, allow_vacuum=True)
             staged = staged_network(state, layout)
             assert set(view.terms) == set(staged.terms)
             assert max(abs(view.terms[key] - amp) for key, amp in staged.terms.items()) <= 1e-14
@@ -251,8 +249,9 @@ class TestFullNetworkView:
 
 class TestNetworkMap:
     @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
-    def test_isometry_equal_to_staged_network(self, layout):
-        network = network_map(layout)
+    def test_isometry_equal_to_staged_network(self, put_routing, layout):
+        put_routing(layout)
+        network = network_map()
         m = network.matrix
         assert m.shape == (len(network.counts), len(EMISSIONS) ** len(ATOMS))
         assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))) <= 1e-14
@@ -267,12 +266,13 @@ class TestNetworkMap:
             assert np.max(np.abs(m[:, s] - column)) <= 1e-14
 
     @pytest.mark.parametrize("layout", all_layouts(), ids=layout_id)
-    def test_mode_matrix_is_orthogonal_and_the_one_photon_columns(self, layout):
+    def test_mode_matrix_is_orthogonal_and_the_one_photon_columns(self, put_routing, layout):
         # The single-photon matrix loses no photon, and each of its columns
         # is the map's column for that photon emitted alone.
-        t = _mode_matrix(layout)
+        put_routing(layout)
+        t = _mode_matrix()
         assert np.max(np.abs(t.T @ t - np.eye(2 * len(ATOMS)))) <= 1e-15
-        network = network_map(layout)
+        network = network_map()
         single = np.flatnonzero(network.counts.sum(axis=1) == 1)
         for a in range(len(ATOMS)):
             for p, circular in enumerate(("L", "R")):
@@ -291,7 +291,7 @@ class TestNetworkMap:
         # +1/sqrt2 on two H photons, -1/sqrt2 on two V photons, and no
         # (9H, 9V) coincidence row at all.
         assert [EMISSIONS[i] for i in np.unravel_index(19, (len(EMISSIONS),) * len(ATOMS))] == ["R", None, "L"]
-        network = network_map(DEFAULT_LAYOUT)
+        network = network_map()
         h, v = DETECTOR_SLOTS.index((9, "H")), DETECTOR_SLOTS.index((9, "V"))
         two_h, two_v, coincidence = np.zeros((3, len(DETECTOR_SLOTS)), dtype=np.intp)
         two_h[h], two_v[v], coincidence[[h, v]] = 2, 2, 1
@@ -301,6 +301,21 @@ class TestNetworkMap:
         assert column[tuple(two_v)] == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
         assert not (network.counts == coincidence).all(axis=1).any()
 
+    def test_compiled_bits_pinned(self, put_routing):
+        # The matrix and counts of the paper's map, and of each routing put
+        # in its place, to the last bit.
+        def digest():
+            network = network_map()
+            return hashlib.sha256(network.matrix.tobytes() + network.counts.astype("<i8").tobytes()).hexdigest()
+
+        assert digest() == "9069fbfd419341195bed162d932ec75d6fb6cc7e6286b9ca4d90b3f560b0cd76"
+        combined = hashlib.sha256()
+        for layout in all_layouts():
+            put_routing(layout)
+            combined.update(digest().encode())
+        assert combined.hexdigest() == "0cc5c55ba2f29979e43484e06a05a59383ac0aee4ee973681990e45343eda3ad"
+
     def test_cached_per_layout(self):
-        assert network_map(DEFAULT_LAYOUT) is network_map(DEFAULT_LAYOUT)
-        assert not network_map(DEFAULT_LAYOUT).matrix.flags.writeable
+        # One compiled map for the routing in place, until another is put.
+        assert network_map() is network_map()
+        assert not network_map().matrix.flags.writeable

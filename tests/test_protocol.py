@@ -18,7 +18,7 @@ from unit_reference import eliminated_emission, to_density_matrix
 from w2ghz.atom_cavity import SystemParams
 from w2ghz.detection import OutcomeClass, atomic_space
 from w2ghz.dynamics import decay_coefficients
-from w2ghz import hilbert, protocol
+from w2ghz import hilbert
 from w2ghz.hilbert import DensityMatrix, StateVector, fidelity
 from w2ghz.photonics import DEFAULT_LAYOUT
 from w2ghz.protocol import (
@@ -285,8 +285,8 @@ class TestCompiledRouteOracle:
     # 1e-14 prune, so no accepted pattern may keep a state.
     @pytest.mark.parametrize("fraction", [1e-5, 0.6, 1.0, 1.7])
     @pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
-    def test_matches_staged_pipeline(self, monkeypatch, eta, fraction, kappa, layout):
-        monkeypatch.setattr(protocol, "DEFAULT_LAYOUT", layout)
+    def test_matches_staged_pipeline(self, put_routing, eta, fraction, kappa, layout):
+        put_routing(layout)
         params = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=kappa, eta_d=eta)
         t = fraction * params.operating_time
         run = run_protocol(params, t)
