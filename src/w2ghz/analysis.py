@@ -27,6 +27,10 @@ of ``master_equation_estimates``:
   conditional states (the lossless network with perfect detectors)
   multiplied element-wise by M x M x M, averaged over accepted patterns.
   Post-selection filters loss, so this estimator is systematically higher.
+
+The noise analysis holds the drive at ``reference_drive`` and varies kappa
+and gamma_a; ``fidelity-surface`` calls ``master_equation_estimates`` once
+per drive of its grid.
 """
 
 from __future__ import annotations
@@ -205,14 +209,19 @@ def params_for_eta_over_kappa(ratio: float) -> SystemParams:
     return SystemParams(delta=1.0 / ratio, lambda_c=1.0, omega=1.0, kappa=1.0)
 
 
+def reference_drive(kappa: float, gamma_a: float) -> SystemParams:
+    """The reference drive (Omega = 2.9, Delta = 14, lambda_c = 2.86) with
+    cavity decay ``kappa`` and spontaneous decay ``gamma_a``."""
+    return SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C, omega=REFERENCE_OMEGA,
+                        kappa=kappa, gamma_a=gamma_a)
+
+
 def reference_noise_params(lambda_over_gamma_a: float) -> SystemParams:
     """Reference-drive params with spontaneous decay lambda_c/gamma_a as given
     and kappa pinned to the reported cavity (lambda_c/250)."""
     if lambda_over_gamma_a <= 0:
         raise ValueError(f"lambda_c/gamma_a must be positive, got {lambda_over_gamma_a}")
-    return SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C,
-                        omega=REFERENCE_OMEGA, kappa=REFERENCE_LAMBDA_C / EXPERIMENTAL_KAPPA_RATIO,
-                        gamma_a=REFERENCE_LAMBDA_C / lambda_over_gamma_a)
+    return reference_drive(REFERENCE_LAMBDA_C / EXPERIMENTAL_KAPPA_RATIO, REFERENCE_LAMBDA_C / lambda_over_gamma_a)
 
 
 @dataclass(frozen=True)
@@ -253,32 +262,3 @@ def master_equation_estimates(params: SystemParams) -> FidelityEstimates:
         accepted_probability=probability_acc,
     )
 
-
-class SurfacePoint(NamedTuple):
-    kappa_over_gamma: float
-    gamma_a_over_gamma: float
-    estimator_a: float
-    estimator_b: float
-
-
-def _surface_points(params_list) -> list[SurfacePoint]:
-    """Both estimators at each of ``params_list``, in order."""
-    points = []
-    for params in params_list:
-        est = master_equation_estimates(params)
-        points.append(SurfacePoint(params.kappa, params.gamma_a, est.product_fidelity, est.network_fidelity))
-    return points
-
-
-def fidelity_surface(kappa_values, gamma_a_values) -> list[SurfacePoint]:
-    """Evaluate both fidelity estimators over a (kappa, gamma_a) grid at the
-    fixed reference drive (Omega = 2.9, Delta = 14, lambda_c = 2.86)."""
-    return _surface_points([SystemParams(delta=REFERENCE_DELTA, lambda_c=REFERENCE_LAMBDA_C, omega=REFERENCE_OMEGA,
-                                         kappa=float(kappa), gamma_a=float(gamma_a))
-                            for kappa in kappa_values for gamma_a in gamma_a_values])
-
-
-def fidelity_curve_vs_coupling_ratio(ratios) -> list[SurfacePoint]:
-    """Both estimators along a lambda_c/gamma_a axis (the alternative axis
-    convention for the noise analysis)."""
-    return _surface_points([reference_noise_params(float(ratio)) for ratio in ratios])

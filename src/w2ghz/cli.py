@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -33,10 +32,11 @@ from pathlib import Path
 from .analysis import (
     REFERENCE_LAMBDA_C,
     SweepSpec,
-    fidelity_curve_vs_coupling_ratio,
-    fidelity_surface,
+    master_equation_estimates,
     params_for_eta_over_kappa,
     pd_sweep_table,
+    reference_drive,
+    reference_noise_params,
 )
 from .atom_cavity import DOCUMENT_FIELDS, SystemParams
 from .checks import DEFAULT_CHECK_PARAMS, run_all_checks
@@ -174,13 +174,16 @@ def cmd_fidelity_surface(args) -> int:
         # Grid over (kappa/gamma, gamma_a/gamma) around the reported cavity.
         top = 2.0 * REFERENCE_LAMBDA_C / 50.0
         grid = [top * i / (steps - 1) for i in range(steps)]
-        points = fidelity_surface(grid, grid)
+        drives = [reference_drive(kappa, gamma_a) for kappa in grid for gamma_a in grid]
     else:
         # One-dimensional lambda_c/gamma_a axis at the experimental kappa.
-        ratios = [50.0 + (250.0 - 50.0) * i / (steps - 1) for i in range(steps)]
-        points = fidelity_curve_vs_coupling_ratio(ratios)
+        drives = [reference_noise_params(50.0 + (250.0 - 50.0) * i / (steps - 1)) for i in range(steps)]
 
-    rows = ("%.12g,%.12g,%.12g,%.12g\n" * len(points)) % tuple(itertools.chain.from_iterable(points))
+    cells = []
+    for params in drives:
+        estimates = master_equation_estimates(params)
+        cells += (params.kappa, params.gamma_a, estimates.product_fidelity, estimates.network_fidelity)
+    rows = ("%.12g,%.12g,%.12g,%.12g\n" * len(drives)) % tuple(cells)
     _write_output("kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b\n" + rows, args.out)
     return EXIT_OK
 

@@ -230,8 +230,9 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     A = -i H - (1/2) sum rate c^dag c restricted like c to the branches, and
     its 9x9 generator is exponentiated.  No c acts on both branches, so C
     takes no jump term (Plenio and Knight, RMP 70, 101, 1998).  A time is
-    refused as in ``decay_coefficients`` or where it takes the generator
-    past the float range, and an M that is not a state raises RuntimeError."""
+    refused as in ``decay_coefficients`` or where the exponential of the
+    generator times t leaves the float range, and a finite M that is not a
+    state raises RuntimeError."""
     t = _times(float(t))
     _require_resolved(params, t)
     collapse = [(rate, op.elements) for rate, op in collapse_operators(params)]
@@ -241,10 +242,15 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     for j, k in ((0, 0), (1, 1), (0, 1)):
         generator = (np.kron(drift[ix[j]], np.eye(3)) + np.kron(np.eye(3), drift[ix[k]].conj())
                      + sum(rate * np.kron(c[ix[j]], c[ix[k]].conj()) for rate, c in collapse))
-        if t * float(np.max(np.sum(np.abs(generator), axis=1))) == math.inf:
-            raise ValueError(f"t = {t!r} puts the unit's generator times t past the float range")
+        # Rounding grows with each squaring: from delta t near 3e17 rad M can
+        # come out finite but wrong or no state, and from near 1e19 rad (65
+        # squarings) they can overflow, the generator times t finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponential = _expm_minus_identity(generator * t)
+        if not np.isfinite(exponential).all():
+            raise ValueError(f"t = {t!r} puts the unit's generator exponential e^(G t) past the float range")
         # |g_j><g_k| and |e_j><e_k| are entries 0 and 8 of the row-major vec.
-        entries.append(_expm_minus_identity(generator * t)[8, 0])
+        entries.append(exponential[8, 0])
     p_l, p_r, c = entries[0].real, entries[1].real, entries[2]
     if not (-1e-12 <= p_l <= 1.0 + 1e-12 and -1e-12 <= p_r <= 1.0 + 1e-12 and abs(c) ** 2 <= p_l * p_r + 1e-12):
         raise RuntimeError(f"the unit's emitted block is not a state: P_L = {p_l!r}, P_R = {p_r!r}, C = {c!r}")

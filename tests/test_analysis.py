@@ -15,14 +15,13 @@ from w2ghz.analysis import (
     CurvePoint,
     FidelityEstimates,
     SweepSpec,
-    fidelity_curve_vs_coupling_ratio,
-    fidelity_surface,
     master_equation_estimates,
     params_for_eta_over_kappa,
     pd_closed_form,
     pd_numeric,
     pd_sweep,
     pd_sweep_table,
+    reference_drive,
     reference_noise_params,
 )
 from w2ghz.atom_cavity import (
@@ -544,13 +543,11 @@ class TestMasterEquationFidelity:
 
 class TestFidelitySurface:
     def grid_points(self):
-        kappas = [0.0, 0.05]
-        gammas = [0.0, 0.05]
-        return fidelity_surface(kappas, gammas)
+        return {(kappa, gamma_a): master_equation_estimates(reference_drive(kappa, gamma_a)).product_fidelity
+                for kappa in (0.0, 0.05) for gamma_a in (0.0, 0.05)}
 
     def test_monotone_in_both_noise_rates(self):
-        points = {(p.kappa_over_gamma, p.gamma_a_over_gamma): p.estimator_a
-                  for p in self.grid_points()}
+        points = self.grid_points()
         assert points[(0.0, 0.05)] <= points[(0.0, 0.0)]
         assert points[(0.05, 0.0)] <= points[(0.0, 0.0)]
         assert points[(0.05, 0.05)] <= points[(0.05, 0.0)]
@@ -558,14 +555,15 @@ class TestFidelitySurface:
 
     def test_noiseless_corner_is_maximum(self):
         points = self.grid_points()
-        corner = next(p for p in points if p.kappa_over_gamma == 0.0 and p.gamma_a_over_gamma == 0.0)
-        assert corner.estimator_a == pytest.approx(max(p.estimator_a for p in points))
+        assert points[(0.0, 0.0)] == pytest.approx(max(points.values()))
 
     def test_coupling_ratio_axis(self):
-        points = fidelity_curve_vs_coupling_ratio([50.0, 250.0])
-        assert len(points) == 2
-        assert points[0].gamma_a_over_gamma > points[1].gamma_a_over_gamma
-        assert points[0].estimator_a < points[1].estimator_a
+        params = [reference_noise_params(ratio) for ratio in (50.0, 250.0)]
+        assert params[0].kappa == params[1].kappa == reference_drive(0.0, 0.0).lambda_c / 250.0
+        assert params[0].gamma_a > params[1].gamma_a
+        assert params[0] == reference_drive(params[0].kappa, params[0].gamma_a)
+        estimates = [master_equation_estimates(p).product_fidelity for p in params]
+        assert estimates[0] < estimates[1]
 
 
 def test_curve_point_record_shape():

@@ -217,9 +217,8 @@ def test_benchmark_only_names_are_used_by_the_benchmark():
 
 # The simulator's public names, each under the module that defines it.
 PUBLIC_NAMES = {
-    "w2ghz.analysis": ("CurvePoint", "FidelityEstimates", "SweepSpec", "fidelity_surface",
-                       "master_equation_estimates", "pd_closed_form", "pd_sweep", "pd_sweep_table",
-                       "reference_noise_params"),
+    "w2ghz.analysis": ("CurvePoint", "FidelityEstimates", "SweepSpec", "master_equation_estimates",
+                       "pd_closed_form", "pd_sweep", "pd_sweep_table", "reference_drive", "reference_noise_params"),
     "w2ghz.atom_cavity": ("SystemParams", "collapse_operators", "full_hamiltonian"),
     "w2ghz.detection": ("ClickPattern", "DetectionReport", "OutcomeClass", "classify_pattern",
                         "enumerate_outcomes", "measure"),

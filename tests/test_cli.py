@@ -437,7 +437,7 @@ class TestFidelitySurface:
         def failing(*args, **kwargs):
             raise error("the unit's emitted block is not a state")
 
-        monkeypatch.setattr(analysis, "master_equation_estimates", failing)
+        monkeypatch.setattr(cli, "master_equation_estimates", failing)
         with pytest.raises(error, match="not a state"):
             main(["fidelity-surface", "--grid-steps", "2", "--axis-convention", axis])
 
@@ -500,11 +500,15 @@ class TestCsvCells:
         assert main(argv) == EXIT_OK
         if axis == "a":
             grid = [0.0, 2.0 * analysis.REFERENCE_LAMBDA_C / 50.0]
-            points = analysis.fidelity_surface(grid, grid)
+            drives = [analysis.reference_drive(kappa, gamma_a) for kappa in grid for gamma_a in grid]
         else:
-            points = analysis.fidelity_curve_vs_coupling_ratio([50.0, 250.0])
+            drives = [analysis.reference_noise_params(ratio) for ratio in (50.0, 250.0)]
+        rows = []
+        for params in drives:
+            estimates = analysis.master_equation_estimates(params)
+            rows.append((params.kappa, params.gamma_a, estimates.product_fidelity, estimates.network_fidelity))
         header = "kappa_over_gamma,gamma_a_over_gamma,fidelity_estimator_a,fidelity_estimator_b"
-        assert out.read_text() == per_cell_csv(header, points)
+        assert out.read_text() == per_cell_csv(header, rows)
 
 
 # The twelve distinct invocations of the cli_batch benchmark at seed 1: four
@@ -662,6 +666,28 @@ class TestChecksApi:
         result = check_network_reference_state()
         assert not result.passed
         assert result.name == "network-reference-state"
+
+    @pytest.mark.parametrize("fault", ["zero-anchor", "unreached-anchor"])
+    def test_missing_anchor_is_infinite_deviation(self, monkeypatch, fault):
+        # The phase is fixed on the reference's anchor term, so a network
+        # that leaves it empty, or has no occupation for it, cannot be
+        # compared: the deviation is inf and the check fails.
+        if fault == "zero-anchor":
+            amplitudes = checks._network_amplitudes
+
+            def emptied(coefficients):
+                psi, counts = amplitudes(coefficients)
+                psi = psi.copy()
+                psi[checks._REFERENCE_CONFIG[checks._REFERENCE_ANCHOR]] = 0.0
+                return psi, counts
+
+            monkeypatch.setattr(checks, "_network_amplitudes", emptied)
+        else:
+            counts = checks._REFERENCE_COUNTS.copy()
+            counts[checks._REFERENCE_ANCHOR] = 3  # three photons in every detector: no occupation has them
+            monkeypatch.setattr(checks, "_REFERENCE_COUNTS", counts)
+        assert checks.network_reference_deviation() == math.inf
+        assert not check_network_reference_state().passed
 
     def test_photon_normalization_fault_detected(self, monkeypatch):
         # Occupations normalized by n! instead of sqrt(n!) in the compiled

@@ -32,9 +32,17 @@ from w2ghz.detection import (
     enumerate_outcomes,
     measure,
 )
+from w2ghz.dynamics import EvolutionCoefficients
 from w2ghz.hilbert import DensityMatrix, fidelity
 from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
-from w2ghz.protocol import _MINUS, apply_hadamard_pulses, cavity_interaction, prepare_w_state, transfer_coefficients
+from w2ghz.protocol import (
+    _MINUS,
+    apply_hadamard_pulses,
+    cavity_interaction,
+    heralded_states,
+    prepare_w_state,
+    transfer_coefficients,
+)
 
 IDEAL = SystemParams(delta=20.0, lambda_c=1.0, omega=1.0)
 
@@ -113,6 +121,13 @@ class TestPovm:
         for eta in (1.2, -0.1):
             with pytest.raises(ValueError, match="eta_d"):
                 enumerate_outcomes(network_state(), eta)
+
+    @pytest.mark.parametrize("eta", [1.2, -0.1, float("nan")])
+    def test_invalid_efficiency_rejected_on_compiled_route(self, eta):
+        # The route run_protocol and the estimators take, past the
+        # SystemParams validation that guards it there.
+        with pytest.raises(ValueError, match=f"^eta_d must lie in \\[0, 1\\], got {eta}$"):
+            heralded_states(EvolutionCoefficients(0.0, 1.0), eta)
 
 
 class TestClassification:

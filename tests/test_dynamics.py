@@ -570,13 +570,24 @@ class TestEmittedBlock:
     @pytest.mark.parametrize("params, t", [
         (SystemParams(delta=1e200, lambda_c=1.0, omega=1.0), None),
         (SystemParams(delta=14.0, lambda_c=2.86, omega=2.9), 1.7e308),
-    ], ids=["delta-t", "fast-phase"])
+        (SystemParams(delta=1e20, lambda_c=1e10, omega=1e10), None),
+    ], ids=["delta-t", "fast-phase", "squarings"])
     def test_generator_past_float_range_rejected(self, params, t):
         # At the first operating time the fast phase is pi, but delta t is
-        # past the float range; at the second the phase itself is.
+        # past the float range; at the second the phase itself is.  At the
+        # third delta t is 1.6e20, finite, but 69 squarings overflow; no
+        # RuntimeWarning may escape on the way to the refusal.
         t = params.operating_time if t is None else t
         with pytest.raises(ValueError, match=re.escape(f"t = {t!r} puts the unit's generator")):
             emitted_block(params, t)
+
+    @pytest.mark.parametrize("delta", [1e6, 1e16])
+    def test_far_detuned_drive_emits(self, delta):
+        # lambda_c = omega = sqrt(delta): light shifts of 1, so the operating
+        # time is pi/2 and the lossless unit emits fully (to 1e-11 at
+        # delta = 1e6, below 1e-15 from 1e10), through up to 55 squarings.
+        params = SystemParams(delta=delta, lambda_c=delta**0.5, omega=delta**0.5)
+        assert np.max(np.abs(emitted_block(params, params.operating_time) - 1.0)) <= 1e-10
 
 
 class TestCompareFullVsEffective:

@@ -190,6 +190,14 @@ class TestValidationFlags:
         with pytest.raises(ValueError, match="non-finite entry"):
             build(value)
 
+    def test_non_real_fidelity_refused(self):
+        # The second matrix, i|0><1|, is no density matrix: its overlap with
+        # |+> is i/2, which the error names.
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        stack = np.array([np.outer(plus, plus), [[0.0, 1j], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match=r"^fidelity came out non-real: 0\.(5|49+)j$"):
+            fidelities(stack, plus)
+
 
 class TestDensityStack:
     # Each bad matrix with the error DensityMatrix raised for it before the

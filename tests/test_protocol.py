@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,13 @@ class TestCompiledRouteOracle:
         assert len(checked) == len(returned) == 16
         for matrix in returned:
             assert any(np.array_equal(matrix, seen) for seen in checked)
+
+    @pytest.mark.parametrize("field", ["probability", "fidelity"])
+    @pytest.mark.parametrize("value", [-1e-9, 1.0 + 1e-9, float("nan")])
+    def test_result_out_of_range_refused(self, field, value):
+        result = run_protocol(IDEAL).results[0]
+        with pytest.raises(ValueError, match=f"^{field} out of range: {value}$"):
+            replace(result, **{field: value})
 
     def test_spontaneous_decay_rejected(self):
         with pytest.raises(ValueError, match="gamma_a"):
