@@ -243,15 +243,14 @@ def master_equation_estimates(params: SystemParams) -> FidelityEstimates:
     (gL + gR)/sqrt2 input's output with (|eL,1,0> + |eR,0,1>)/sqrt2.  For
     estimator b each atom's |e_p><e_q| becomes M[p, q] |e_p><e_q|, so the
     noisy state of accepted pattern k is the Schur product p_k rho_k * M^(x3)
-    with the lossless protocol's conditional state rho_k, as
-    ``heralded_states`` gives it with perfect detectors.
+    with the lossless protocol's conditional state rho_k, both read as arrays
+    from ``heralded_states`` with perfect detectors; no state object is built.
     """
     block = emitted_block(params, params.operating_time)
     f_sub = math.sqrt(max(float(block.sum().real) / 4.0, 0.0))
 
-    report, conditional, kept = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
-    weights = np.array([report.probability(pattern) for pattern in report.conditional_states])
-    noisy = weights[:, None, None] * conditional * np.kron(np.kron(block, block), block)
+    probabilities, conditional, kept = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
+    noisy = probabilities[kept, None, None] * conditional * np.kron(np.kron(block, block), block)
     _, fids = _corrected_fidelities(noisy, kept)
     probability_acc = float(np.trace(noisy, axis1=1, axis2=2).real.sum())
     network_fidelity = float(fids.sum()) / probability_acc if probability_acc > 0 else 0.0

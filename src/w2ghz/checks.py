@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import params_for_eta_over_kappa, pd_closed_form, pd_numeric
+from .analysis import SweepSpec, params_for_eta_over_kappa, pd_sweep_table
 from .atom_cavity import SystemParams
 from .detection import _PATTERN_SETS, DETECTORS, _weight_table
 from .dynamics import decay_coefficients
@@ -159,14 +159,11 @@ def check_network_reference_state() -> CheckResult:
 
 
 def check_decay_probability_identity() -> CheckResult:
-    """Closed-form success probability vs (3/4)|beta'|^6 across a grid."""
+    """Closed-form P_d vs (3/4)|beta'|^6 on ``pd_sweep_table``, as ``sweep-decay`` runs it."""
     worst = 0.0
-    kappa_t = np.linspace(1e-3, 3.0, 400)
     for ratio in (10.0, 100.0):
-        params = params_for_eta_over_kappa(ratio)  # kappa = 1, so t = kappa*t
-        closed = pd_closed_form(params, kappa_t)
-        difference = np.abs(closed - pd_numeric(params, kappa_t))
-        worst = max(worst, float(np.max(difference / np.maximum(closed, 1e-300))))
+        table = pd_sweep_table(SweepSpec("kappa_t", 1e-3, 3.0, 400, params_for_eta_over_kappa(ratio)))
+        worst = max(worst, float(np.max(table[:, 3] / np.maximum(table[:, 1], 1e-300))))
     return CheckResult("decay-probability-identity", worst < 1e-12,
                        f"max relative difference = {worst:.3e}")
 

@@ -9,6 +9,9 @@ A run is accepted when every output mode fires exactly one of its two
 detectors; the parity of fired V detectors then decides which of the two
 maximally entangled three-atom states the atoms collapse to.  Everything
 else (double clicks, silent modes) is rejected.
+
+``measure`` and ``enumerate_outcomes`` return state objects and a report;
+``detect_amplitudes``, run by ``run_protocol`` and the estimators, arrays only.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, EMITTED_LEVELS, GROUND_LEVELS
-from .hilbert import DensityMatrix, HilbertSpace, density_stack
-from .photonics import ATOMS, DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
+from .hilbert import DensityMatrix, HilbertSpace
+from .photonics import DETECTOR_SLOTS, OUTPUT_MODES, JointAtomPhotonState
 
 DETECTORS = tuple(f"D{mode}{pol}" for mode, pol in DETECTOR_SLOTS)
 _DETECTOR_SLOT = dict(zip(DETECTORS, DETECTOR_SLOTS))
@@ -231,23 +234,19 @@ def enumerate_outcomes(state: JointAtomPhotonState, eta_d: float) -> DetectionRe
     return _report(probabilities, {_PATTERNS[i]: rho for i, rho in states.items()})
 
 
-_EMITTED_SPACE = atomic_space(ATOMS, EMITTED_LEVELS)
-
-
 def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float,
-                      emitted_rows: np.ndarray) -> tuple[DetectionReport, np.ndarray, list]:
-    """Detection of the state sum_{c,o} psi[c, o] |c>|o>, with c running over
-    the 64 configurations of the three atoms in the four-level
-    (EFFECTIVE_LEVELS) basis and o over occupations holding counts[o]
-    photons per detector.
+                      emitted_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Detection of the state sum_{c,o} psi[c, o] |c>|o>, c running over the
+    64 configurations of three atoms in the four-level (EFFECTIVE_LEVELS)
+    basis and o over occupations with counts[o] photons per detector.
 
-    The weight table is contracted once with the occupation weights, and
-    its 64 sums are picked in pattern order.  An accepted pattern fires all
-    three modes, so only the ``emitted_rows``, where every atom emitted (in
-    emitted-level basis order), carry weight for it; the conditional states
-    of the accepted patterns with p > 0 are built over the emitted levels as
-    one validated (k, 8, 8) stack.  Returns the report, that stack, and the
-    ``_PATTERNS`` index of each of its rows, in ``conditional_states`` order.
+    The weight table is contracted once with the occupation weights and its
+    64 sums are picked in pattern order.  An accepted pattern fires all three
+    modes, so only the ``emitted_rows``, where every atom emitted (in
+    emitted-level basis order), carry weight for it.  Returns arrays only:
+    the 64 pattern probabilities in ``_PATTERNS`` order, the unvalidated
+    (k, 8, 8) stack of the conditional states over the emitted levels of the
+    accepted patterns with p > 0, and the ``_PATTERNS`` index of each row.
     """
     if not 0.0 <= eta_d <= 1.0:
         raise ValueError(f"eta_d must lie in [0, 1], got {eta_d}")
@@ -256,6 +255,4 @@ def detect_amplitudes(psi: np.ndarray, counts: np.ndarray, eta_d: float,
     kept = [i for i in _ACCEPTED_INDICES if probabilities[i] > 0.0]
     sub = psi[emitted_rows]
     stack = ((sub * table[_PATTERN_SETS[kept], None, :]) @ sub.conj().T) / probabilities[kept, None, None]
-    states = density_stack(_EMITTED_SPACE, stack)
-    report = _report(probabilities.tolist(), dict(zip((_PATTERNS[i] for i in kept), states)))
-    return report, stack, kept
+    return probabilities, stack, kept

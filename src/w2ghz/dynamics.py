@@ -229,12 +229,11 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     obeys dX/dt = A_j X + X A_k^dag + sum rate c_j X c_k^dag, with
     A = -i H - (1/2) sum rate c^dag c restricted like c to the branches, and
     its 9x9 generator is exponentiated.  No c acts on both branches, so C
-    takes no jump term (Plenio and Knight, RMP 70, 101, 1998).  A time is
-    refused as in ``decay_coefficients`` or where the exponential of the
-    generator times t leaves the float range, and a finite M that is not a
-    state raises RuntimeError."""
+    takes no jump term (Plenio and Knight, RMP 70, 101, 1998).  A time that
+    is not finite and non-negative is refused, and so is one at which a
+    generator times t passes 2^56 in infinity norm or its exponential leaves
+    the float range; a finite M that is not a state raises RuntimeError."""
     t = _times(float(t))
-    _require_resolved(params, t)
     collapse = [(rate, op.elements) for rate, op in collapse_operators(params)]
     drift = -1j * full_hamiltonian(params).elements - 0.5 * sum(rate * (c.conj().T @ c) for rate, c in collapse)
     ix = [np.ix_(levels, levels) for levels in (branch_levels(j) for j in "LR")]
@@ -242,9 +241,11 @@ def emitted_block(params: SystemParams, t: float) -> np.ndarray:
     for j, k in ((0, 0), (1, 1), (0, 1)):
         generator = (np.kron(drift[ix[j]], np.eye(3)) + np.kron(np.eye(3), drift[ix[k]].conj())
                      + sum(rate * np.kron(c[ix[j]], c[ix[k]].conj()) for rate, c in collapse))
-        # Rounding grows with each squaring: from delta t near 3e17 rad M can
-        # come out finite but wrong or no state, and from near 1e19 rad (65
-        # squarings) they can overflow, the generator times t finite.
+        # Squarings add rounding: at light shifts of 1, M is exact at delta = 1e16 (||G t|| near
+        # 2^55) and wrong from near 10^17 (2^58).  Python floats sum to inf, with no warning.
+        norm = max(map(sum, np.abs(generator).tolist())) * t
+        if not norm <= 2.0**56:
+            raise ValueError(f"t = {t!r} puts the unit's generator times t at norm {norm:.3g}, past 2^56")
         with np.errstate(over="ignore", invalid="ignore"):
             exponential = _expm_minus_identity(generator * t)
         if not np.isfinite(exponential).all():

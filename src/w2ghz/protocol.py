@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atom_cavity import EFFECTIVE_LEVELS, GROUND_LEVELS, SystemParams
-from .detection import _CLASSES, ClickPattern, DetectionReport, OutcomeClass, atomic_space, detect_amplitudes
+from .detection import (_CLASSES, _PATTERNS, ClickPattern, DetectionReport, OutcomeClass, _report, atomic_space,
+                        detect_amplitudes)
 from .dynamics import _MAX_PHASE, EvolutionCoefficients, _fast_rate, _require_resolved, _times, decay_coefficients
 from .hilbert import DensityMatrix, HilbertSpace, StateVector, density_stack, fidelities
 from .photonics import (
@@ -184,10 +185,11 @@ def _network_amplitudes(coefficients: EvolutionCoefficients) -> tuple[np.ndarray
     return psi, network.counts
 
 
-def heralded_states(coefficients: EvolutionCoefficients, eta_d: float) -> tuple[DetectionReport, np.ndarray, list]:
-    """Detection report of the pulsed W state after the cavity interaction
-    with the given transfer amplitudes and the network, the (k, 8, 8) stack
-    of its conditional states over the emitted levels, and the index into
+def heralded_states(coefficients: EvolutionCoefficients, eta_d: float) -> tuple[np.ndarray, np.ndarray, list]:
+    """The 64 pattern probabilities, in detection's pattern order, of the
+    pulsed W state after the cavity interaction with the given transfer
+    amplitudes and the network, the unvalidated (k, 8, 8) stack of its
+    accepted conditional states over the emitted levels, and the index into
     detection's pattern table of each row (see ``detect_amplitudes``)."""
     psi, counts = _network_amplitudes(coefficients)
     return detect_amplitudes(psi, counts, eta_d, _CONFIG_ALL_EMITTED)
@@ -276,28 +278,32 @@ def require_modelled(params: SystemParams, t: float | None = None) -> float:
 def run_protocol(params: SystemParams, t: float | None = None) -> ProtocolRun:
     """Run the complete pipeline and post-process every accepted pattern.
 
-    Results come in report (``sorted_names``) order, their classes read from
-    detection's table.  The returned aggregate fidelity is the
-    probability-weighted mean over accepted patterns; the reject probability
-    absorbs in-algebra rejected patterns plus, for decaying dynamics, the
-    photon-loss (jump) weight that never reaches the detectors.  Spontaneous
-    decay is not part of this model; ``require_modelled`` rejects the params
-    it does not cover.
+    The one place detection's arrays become a ``DetectionReport`` and
+    validated conditional and final states.  Results come in report
+    (``sorted_names``) order, their classes read from detection's table.
+    The returned aggregate fidelity is the probability-weighted mean over
+    accepted patterns; the reject probability absorbs in-algebra rejected
+    patterns plus, for decaying dynamics, the photon-loss (jump) weight that
+    never reaches the detectors.  Spontaneous decay is not part of this
+    model; ``require_modelled`` rejects the params it does not cover.
     """
     t = require_modelled(params, t)
     # Incomplete transfer (decay, or an off-operating interaction time) leaves
     # vacuum branches; they can never fire all three modes and land in REJECT.
-    report, conditional, kept = heralded_states(transfer_coefficients(params, t), params.eta_d)
+    probabilities, conditional, kept = heralded_states(transfer_coefficients(params, t), params.eta_d)
+    # eL, eR and gL, gR span one space: the Raman relabeling keeps elements and space.
+    space = ground_state_space()
+    conditionals = density_stack(space, conditional)
     final, fids = _corrected_fidelities(conditional, kept)
-    # The Raman relabeling eL -> gL, eR -> gR keeps the elements, not the space.
-    finals = density_stack(ground_state_space(), final)
+    finals = density_stack(space, final)
+    probabilities = probabilities.tolist()
+    report = _report(probabilities, dict(zip((_PATTERNS[i] for i in kept), conditionals)))
 
     results = []
     fidelity_acc = 0.0
-    for i, (pattern, rho), final_rho, fid in zip(kept, report.conditional_states.items(), finals, fids.tolist()):
-        probability = report.probability(pattern)
-        results.append(ProtocolResult(pattern, _CLASSES[i], probability, rho, final_rho, fid))
-        fidelity_acc += probability * fid
+    for i, rho, final_rho, fid in zip(kept, conditionals, finals, fids.tolist()):
+        results.append(ProtocolResult(_PATTERNS[i], _CLASSES[i], probabilities[i], rho, final_rho, fid))
+        fidelity_acc += probabilities[i] * fid
     success = report.total_success_probability
     mean_fidelity = fidelity_acc / success if success > 0 else 0.0
     # 1 - success covers both in-algebra rejected patterns and, with decay,

@@ -10,7 +10,7 @@ from staged_reference import ALIGNED_LAYOUT, ghz_pair_states, lossless_heralded
 from unit_reference import block_of, unit_channels, unit_hamiltonian, unit_levels, unit_outputs, unit_space
 
 import w2ghz.analysis as analysis
-from w2ghz import dynamics
+from w2ghz import dynamics, hilbert
 from w2ghz.analysis import (
     CurvePoint,
     FidelityEstimates,
@@ -32,8 +32,9 @@ from w2ghz.atom_cavity import (
     full_space,
 )
 from w2ghz.cli import main
-from w2ghz.detection import OutcomeClass, atomic_space
+from w2ghz.detection import DetectionReport, OutcomeClass, atomic_space
 from w2ghz.dynamics import decay_coefficients, emitted_block
+from w2ghz.hilbert import DensityMatrix
 from w2ghz.photonics import ATOMS, DEFAULT_LAYOUT
 from w2ghz.protocol import run_protocol
 
@@ -419,6 +420,27 @@ class TestMasterEquationFidelity:
         # sits above the product estimator.
         assert est.network_fidelity > est.product_fidelity
         assert 0.0 < est.accepted_probability <= 1.0
+
+    def test_network_estimator_builds_no_state_objects(self, monkeypatch):
+        # Estimator b reads the heralded arrays as they are: no DensityMatrix
+        # is built, one by one or as views of a validated stack, and no
+        # DetectionReport.  run_protocol under the same counters builds both.
+        counts = {"DensityMatrix": 0, "validated stack": 0, "DetectionReport": 0}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting("DensityMatrix", DensityMatrix.__post_init__))
+        monkeypatch.setattr(hilbert, "validate_density_stack",
+                            counting("validated stack", hilbert.validate_density_stack))
+        monkeypatch.setattr(DetectionReport, "__init__", counting("DetectionReport", DetectionReport.__init__))
+        master_equation_estimates(reference_noise_params(250.0))
+        assert counts == {"DensityMatrix": 0, "validated stack": 0, "DetectionReport": 0}
+        run_protocol(SystemParams(delta=20.0, lambda_c=1.0, omega=1.0))
+        assert counts == {"DensityMatrix": 0, "validated stack": 2, "DetectionReport": 1}
 
     def test_network_estimator_ideal_limit(self):
         params = SystemParams(delta=56.0, lambda_c=2.86, omega=2.9)

@@ -33,7 +33,7 @@ from w2ghz.detection import (
     measure,
 )
 from w2ghz.dynamics import EvolutionCoefficients
-from w2ghz.hilbert import DensityMatrix, fidelity
+from w2ghz.hilbert import DensityMatrix, fidelity, validate_density_stack
 from w2ghz.photonics import ATOMS, JointAtomPhotonState, full_network
 from w2ghz.protocol import (
     _MINUS,
@@ -41,6 +41,7 @@ from w2ghz.protocol import (
     cavity_interaction,
     heralded_states,
     prepare_w_state,
+    run_protocol,
     transfer_coefficients,
 )
 
@@ -317,6 +318,35 @@ class TestOnePassOracle:
         report = enumerate_outcomes(state, eta)
         assert len(report.pattern_probabilities) == 64
         assert abs(sum(report.pattern_probabilities.values()) - norm_sq(state)) < 1e-12
+
+
+class TestArrayRoute:
+    """``detect_amplitudes``, through ``heralded_states``, returns arrays:
+    the 64 pattern probabilities, the unvalidated conditional stack and the
+    pattern index of each of its rows."""
+
+    def test_lossless_stack_is_valid_and_uniform(self):
+        # The stack estimator b reads: eight valid states over the emitted
+        # levels, each heralded with probability 3/32 (4 ulp below it here).
+        probabilities, stack, kept = heralded_states(EvolutionCoefficients(0.0, 1.0), 1.0)
+        assert isinstance(probabilities, np.ndarray) and probabilities.shape == (64,)
+        assert kept == list(_ACCEPTED_INDICES) and stack.shape == (8, 8, 8)
+        validate_density_stack(stack)
+        assert np.max(np.abs(probabilities[kept] - 3 / 32)) <= 1e-15
+        assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [IDEAL, SystemParams(delta=20.0, lambda_c=1.0, omega=1.0, kappa=0.004,
+                                                            eta_d=0.37)], ids=["ideal", "decaying"])
+    def test_run_protocol_reads_the_arrays(self, params):
+        # run_protocol builds its report and states from these arrays, bit
+        # for bit, reading each probability by its pattern index.
+        probabilities, stack, kept = heralded_states(transfer_coefficients(params), params.eta_d)
+        run = run_protocol(params)
+        assert list(run.report.pattern_probabilities) == list(_PATTERNS)
+        assert list(run.report.pattern_probabilities.values()) == probabilities.tolist()
+        assert [r.pattern for r in run.results] == [_PATTERNS[i] for i in kept]
+        assert [r.probability for r in run.results] == probabilities[kept].tolist()
+        assert np.array_equal(np.array([r.conditional.elements for r in run.results]), stack)
 
 
 def test_all_patterns_is_complete_algebra():

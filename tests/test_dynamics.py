@@ -589,6 +589,36 @@ class TestEmittedBlock:
         params = SystemParams(delta=delta, lambda_c=delta**0.5, omega=delta**0.5)
         assert np.max(np.abs(emitted_block(params, params.operating_time) - 1.0)) <= 1e-10
 
+    def test_far_detuned_scan_refused_by_name_or_emits(self):
+        # delta = 10^14 ... 10^18 in steps of 10^0.02 at light shifts of 1.
+        # Bounded only by the eliminated model's fast phase, drives from
+        # 10^16.98 on raised "not a state" or returned blocks off full
+        # emission by more than 1e-10 (21 of them; which ones depends on the
+        # rounding of delta).  Each drive is now refused by its generator's
+        # norm, from one delta above 1e16 on, or emits fully.
+        refused = []
+        for delta in np.logspace(14.0, 18.0, 201).tolist():
+            params = SystemParams(delta=delta, lambda_c=delta**0.5, omega=delta**0.5)
+            t = params.operating_time
+            try:
+                block = emitted_block(params, t)
+            except ValueError as exc:
+                assert str(exc).startswith(f"t = {t!r} puts the unit's generator times t at norm ")
+                refused.append(delta)
+                continue
+            assert not refused, delta
+            assert np.max(np.abs(block - 1.0)) <= 1e-10, delta
+        assert 1e16 < refused[0] <= 10**16.98 and refused[-1] == 1e18
+
+    def test_slow_drive_past_fast_phase_resolution_accepted(self):
+        # The eliminated model's fast phase (kappa + light shifts) t is 2e15
+        # rad here, past its 2^50 bound, yet the unit's generator times t is
+        # of norm 4002, and the block matches the whole-space exponential.
+        params = SystemParams(delta=1e-12, lambda_c=1.0, omega=1.0, kappa=0.001, gamma_a=0.002)
+        block = emitted_block(params, 1000.0)
+        assert np.max(np.abs(block - block_of(unit_outputs(params, 1000.0)))) <= 1e-10
+        assert block[0, 0].real == pytest.approx(0.0614214673, abs=1e-10)
+
 
 class TestCompareFullVsEffective:
     @staticmethod
